@@ -48,9 +48,7 @@ from .energy import (
     NussinovModel,
     ParameterError,
     decompose_loops,
-    energy,
     example_parameters,
-    external_evaluate,
     load_parameters,
     observable,
 )

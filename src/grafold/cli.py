@@ -112,7 +112,6 @@ class RunConfig:
     machine: AdaptiveMachine
     limits: RunLimits
     trace_out: Path | None
-    seed: int  # reserved for randomized strategies
 
 
 def _fold_config(args: argparse.Namespace) -> RunConfig:
@@ -130,7 +129,6 @@ def _fold_config(args: argparse.Namespace) -> RunConfig:
             max_adaptation_states=args.max_adaptation_states,
         ),
         trace_out=Path(args.trace_out) if args.trace_out else None,
-        seed=args.seed,
     )
 
 
@@ -259,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     fold.add_argument("--max-adaptation-depth", type=int, metavar="N")
     fold.add_argument("--max-adaptation-states", type=int, metavar="N")
     fold.add_argument("--trace-out", metavar="FILE", help="write the JSON-lines trace here")
-    fold.add_argument("--seed", type=int, default=0,
-                      help="reserved for randomized strategies (default 0)")
     fold.set_defaults(func=cmd_fold)
 
     enum = sub.add_parser("enumerate", help="build and export the folding space")

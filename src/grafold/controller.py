@@ -232,9 +232,6 @@ class RunState:
     s_state: str
     structure: SecondaryStructure
     energy: float
-    mode: str = "steady"  # "steady" | "adapting"
-    adapting_from: str | None = None
-    candidates: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -302,7 +299,11 @@ class Trace:
 
 @dataclass(frozen=True)
 class StrategyContext:
-    """Everything a constraint or strategy may inspect when evaluated."""
+    """Everything a constraint or strategy may inspect when evaluated.
+
+    ``score`` is the observable under ``model``, possibly memoized (the
+    controller passes its run-scoped memo); None means ``observable``.
+    """
 
     structure: SecondaryStructure
     energy: float
@@ -312,6 +313,7 @@ class StrategyContext:
     model: EnergyModel
     best: tuple[float, SecondaryStructure] | None
     params: dict[str, object]
+    score: Callable[[SecondaryStructure], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -347,18 +349,22 @@ def phi0_select(
     q: SecondaryStructure,
     succs: list[tuple[Match, SecondaryStructure]] | tuple[tuple[Match, SecondaryStructure], ...],
     em: EnergyModel,
+    score: Callable[[SecondaryStructure], float] | None = None,
 ) -> tuple[Match, SecondaryStructure] | None:
     """The greedy choice: the minimal-observable successor, if it does not
     exceed the current observable.
 
     Ties break on the smallest dot-bracket key. Returns None when no
     successor qualifies (including an empty successor list), which signals
-    that adaptation is needed.
+    that adaptation is needed. ``score`` stands in for ``observable(_, em)``
+    when given, e.g. a memo of it.
     """
     if not succs:
         return None
-    best = min(succs, key=lambda ms: (observable(ms[1], em), ms[1].key))
-    if observable(best[1], em) <= observable(q, em):
+    if score is None:
+        score = lambda s: observable(s, em)
+    best = min(succs, key=lambda ms: (score(ms[1]), ms[1].key))
+    if score(best[1]) <= score(q):
         return best
     return None
 
@@ -376,7 +382,7 @@ def check_constraint(constraint: Constraint, ctx: StrategyContext) -> StrategyDe
     if constraint.kind == UNCONSTRAINED:
         return StrategyDecision(satisfied=True)
     if constraint.kind == GREEDY:
-        selected = phi0_select(ctx.structure, ctx.successors, ctx.model)
+        selected = phi0_select(ctx.structure, ctx.successors, ctx.model, ctx.score)
         if selected is None:
             return StrategyDecision(satisfied=False)
         match, target = selected
@@ -474,6 +480,9 @@ class Controller:
         self._visited: set[str] = set()
         self._occupied_since_move: set[tuple[str, str]] = set()
         self._best: tuple[float, SecondaryStructure] | None = None
+        # run-scoped memos, keyed by dot-bracket key
+        self._successor_memo: dict[str, tuple[tuple[Match, SecondaryStructure], ...]] = {}
+        self._energy_memo: dict[str, float] = {}
         self.state: RunState | None = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -503,25 +512,42 @@ class Controller:
             ):
                 self._best = cand
 
-    def _filtered_successors(
+    def _observable(self, structure: SecondaryStructure) -> float:
+        """The observable of ``structure``, scored once per run."""
+        key = structure.key
+        energy = self._energy_memo.get(key)
+        if energy is None:
+            energy = self._energy_memo[key] = observable(structure, self.model)
+        return energy
+
+    def _successors(
         self, structure: SecondaryStructure
     ) -> tuple[tuple[Match, SecondaryStructure], ...]:
-        pairs = [
-            (m, _apply_unchecked(structure, m))
-            for m in enumerate_matches(structure, self.grammar)
-        ]
-        return tuple((m, t) for m, t in pairs if t.key not in self._visited)
+        """Every forward (match, target) step from ``structure``, in match
+        order, built once per run."""
+        key = structure.key
+        succs = self._successor_memo.get(key)
+        if succs is None:
+            succs = self._successor_memo[key] = tuple(
+                (m, _apply_unchecked(structure, m))
+                for m in enumerate_matches(structure, self.grammar)
+            )
+        return succs
 
     def _context(self, structure: SecondaryStructure, s_state: str) -> StrategyContext:
+        visited = self._visited
         return StrategyContext(
             structure=structure,
-            energy=observable(structure, self.model),
+            energy=self._observable(structure),
             s_state=s_state,
-            successors=self._filtered_successors(structure),
+            successors=tuple(
+                (m, t) for m, t in self._successors(structure) if t.key not in visited
+            ),
             grammar=self.grammar,
             model=self.model,
             best=self._best,
             params={},
+            score=self._observable,
         )
 
     # -- the two phases ------------------------------------------------------
@@ -563,7 +589,7 @@ class Controller:
         move: str | None,
         note: str | None,
     ) -> None:
-        self.state = RunState(s_state, structure, observable(structure, self.model))
+        self.state = RunState(s_state, structure, self._observable(structure))
         self._enter(s_state, structure)
         self._record(self.state, mode, move=move, note=note)
 
@@ -594,12 +620,6 @@ class Controller:
         candidates = machine_state.transitions
         if not candidates:
             return AdaptationOutcome(False, "no-adaptation-targets")
-        self.state = replace(
-            origin,
-            mode="adapting",
-            adapting_from=origin.s_state,
-            candidates=tuple(t for t, _ in candidates),
-        )
         psis = tuple(psi for _, psi in candidates)
 
         parent: dict[str, tuple[str | None, str | None, SecondaryStructure]] = {
@@ -633,8 +653,7 @@ class Controller:
                 limit_hit = limit_hit or "adaptation-depth-limit"
                 continue
             moves: list[tuple[str, SecondaryStructure]] = [
-                (m.rule.label, _apply_unchecked(node, m))
-                for m in enumerate_matches(node, self.grammar)
+                (m.rule.label, target) for m, target in self._successors(node)
             ]
             if self.grammar.allow_inverse:
                 moves.extend(
@@ -649,7 +668,6 @@ class Controller:
                 parent[child.key] = (node.key, label, child)
                 queue.append((depth + 1, child))
 
-        self.state = origin
         return AdaptationOutcome(False, limit_hit or "exhausted")
 
     def _path_visits_new(
@@ -681,17 +699,11 @@ class Controller:
             key = prev_key
         path.reverse()
         for label, structure in path:
-            state = RunState(
-                origin.s_state,
-                structure,
-                observable(structure, self.model),
-                mode="adapting",
-                adapting_from=origin.s_state,
-            )
+            state = RunState(origin.s_state, structure, self._observable(structure))
             self.state = state
             self._enter(origin.s_state, structure)
             self._record(state, "adapting", move=label)
-        resumed = RunState(target_id, node, observable(node, self.model))
+        resumed = RunState(target_id, node, self._observable(node))
         self.state = resumed
         self._enter(target_id, node)
         self._record(
@@ -705,7 +717,9 @@ class Controller:
     def run(self, seq: PrimarySequence) -> Trace:
         """Alternate steady steps and adaptation phases until termination."""
         s0 = SecondaryStructure(seq)
-        self.state = RunState(self.machine.initial, s0, observable(s0, self.model))
+        self._successor_memo = {}
+        self._energy_memo = {}
+        self.state = RunState(self.machine.initial, s0, self._observable(s0))
         self._records = []
         self._visited = {s0.key}
         self._occupied_since_move = {(self.state.s_state, s0.key)}

@@ -45,7 +45,6 @@ __all__ = [
     "ParameterError",
     "decompose_loops",
     "loop_energy_term",
-    "energy",
     "observable",
     "parse_parameters",
     "load_parameters",
@@ -232,7 +231,7 @@ class ExternalEvaluator:
     """Adapter around a command that scores (sequence, structure) pairs.
 
     Protocol: the command receives two lines on stdin (the base string, then
-    the dot-bracket string) and must print one decimal kcal/mol value.
+    the dot-bracket string) and must print one finite decimal kcal/mol value.
     Results are cached per structure key for the lifetime of the adapter.
     Calls are serialized unless ``concurrent_safe`` is set.
     """
@@ -278,9 +277,12 @@ class ExternalEvaluator:
             )
         text = proc.stdout.strip()
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ExternalEvaluationError("unparsable-output", f"stdout: {text!r}")
+        if not math.isfinite(value):
+            raise ExternalEvaluationError("non-finite-output", f"stdout: {text!r}")
+        return value
 
 
 @dataclass
@@ -292,18 +294,6 @@ class ExternalModel(EnergyModel):
 
     def energy(self, s: SecondaryStructure) -> float:
         return self.evaluator.evaluate(s.sequence, s)
-
-
-def external_evaluate(
-    adapter: ExternalEvaluator, seq: PrimarySequence, s: SecondaryStructure
-) -> float:
-    """Score a structure through an external adapter (cached per key)."""
-    return adapter.evaluate(seq, s)
-
-
-def energy(s: SecondaryStructure, model: EnergyModel) -> float:
-    """Free energy of ``s`` in kcal/mol under ``model``."""
-    return model.energy(s)
 
 
 def observable(s: SecondaryStructure, model: EnergyModel) -> float:

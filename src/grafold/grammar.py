@@ -27,11 +27,12 @@ minimum hairpin size:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
 from .structure import (
+    BASES,
     DEFAULT_MIN_HAIRPIN,
     BasePair,
     SecondaryStructure,
@@ -146,6 +147,20 @@ class DerivationError(ValueError):
         self.index = index
 
 
+def _normalized(pairs) -> tuple[BasePair, ...]:
+    """``pairs`` as a sorted tuple of ``BasePair(i, j)`` with ``i < j``; a
+    tuple already in that form is returned as it is."""
+    if type(pairs) is tuple:
+        prev = (-1, -1)
+        for pair in pairs:
+            if type(pair) is not BasePair or pair[0] >= pair[1] or pair <= prev:
+                break
+            prev = pair
+        else:
+            return pairs
+    return tuple(sorted(BasePair(min(i, j), max(i, j)) for i, j in pairs))
+
+
 @dataclass(frozen=True)
 class Match:
     """A rule together with a concrete site: added pairs plus context pairs.
@@ -162,10 +177,11 @@ class Match:
     context: tuple[BasePair, ...] = ()
 
     def __post_init__(self) -> None:
-        added = tuple(sorted(BasePair(min(i, j), max(i, j)) for i, j in self.added))
-        context = tuple(sorted(BasePair(min(i, j), max(i, j)) for i, j in self.context))
-        object.__setattr__(self, "added", added)
-        object.__setattr__(self, "context", context)
+        added, context = _normalized(self.added), _normalized(self.context)
+        if added is not self.added:
+            object.__setattr__(self, "added", added)
+        if context is not self.context:
+            object.__setattr__(self, "context", context)
         kind, variant = self.rule.loop_kind, self.rule.variant
         if kind is LoopKind.MULTI:
             want_added, ctx_ok = 1, (len(context) == 2 if variant == 1 else len(context) >= 3)
@@ -377,12 +393,74 @@ def gluing_check(s: SecondaryStructure, m: Match, g: Grammar) -> bool:
     return m in _matches_for_added(s, g, m.added)
 
 
+#: The Rule-2 (one added pair next to one existing pair) and Rule-1
+#: (two added pairs) rule of each gap shape, indexed by (left gap > 0,
+#: right gap > 0): both flush is a helix, one gap a bulge, two an internal loop.
+_RULE2_BY_GAPS = {
+    (False, False): HELIX_2,
+    (False, True): BULGE_R_2,
+    (True, False): BULGE_L_2,
+    (True, True): INTERNAL_2,
+}
+_RULE1_BY_GAPS = {
+    (False, False): HELIX_1,
+    (False, True): BULGE_R_1,
+    (True, False): BULGE_L_1,
+    (True, True): INTERNAL_1,
+}
+
+#: The bases each base may pair with (Watson-Crick plus G-U wobble).
+_PAIRS_WITH = {a: "".join(b for b in sorted(BASES) if is_admissible_pair(a, b)) for a in BASES}
+
+
+@dataclass(slots=True)
+class _Loop:
+    """One loop of a structure: its closing pair (None for the exterior
+    loop), its unpaired positions and its branches, each left to right.
+    ``before[k]`` counts the branches left of ``free[k]``."""
+
+    closing: BasePair | None
+    free: list[int] = field(default_factory=list)
+    before: list[int] = field(default_factory=list)
+    branches: list[BasePair] = field(default_factory=list)
+
+
+def _loop_index(s: SecondaryStructure) -> tuple[list[_Loop | None], list[int]]:
+    """One left-to-right pass over a valid structure: for each position, the
+    loop it is unpaired in (None if paired) and its slot in that loop's
+    ``free`` list."""
+    partner = s.partner
+    exterior = _Loop(None)
+    open_loops = [exterior]
+    owner: list[_Loop | None] = [None] * s.n
+    slot = [-1] * s.n
+    for pos in range(s.n):
+        mate = partner.get(pos)
+        loop = open_loops[-1]
+        if mate is None:
+            owner[pos], slot[pos] = loop, len(loop.free)
+            loop.free.append(pos)
+            loop.before.append(len(loop.branches))
+        elif mate > pos:
+            pair = BasePair(pos, mate)
+            loop.branches.append(pair)
+            open_loops.append(_Loop(pair))
+        else:
+            open_loops.pop()
+    return owner, slot
+
+
 def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
     """Every match of every grammar rule on ``s``, in deterministic order.
 
-    Complete by construction: single additions are classified against their
-    direct interior and direct parent; double additions are scanned per
-    Rule-1 geometry. Sorted by (rule, added pairs, context).
+    Every rule adds its pairs inside one loop, so the scan runs over one loop
+    index of ``s``: a new pair joins two admissible unpaired positions of one
+    loop, its children are the loop's branches between them, and its parent
+    is the loop's closing pair when no branch lies outside them. A Rule-1
+    double nests a second new pair inside the first, across the runs of
+    consecutive unpaired positions next to its ends. Each rule's matches come
+    out in (added pairs, context) order, so the result is sorted by (rule,
+    added pairs, context) without a sort.
 
     Args:
         s: A valid structure.
@@ -391,88 +469,75 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
     Returns:
         Sorted list of matches; empty when ``s`` is terminal.
     """
-    seq, n, partner = s.sequence, s.n, s.partner
+    bases, n, partner = s.sequence.bases, s.n, s.partner
     min_h = g.min_hairpin_unpaired
-    rule_set = g.rule_set
-    matches: list[Match] = []
+    # one output list per rule in the grammar; a rule outside it maps to None
+    buckets: dict[RuleId, list[Match]] = {rule: [] for rule in ALL_RULES if rule in g.rules}
+    hairpins = buckets.get(HAIRPIN_1)
+    multi = {more: (rule, buckets.get(rule)) for more, rule in ((False, MULTI_1), (True, MULTI_2))}
+    rule2 = {gaps: (rule, buckets.get(rule)) for gaps, rule in _RULE2_BY_GAPS.items()}
+    rule1 = {gaps: (rule, buckets.get(rule)) for gaps, rule in _RULE1_BY_GAPS.items()}
+    any_double = any(bucket is not None for _, bucket in rule1.values())
 
-    free = [pos for pos in range(n) if pos not in partner]
-    free_set = set(free)
+    owner, slot = _loop_index(s)
+    # run_end[a] / run_start[b]: the last / first position of the run of
+    # consecutive unpaired positions through a / b
+    run_end = [0] * n
+    for pos in range(n - 1, -1, -1):
+        run_end[pos] = run_end[pos + 1] if pos + 1 < n and pos + 1 not in partner else pos
+    run_start = [0] * n
+    for pos in range(n):
+        run_start[pos] = run_start[pos - 1] if pos and pos - 1 not in partner else pos
 
-    for a in free:
-        for b in range(a + 2, n):
-            if b not in free_set or not is_admissible_pair(seq[a], seq[b]):
+    for a in range(n):
+        loop = owner[a]
+        if loop is None:
+            continue
+        free, before, branches, closing = loop.free, loop.before, loop.branches, loop.closing
+        mates = _PAIRS_WITH[bases[a]]
+        left = before[slot[a]]
+        for y in range(slot[a] + 1, len(free)):
+            b = free[y]
+            if bases[b] not in mates:
+                continue
+            kids = tuple(branches[left : before[y]])
+            if not kids and b - a - 1 < min_h:
                 continue
             pair = BasePair(a, b)
-            if _addition_ok(s, min_h, (pair,)):
-                matches.extend(_single_addition_matches(s, pair, rule_set))
+            if closing is not None and left == 0 and before[y] == len(branches):
+                p, q = closing
+                rule, bucket = rule2[(a - p > 1, q - b > 1)]
+                if bucket is not None:
+                    bucket.append(Match(rule, (pair,), (closing,)))
+            if not kids:
+                if hairpins is not None:
+                    hairpins.append(Match(HAIRPIN_1, (pair,)))
+            elif len(kids) == 1:
+                c, d = kids[0]
+                rule, bucket = rule2[(c - a > 1, b - d > 1)]
+                if bucket is not None:
+                    bucket.append(Match(rule, (pair,), kids))
+            else:
+                rule, bucket = multi[len(kids) > 2]
+                if bucket is not None:
+                    bucket.append(Match(rule, (pair,), kids))
 
-    for a in free:
-        for b in range(a + 3, n):
-            if b not in free_set or not is_admissible_pair(seq[a], seq[b]):
+            if not any_double:
                 continue
-            outer = BasePair(a, b)
-
-            if HELIX_1 in rule_set:
-                c, d = a + 1, b - 1
-                stackable = c < d and c in free_set and d in free_set
-                if stackable and is_admissible_pair(seq[c], seq[d]):
-                    pair_set = (outer, BasePair(c, d))
-                    if _addition_ok(s, min_h, pair_set):
-                        matches.append(Match(HELIX_1, pair_set))
-
-            # bulge-r: inner (a+1, d), unpaired run d+1..b-1 grows as d moves left
-            if BULGE_R_1 in rule_set and a + 1 in free_set:
-                d = b - 2
-                while d >= a + 3:
-                    if d + 1 in partner or d in partner:
-                        break
-                    if is_admissible_pair(seq[a + 1], seq[d]):
-                        pair_set = (outer, BasePair(a + 1, d))
-                        if _addition_ok(s, min_h, pair_set):
-                            matches.append(Match(BULGE_R_1, pair_set))
-                    d -= 1
-
-            # bulge-l: inner (c, b-1), unpaired run a+1..c-1 grows as c moves right
-            if BULGE_L_1 in rule_set and b - 1 in free_set:
-                c = a + 2
-                while c <= b - 3:
-                    if c - 1 in partner or c in partner:
-                        break
-                    if is_admissible_pair(seq[c], seq[b - 1]):
-                        pair_set = (outer, BasePair(c, b - 1))
-                        if _addition_ok(s, min_h, pair_set):
-                            matches.append(Match(BULGE_L_1, pair_set))
-                    c += 1
-
-            if INTERNAL_1 not in rule_set:
-                continue
-            # internal: both runs must be unpaired, so candidate endpoints are
-            # bounded by the first paired position on either side
-            c_values = []
-            c = a + 2
-            while c <= b - 4:
-                if c - 1 in partner or c in partner:
-                    break
-                c_values.append(c)
-                c += 1
-            d_values = []
-            d = b - 2
-            while d >= a + 4:
-                if d + 1 in partner or d in partner:
-                    break
-                d_values.append(d)
-                d -= 1
-            for c in c_values:
-                for d in d_values:
-                    if d < c + 2 or not is_admissible_pair(seq[c], seq[d]):
+            # the inner pair (c, d): c in the unpaired run after a, d in the
+            # run before b, enclosing the children or a hairpin
+            min_span = 2 if kids else min_h + 1
+            d_lo = max(run_start[b], a + 1)
+            for c in range(a + 1, min(run_end[a], b - 1) + 1):
+                inner_mates = _PAIRS_WITH[bases[c]]
+                for d in range(max(d_lo, c + min_span), b):
+                    if bases[d] not in inner_mates:
                         continue
-                    pair_set = (outer, BasePair(c, d))
-                    if _addition_ok(s, min_h, pair_set):
-                        matches.append(Match(INTERNAL_1, pair_set))
+                    rule, bucket = rule1[(c - a > 1, b - d > 1)]
+                    if bucket is not None:
+                        bucket.append(Match(rule, (pair, BasePair(c, d))))
 
-    matches.sort(key=lambda m: m.sort_key)
-    return matches
+    return [m for bucket in buckets.values() for m in bucket]
 
 
 def enumerate_inverse_matches(

@@ -146,11 +146,11 @@ def build_lts(
             truncated = "max_depth"
             continue
         for match, target in succ:
-            e = observable(target, em)
+            tgt = index.get(target.key)
+            e = observable(target, em) if tgt is None else states[tgt].energy
             if limits.energy_ceiling is not None and e > limits.energy_ceiling:
                 truncated = "energy_ceiling"
                 continue
-            tgt = index.get(target.key)
             if tgt is None:
                 if limits.max_states is not None and len(states) >= limits.max_states:
                     truncated = "max_states"

@@ -14,9 +14,7 @@ from grafold.energy import (
     NussinovModel,
     ParameterError,
     decompose_loops,
-    energy,
     example_parameters,
-    external_evaluate,
     load_parameters,
     loop_energy_term,
     observable,
@@ -99,9 +97,9 @@ class TestDecompose:
 class TestNussinov:
     def test_per_pair(self):
         model = NussinovModel()
-        assert energy(structure("GGAAACC", "((...))"), model) == -2.0
-        assert energy(structure("GAAAC", "(...)"), model) == -1.0
-        assert energy(SecondaryStructure(PrimarySequence("AAAA")), model) == 0.0
+        assert model.energy(structure("GGAAACC", "((...))")) == -2.0
+        assert model.energy(structure("GAAAC", "(...)")) == -1.0
+        assert model.energy(SecondaryStructure(PrimarySequence("AAAA"))) == 0.0
 
     def test_observable_infinite_when_unpaired(self):
         model = NussinovModel()
@@ -114,7 +112,7 @@ class TestLoopTable:
     def test_example_hand_sum(self):
         # two GC/GC stacks at -3.0 each plus a length-3 hairpin at 4.0
         model = LoopTableModel(example_parameters())
-        assert energy(structure("GGGAAACCC", "(((...)))"), model) == pytest.approx(-2.0)
+        assert model.energy(structure("GGGAAACCC", "(((...)))")) == pytest.approx(-2.0)
 
     def test_additivity_over_shuffled_loops(self):
         params = example_parameters()
@@ -122,7 +120,7 @@ class TestLoopTable:
         loops = list(decompose_loops(s))
         random.Random(0).shuffle(loops)
         total = sum(loop_energy_term(l, s.sequence, params) for l in loops)
-        assert total == pytest.approx(energy(s, LoopTableModel(params)))
+        assert total == pytest.approx(LoopTableModel(params).energy(s))
 
     def test_multibranch_term(self):
         params = example_parameters()
@@ -135,7 +133,7 @@ class TestLoopTable:
         bases = "G" + "A" * 35 + "C"
         s = structure(bases, "(" + "." * 35 + ")")
         expected = 9.4 + 1.75 * 0.616 * math.log(35 / 30)
-        assert energy(s, LoopTableModel(params)) == pytest.approx(expected)
+        assert LoopTableModel(params).energy(s) == pytest.approx(expected)
 
     def test_wobble_stack_entry(self):
         params = example_parameters()
@@ -205,7 +203,7 @@ class TestExternal:
         cmd = _write_stub(tmp_path, "print(-1.5)\n")
         evaluator = ExternalEvaluator(cmd)
         s = structure("GAAAC", "(...)")
-        assert external_evaluate(evaluator, s.sequence, s) == pytest.approx(-1.5)
+        assert evaluator.evaluate(s.sequence, s) == pytest.approx(-1.5)
         assert observable(s, ExternalModel(evaluator)) == pytest.approx(-1.5)
 
     def test_stub_reads_protocol(self, tmp_path):
@@ -232,6 +230,14 @@ class TestExternal:
         with pytest.raises(ExternalEvaluationError) as exc:
             ExternalEvaluator(cmd).evaluate(s.sequence, s)
         assert exc.value.reason == "unparsable-output"
+
+    @pytest.mark.parametrize("printed", ["nan", "inf", "-inf"])
+    def test_non_finite_output(self, tmp_path, printed):
+        cmd = _write_stub(tmp_path, f"print({printed!r})\n")
+        s = structure("GAAAC", "(...)")
+        with pytest.raises(ExternalEvaluationError) as exc:
+            ExternalEvaluator(cmd).evaluate(s.sequence, s)
+        assert exc.value.reason == "non-finite-output"
 
     def test_command_not_found(self):
         s = structure("GAAAC", "(...)")

@@ -4,12 +4,15 @@ from hypothesis import strategies as st
 
 from grafold.grammar import (
     ALL_RULES,
+    BULGE_L_1,
     BULGE_L_2,
     BULGE_R_2,
     HAIRPIN_1,
     HELIX_1,
     HELIX_2,
+    INTERNAL_1,
     INTERNAL_2,
+    MULTI_2,
     DerivationError,
     GluingError,
     Grammar,
@@ -35,6 +38,8 @@ from oracles import brute_force_matches
 
 G3 = Grammar()
 G1 = Grammar(min_hairpin_unpaired=1)
+# out of table order on purpose: the output order must not follow it
+RESTRICTED = Grammar(rules=(MULTI_2, INTERNAL_1, HELIX_2, BULGE_L_1, HAIRPIN_1))
 
 
 def empty(bases: str) -> SecondaryStructure:
@@ -62,6 +67,15 @@ class TestRuleSet:
             Match(HELIX_2, (BasePair(0, 4),))  # missing context
         with pytest.raises(ValueError):
             Match(HELIX_1, (BasePair(0, 6), BasePair(1, 5)), (BasePair(2, 4),))
+
+    def test_match_normalizes_pairs(self):
+        # reversed, unsorted, plain-tuple and list input all give the
+        # canonical form that enumeration builds directly
+        canonical = Match(HELIX_1, (BasePair(0, 6), BasePair(1, 5)))
+        assert Match(HELIX_1, ((5, 1), (6, 0))) == canonical
+        assert Match(HELIX_1, [BasePair(1, 5), (0, 6)]) == canonical
+        assert all(type(p) is BasePair for p in Match(HELIX_1, ((5, 1), (6, 0))).added)
+        assert Match(HELIX_2, ((5, 1),), [(6, 0)]).context == (BasePair(0, 6),)
 
 
 class TestGluingCheck:
@@ -143,6 +157,23 @@ class TestOracleEquivalence:
                 for m in enumerate_matches(state, G3):
                     next_frontier.append(apply_match(state, m, G3))
             frontier = next_frontier[:6]
+
+    @pytest.mark.parametrize(
+        "bases,db",
+        [
+            # exterior runs on both sides of a branch, inner pairs flush with it
+            ("UCGUCCCGGGGUC", ".....(.)....."),
+            ("UGUUGGCUCGCG", "...(.....).."),
+            # a new pair under a closing pair, with and without gaps to it
+            ("CUGGUCCGCUC", "..(.(..).)."),
+            # a branch right or left of the new pair: no parent-side match
+            ("UCGCUGCUCCGGC", ".(......(.))."),
+            ("CCCGGCCCGCGGGU", "....((..)....)"),
+        ],
+    )
+    def test_loop_geometry(self, bases, db):
+        s = parse_dot_bracket(PrimarySequence(bases), db, min_hairpin_unpaired=1)
+        assert enumerate_matches(s, G1) == brute_force_matches(s, G1)
 
     def test_multibranch_sites(self):
         seq = PrimarySequence("GGAAACAGAAACAAAC")
@@ -302,3 +333,18 @@ def test_every_enumerated_match_applies_validly(bases):
     for m in enumerate_matches(s, G3):
         t = apply_match(s, m, G3)
         assert validate_structure(t, 3).ok
+
+
+@pytest.mark.parametrize("grammar", [G1, G3, RESTRICTED], ids=["min1", "min3", "restricted"])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=12), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_enumeration_equals_brute_force_along_derivations(grammar, bases, data):
+    # the loop-indexed scan against the per-site gluing predicate, at every
+    # structure of a random derivation down to a terminal one
+    s = empty(bases)
+    while True:
+        matches = enumerate_matches(s, grammar)
+        assert matches == brute_force_matches(s, grammar)
+        if not matches:
+            break
+        s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)

@@ -20,7 +20,7 @@ from grafold.space import (
     validate_lts_json,
 )
 from grafold.structure import PrimarySequence, SecondaryStructure, validate_structure
-from conftest import COMPLETENESS_SEQUENCES, SOUNDNESS_SEQUENCES
+from conftest import COMPLETENESS_SEQUENCES, SOUNDNESS_SEQUENCES, ScriptedModel
 from oracles import all_valid_structures, nussinov_max_pairs
 
 MODEL = NussinovModel()
@@ -66,6 +66,14 @@ class TestBuildLts:
         b = build_lts(seq_gggaaaccc, G3, MODEL)
         assert [s.key for s in a.states] == [s.key for s in b.states]
         assert a.transitions == b.transitions
+
+    def test_each_state_scored_once(self, seq_gggaaaccc):
+        # a target reached again reuses its state's energy
+        scored = []
+        model = ScriptedModel(default=lambda s: scored.append(s.key) or -1.0)
+        lts = build_lts(seq_gggaaaccc, G3, model)
+        assert len(lts.transitions) > len(lts.states)
+        assert sorted(scored) == sorted(st.key for st in lts.states[1:])
 
     def test_dag_graded_by_pair_count(self):
         lts = build_lts(alternating_gc_sequence(10), G3, MODEL)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -301,14 +302,16 @@ class Trace:
 class StrategyContext:
     """Everything a constraint or strategy may inspect when evaluated.
 
-    ``score`` is the observable under ``model``, possibly memoized (the
-    controller passes its run-scoped memo); None means ``observable``.
+    ``successors`` are the unvisited forward steps in match order (the
+    controller builds them on first read). ``score`` is the observable under
+    ``model``, possibly memoized (the controller passes its run-scoped memo);
+    None means ``observable``.
     """
 
     structure: SecondaryStructure
     energy: float
     s_state: str
-    successors: tuple[tuple[Match, SecondaryStructure], ...]
+    successors: Sequence[tuple[Match, SecondaryStructure]]
     grammar: Grammar
     model: EnergyModel
     best: tuple[float, SecondaryStructure] | None
@@ -399,12 +402,13 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
     depth = int(ctx.params.get("depth", 2))
     if depth < 1:
         return StrategyDecision(satisfied=False)
+    score = ctx.score or (lambda s: observable(s, ctx.model))
     best_choice: tuple[float, str, str, SecondaryStructure] | None = None
     for match, first in ctx.successors:
         frontier = [first]
         seen = {first.key}
         level = 1
-        local_best = (observable(first, ctx.model), first.key)
+        local_best = (score(first), first.key)
         while level < depth and frontier:
             next_frontier = []
             for node in frontier:
@@ -414,7 +418,7 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
                         continue
                     seen.add(child.key)
                     next_frontier.append(child)
-                    local_best = min(local_best, (observable(child, ctx.model), child.key))
+                    local_best = min(local_best, (score(child), child.key))
             frontier = next_frontier
             level += 1
         candidate = (local_best[0], local_best[1], first.key, first)
@@ -456,6 +460,49 @@ class AdaptationOutcome:
     reason: str | None = None
 
 
+class _Moves:
+    """The moves of one structure in a run: its forward matches, their
+    observables once scored, their targets once built, and its inverse
+    (match, source) steps once enumerated."""
+
+    __slots__ = ("structure", "matches", "scores", "targets", "inverse")
+
+    def __init__(self, structure: SecondaryStructure, matches: list[Match]):
+        self.structure = structure
+        self.matches = matches
+        self.scores: list[float] | None = None
+        self.targets: list[SecondaryStructure | None] = [None] * len(matches)
+        self.inverse: list[tuple[Match, SecondaryStructure]] | None = None
+
+    def target(self, index: int) -> SecondaryStructure:
+        target = self.targets[index]
+        if target is None:
+            target = self.targets[index] = _apply_unchecked(self.structure, self.matches[index])
+        return target
+
+    def successors(self) -> list[tuple[Match, SecondaryStructure]]:
+        return [(m, self.target(index)) for index, m in enumerate(self.matches)]
+
+
+class _LazySuccessors(Sequence):
+    """A read-only sequence whose items are built on first read."""
+
+    def __init__(self, build: Callable[[], tuple[tuple[Match, SecondaryStructure], ...]]):
+        self._build = build
+        self._items: tuple[tuple[Match, SecondaryStructure], ...] | None = None
+
+    def _all(self) -> tuple[tuple[Match, SecondaryStructure], ...]:
+        if self._items is None:
+            self._items = self._build()
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._all())
+
+    def __getitem__(self, index):
+        return self._all()[index]
+
+
 class Controller:
     """Owns one run: the machine, the grammar, the model and the trace."""
 
@@ -481,7 +528,7 @@ class Controller:
         self._occupied_since_move: set[tuple[str, str]] = set()
         self._best: tuple[float, SecondaryStructure] | None = None
         # run-scoped memos, keyed by dot-bracket key
-        self._successor_memo: dict[str, tuple[tuple[Match, SecondaryStructure], ...]] = {}
+        self._move_memo: dict[str, _Moves] = {}
         self._energy_memo: dict[str, float] = {}
         self.state: RunState | None = None
 
@@ -520,19 +567,66 @@ class Controller:
             energy = self._energy_memo[key] = observable(structure, self.model)
         return energy
 
-    def _successors(
-        self, structure: SecondaryStructure
-    ) -> tuple[tuple[Match, SecondaryStructure], ...]:
-        """Every forward (match, target) step from ``structure``, in match
-        order, built once per run."""
+    def _moves(self, structure: SecondaryStructure) -> _Moves:
+        """The run's move entry of ``structure``; its matches are
+        enumerated once per run."""
         key = structure.key
-        succs = self._successor_memo.get(key)
-        if succs is None:
-            succs = self._successor_memo[key] = tuple(
-                (m, _apply_unchecked(structure, m))
-                for m in enumerate_matches(structure, self.grammar)
+        entry = self._move_memo.get(key)
+        if entry is None:
+            entry = self._move_memo[key] = _Moves(
+                structure, enumerate_matches(structure, self.grammar)
             )
-        return succs
+        return entry
+
+    def _inverse_moves(
+        self, structure: SecondaryStructure
+    ) -> list[tuple[Match, SecondaryStructure]]:
+        entry = self._moves(structure)
+        if entry.inverse is None:
+            entry.inverse = enumerate_inverse_matches(structure, self.grammar)
+        return entry.inverse
+
+    def _phi0(self, structure: SecondaryStructure) -> tuple[Match, SecondaryStructure] | None:
+        """:func:`phi0_select` over the unvisited successors of ``structure``,
+        read off the scores of its matches: only the successors tied at the
+        lowest score still in play are built, for the visited filter and the
+        key tie-break."""
+        entry = self._moves(structure)
+        if entry.scores is None:
+            entry.scores = self.model.successor_observables(
+                structure, [m.added for m in entry.matches]
+            )
+        scores, visited = entry.scores, self._visited
+        remaining = range(len(scores))
+        while remaining:
+            low = min(scores[index] for index in remaining)
+            if not low <= self._observable(structure):
+                return None
+            fresh, rest = [], []
+            for index in remaining:
+                if scores[index] != low:
+                    rest.append(index)
+                elif (key := entry.target(index).key) not in visited:
+                    fresh.append((key, index))
+            if fresh:
+                key, index = min(fresh)
+                self._energy_memo[key] = low
+                return entry.matches[index], entry.target(index)
+            remaining = rest
+        return None
+
+    def _check(
+        self, constraint: Constraint, structure: SecondaryStructure, s_state: str
+    ) -> StrategyDecision:
+        """:func:`check_constraint` at ``structure``, with phi0 decided from
+        the scored moves."""
+        if constraint.kind == GREEDY:
+            selected = self._phi0(structure)
+            if selected is None:
+                return StrategyDecision(satisfied=False)
+            match, target = selected
+            return StrategyDecision(satisfied=True, target=target, move=match.rule.label)
+        return check_constraint(constraint, self._context(structure, s_state))
 
     def _context(self, structure: SecondaryStructure, s_state: str) -> StrategyContext:
         visited = self._visited
@@ -540,8 +634,10 @@ class Controller:
             structure=structure,
             energy=self._observable(structure),
             s_state=s_state,
-            successors=tuple(
-                (m, t) for m, t in self._successors(structure) if t.key not in visited
+            successors=_LazySuccessors(
+                lambda: tuple(
+                    (m, t) for m, t in self._moves(structure).successors() if t.key not in visited
+                )
             ),
             grammar=self.grammar,
             model=self.model,
@@ -556,15 +652,15 @@ class Controller:
         """Attempt one steady move; False signals that adaptation is needed."""
         assert self.state is not None
         state = self.state
-        machine_state = self.machine.state(state.s_state)
-        ctx = self._context(state.structure, state.s_state)
-        decision = check_constraint(machine_state.constraint, ctx)
+        constraint = self.machine.state(state.s_state).constraint
+        decision = self._check(constraint, state.structure, state.s_state)
         target, move, note = decision.target, decision.move, decision.note
-        unconstrained = machine_state.constraint.kind == UNCONSTRAINED
-        if decision.satisfied and target is None and unconstrained:
-            if ctx.successors:
-                match, target = ctx.successors[0]
-                move = match.rule.label
+        if decision.satisfied and target is None and constraint.kind == UNCONSTRAINED:
+            entry = self._moves(state.structure)
+            for index, match in enumerate(entry.matches):
+                if entry.target(index).key not in self._visited:
+                    target, move = entry.target(index), match.rule.label
+                    break
         if not decision.satisfied or target is None:
             return False
         self._move_to(state.s_state, target, mode="steady", move=move, note=note)
@@ -598,8 +694,7 @@ class Controller:
         for psi in psis:
             if psi.kind == UNCONSTRAINED:
                 continue
-            ctx = self._context(structure, self.state.s_state if self.state else "")
-            if not check_constraint(psi, ctx).satisfied:
+            if not self._check(psi, structure, self.state.s_state if self.state else "").satisfied:
                 return False
         return True
 
@@ -644,8 +739,7 @@ class Controller:
                 ):
                     continue
                 target_constraint = self.machine.state(target_id).constraint
-                ctx = self._context(node, target_id)
-                if check_constraint(target_constraint, ctx).satisfied:
+                if self._check(target_constraint, node, target_id).satisfied:
                     self._resume(origin, target_id, node, parent)
                     return AdaptationOutcome(True)
             max_depth = self.limits.max_adaptation_depth
@@ -653,12 +747,12 @@ class Controller:
                 limit_hit = limit_hit or "adaptation-depth-limit"
                 continue
             moves: list[tuple[str, SecondaryStructure]] = [
-                (m.rule.label, target) for m, target in self._successors(node)
+                (m.rule.label, target) for m, target in self._moves(node).successors()
             ]
             if self.grammar.allow_inverse:
                 moves.extend(
                     (f"inverse:{m.rule.label}", source)
-                    for m, source in enumerate_inverse_matches(node, self.grammar)
+                    for m, source in self._inverse_moves(node)
                 )
             for label, child in moves:
                 if child.key in parent:
@@ -717,7 +811,7 @@ class Controller:
     def run(self, seq: PrimarySequence) -> Trace:
         """Alternate steady steps and adaptation phases until termination."""
         s0 = SecondaryStructure(seq)
-        self._successor_memo = {}
+        self._move_memo = {}
         self._energy_memo = {}
         self.state = RunState(self.machine.initial, s0, self._observable(s0))
         self._records = []

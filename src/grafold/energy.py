@@ -23,14 +23,22 @@ import math
 import shlex
 import subprocess
 import threading
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import ClassVar, Mapping
+from typing import ClassVar, Mapping, Sequence
 
-from .structure import BasePair, PrimarySequence, SecondaryStructure, is_admissible_pair
+from .structure import (
+    BasePair,
+    LoopRegion,
+    PrimarySequence,
+    SecondaryStructure,
+    is_admissible_pair,
+    loop_index,
+)
 
 __all__ = [
     "LoopClass",
@@ -88,6 +96,38 @@ class Loop:
     unpaired: int
 
 
+def _loop_class(closing: BasePair, n_branches: int, first: BasePair | None) -> LoopClass:
+    """The class of the loop closed by ``closing`` with ``n_branches``
+    branches, the leftmost being ``first``."""
+    if n_branches == 0:
+        return LoopClass.HAIRPIN
+    if n_branches > 1:
+        return LoopClass.MULTI
+    gap_l = first.i - closing.i - 1
+    gap_r = closing.j - first.j - 1
+    if gap_l == 0 and gap_r == 0:
+        return LoopClass.STACK
+    if gap_l == 0 or gap_r == 0:
+        return LoopClass.BULGE
+    return LoopClass.INTERNAL
+
+
+def _loops(regions: list[LoopRegion]) -> tuple[Loop, ...]:
+    """The loops of a loop view (:func:`loop_index`) in decomposition order."""
+    loops = [
+        Loop(
+            _loop_class(r.closing, len(r.branches), r.branches[0] if r.branches else None),
+            r.closing,
+            tuple(r.branches),
+            len(r.free),
+        )
+        for r in regions[1:]
+    ]
+    exterior = regions[0]
+    loops.append(Loop(LoopClass.EXTERIOR, None, tuple(exterior.branches), len(exterior.free)))
+    return tuple(loops)
+
+
 def decompose_loops(s: SecondaryStructure) -> tuple[Loop, ...]:
     """Partition a valid structure into its loops.
 
@@ -97,41 +137,7 @@ def decompose_loops(s: SecondaryStructure) -> tuple[Loop, ...]:
     branches -> multibranch. Closed loops come first (by closing pair), the
     exterior loop last.
     """
-    children: dict[BasePair, list[BasePair]] = {}
-    top_level: list[BasePair] = []
-    stack: list[BasePair] = []
-    for pair in s.sorted_pairs:
-        while stack and stack[-1].j < pair.i:
-            stack.pop()
-        if stack:
-            children.setdefault(stack[-1], []).append(pair)
-        else:
-            top_level.append(pair)
-        stack.append(pair)
-
-    loops: list[Loop] = []
-    for pair in s.sorted_pairs:
-        kids = tuple(children.get(pair, ()))
-        span_inside = pair.j - pair.i - 1
-        unpaired = span_inside - sum(k.j - k.i + 1 for k in kids)
-        if not kids:
-            kind = LoopClass.HAIRPIN
-        elif len(kids) == 1:
-            gap_l = kids[0].i - pair.i - 1
-            gap_r = pair.j - kids[0].j - 1
-            if gap_l == 0 and gap_r == 0:
-                kind = LoopClass.STACK
-            elif gap_l == 0 or gap_r == 0:
-                kind = LoopClass.BULGE
-            else:
-                kind = LoopClass.INTERNAL
-        else:
-            kind = LoopClass.MULTI
-        loops.append(Loop(kind, pair, kids, unpaired))
-
-    exterior_unpaired = s.n - sum(p.j - p.i + 1 for p in top_level)
-    loops.append(Loop(LoopClass.EXTERIOR, None, tuple(top_level), exterior_unpaired))
-    return tuple(loops)
+    return _loops(loop_index(s).loops)
 
 
 @dataclass(frozen=True)
@@ -168,22 +174,35 @@ def _pair_type(seq: PrimarySequence, pair: BasePair) -> str:
 
 def loop_energy_term(loop: Loop, seq: PrimarySequence, params: LoopTableParams) -> float:
     """The loop-table contribution of a single loop."""
-    if loop.kind is LoopClass.EXTERIOR:
+    first = loop.branches[0] if loop.branches else None
+    return _term(loop.kind, loop.closing, first, len(loop.branches), loop.unpaired, seq, params)
+
+
+def _term(
+    kind: LoopClass,
+    closing: BasePair | None,
+    first: BasePair | None,
+    n_branches: int,
+    unpaired: int,
+    seq: PrimarySequence,
+    params: LoopTableParams,
+) -> float:
+    """The loop-table term of a loop given by its parts (see :class:`Loop`;
+    ``first`` is its leftmost branch)."""
+    if kind is LoopClass.EXTERIOR:
         return 0.0
-    if loop.kind is LoopClass.HAIRPIN:
-        return _length_term(params.hairpin, loop.unpaired, "hairpin")
-    if loop.kind is LoopClass.STACK:
-        assert loop.closing is not None
-        key = (_pair_type(seq, loop.closing), _pair_type(seq, loop.branches[0]))
-        return params.stack[key]
-    if loop.kind is LoopClass.BULGE:
-        return _length_term(params.bulge, loop.unpaired, "bulge")
-    if loop.kind is LoopClass.INTERNAL:
-        return _length_term(params.internal, loop.unpaired, "internal")
+    if kind is LoopClass.HAIRPIN:
+        return _length_term(params.hairpin, unpaired, "hairpin")
+    if kind is LoopClass.STACK:
+        return params.stack[(_pair_type(seq, closing), _pair_type(seq, first))]
+    if kind is LoopClass.BULGE:
+        return _length_term(params.bulge, unpaired, "bulge")
+    if kind is LoopClass.INTERNAL:
+        return _length_term(params.internal, unpaired, "internal")
     return (
         params.multibranch_offset
-        + params.multibranch_per_branch * len(loop.branches)
-        + params.multibranch_per_unpaired * loop.unpaired
+        + params.multibranch_per_branch * n_branches
+        + params.multibranch_per_unpaired * unpaired
     )
 
 
@@ -195,6 +214,21 @@ class EnergyModel:
     def energy(self, s: SecondaryStructure) -> float:
         raise NotImplementedError
 
+    def successor_observables(
+        self, s: SecondaryStructure, moves: Sequence[tuple[BasePair, ...]]
+    ) -> list[float]:
+        """The observable of ``s`` with each tuple of ``moves`` added, in order.
+
+        Each tuple is the added pairs of a match of ``s`` (as
+        ``enumerate_matches`` gives them). Subclasses may score without
+        building the successors, but must return exactly the value
+        :func:`observable` gives for the built successor.
+        """
+        return [
+            observable(SecondaryStructure(s.sequence, s.pairs | frozenset(added)), self)
+            for added in moves
+        ]
+
 
 @dataclass(frozen=True)
 class NussinovModel(EnergyModel):
@@ -204,6 +238,11 @@ class NussinovModel(EnergyModel):
 
     def energy(self, s: SecondaryStructure) -> float:
         return float(-len(s.pairs))
+
+    def successor_observables(
+        self, s: SecondaryStructure, moves: Sequence[tuple[BasePair, ...]]
+    ) -> list[float]:
+        return [float(-(len(s.pairs) + len(added))) for added in moves]
 
 
 @dataclass(frozen=True)
@@ -215,6 +254,54 @@ class LoopTableModel(EnergyModel):
 
     def energy(self, s: SecondaryStructure) -> float:
         return sum(loop_energy_term(loop, s.sequence, self.params) for loop in decompose_loops(s))
+
+    def successor_observables(
+        self, s: SecondaryStructure, moves: Sequence[tuple[BasePair, ...]]
+    ) -> list[float]:
+        """Loop-local scoring. A move adds its pairs inside one loop L: L
+        keeps its closing pair with the outer new pair as a branch, and each
+        new pair closes a new loop. So the successor's terms are the parent's
+        terms with L's term replaced and the new loops' terms inserted at
+        the sorted place of their closing pairs: the same floats, in the same
+        order, that :meth:`energy` sums for the built successor."""
+        seq, params = s.sequence, self.params
+        regions, owner, slot = loop_index(s)
+        terms = [loop_energy_term(loop, seq, params) for loop in _loops(regions)]
+        sorted_pairs = s.sorted_pairs
+
+        def closed(closing: BasePair, n_branches: int, first: BasePair | None, unpaired: int):
+            kind = _loop_class(closing, n_branches, first)
+            return _term(kind, closing, first, n_branches, unpaired, seq, params)
+
+        out = []
+        for added in moves:
+            outer = added[0]
+            a, b = outer
+            k = owner[a]
+            region = regions[k]
+            lo, hi = slot[a], slot[b]
+            left = region.before[lo]
+            kids = region.before[hi] - left
+            first_kid = region.branches[left] if kids else None
+            inside = hi - lo - 1  # L's unpaired positions strictly inside (a, b)
+            if len(added) == 1:
+                new = [closed(outer, kids, first_kid, inside)]
+            else:
+                inner = added[1]
+                gaps = (inner.i - a - 1) + (b - inner.j - 1)
+                new = [
+                    closed(outer, 1, inner, gaps),
+                    closed(inner, kids, first_kid, inside - gaps - 2),
+                ]
+            at = bisect_left(sorted_pairs, outer)
+            succ = terms[:at] + new + terms[at:]
+            if k:  # the exterior loop's term is 0.0 whatever it holds
+                n_branches = len(region.branches) - kids + 1
+                succ[k - 1] = closed(
+                    region.closing, n_branches, outer, len(region.free) - (hi - lo + 1)
+                )
+            out.append(sum(succ))
+        return out
 
 
 class ExternalEvaluationError(RuntimeError):

@@ -27,8 +27,9 @@ minimum hairpin size:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 
 from .structure import (
@@ -37,6 +38,7 @@ from .structure import (
     BasePair,
     SecondaryStructure,
     is_admissible_pair,
+    loop_index,
     pairs_cross,
     with_pairs_added,
 )
@@ -216,7 +218,7 @@ class Grammar:
         if len(set(self.rules)) != len(self.rules):
             raise ValueError("duplicate rules")
 
-    @property
+    @cached_property
     def rule_set(self) -> frozenset[RuleId]:
         return frozenset(self.rules)
 
@@ -413,43 +415,6 @@ _RULE1_BY_GAPS = {
 _PAIRS_WITH = {a: "".join(b for b in sorted(BASES) if is_admissible_pair(a, b)) for a in BASES}
 
 
-@dataclass(slots=True)
-class _Loop:
-    """One loop of a structure: its closing pair (None for the exterior
-    loop), its unpaired positions and its branches, each left to right.
-    ``before[k]`` counts the branches left of ``free[k]``."""
-
-    closing: BasePair | None
-    free: list[int] = field(default_factory=list)
-    before: list[int] = field(default_factory=list)
-    branches: list[BasePair] = field(default_factory=list)
-
-
-def _loop_index(s: SecondaryStructure) -> tuple[list[_Loop | None], list[int]]:
-    """One left-to-right pass over a valid structure: for each position, the
-    loop it is unpaired in (None if paired) and its slot in that loop's
-    ``free`` list."""
-    partner = s.partner
-    exterior = _Loop(None)
-    open_loops = [exterior]
-    owner: list[_Loop | None] = [None] * s.n
-    slot = [-1] * s.n
-    for pos in range(s.n):
-        mate = partner.get(pos)
-        loop = open_loops[-1]
-        if mate is None:
-            owner[pos], slot[pos] = loop, len(loop.free)
-            loop.free.append(pos)
-            loop.before.append(len(loop.branches))
-        elif mate > pos:
-            pair = BasePair(pos, mate)
-            loop.branches.append(pair)
-            open_loops.append(_Loop(pair))
-        else:
-            open_loops.pop()
-    return owner, slot
-
-
 def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
     """Every match of every grammar rule on ``s``, in deterministic order.
 
@@ -479,7 +444,7 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
     rule1 = {gaps: (rule, buckets.get(rule)) for gaps, rule in _RULE1_BY_GAPS.items()}
     any_double = any(bucket is not None for _, bucket in rule1.values())
 
-    owner, slot = _loop_index(s)
+    loops, owner, slot = loop_index(s)
     # run_end[a] / run_start[b]: the last / first position of the run of
     # consecutive unpaired positions through a / b
     run_end = [0] * n
@@ -490,9 +455,9 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
         run_start[pos] = run_start[pos - 1] if pos and pos - 1 not in partner else pos
 
     for a in range(n):
-        loop = owner[a]
-        if loop is None:
+        if owner[a] < 0:
             continue
+        loop = loops[owner[a]]
         free, before, branches, closing = loop.free, loop.before, loop.branches, loop.closing
         mates = _PAIRS_WITH[bases[a]]
         left = before[slot[a]]

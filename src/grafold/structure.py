@@ -9,7 +9,7 @@ family suffices because only pseudoknot-free structures are supported).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -17,6 +17,8 @@ __all__ = [
     "BASES",
     "DEFAULT_MIN_HAIRPIN",
     "BasePair",
+    "LoopIndex",
+    "LoopRegion",
     "PrimarySequence",
     "SecondaryStructure",
     "SequenceError",
@@ -29,6 +31,7 @@ __all__ = [
     "validate_structure",
     "parse_dot_bracket",
     "emit_dot_bracket",
+    "loop_index",
     "with_pairs_added",
 ]
 
@@ -138,8 +141,9 @@ def pairs_cross(p: BasePair, q: BasePair) -> bool:
 class SecondaryStructure:
     """A sequence plus a set of base pairs. Immutable and hashable.
 
-    Pairs are normalized to ``i < j`` order on construction. Validity is not
-    enforced here; use :func:`validate_structure` (violations are data, so
+    Pairs are normalized to a frozenset of ``BasePair(i, j)`` with ``i < j``
+    on construction; a set already in that form is kept as it is. Validity is
+    not enforced here; use :func:`validate_structure` (violations are data, so
     deliberately broken structures can be built for testing).
     """
 
@@ -147,7 +151,10 @@ class SecondaryStructure:
     pairs: frozenset[BasePair] = frozenset()
 
     def __post_init__(self) -> None:
-        normalized = frozenset(BasePair(min(i, j), max(i, j)) for i, j in self.pairs)
+        pairs = self.pairs
+        if type(pairs) is frozenset and all(type(p) is BasePair and p.i < p.j for p in pairs):
+            return
+        normalized = frozenset(BasePair(min(i, j), max(i, j)) for i, j in pairs)
         object.__setattr__(self, "pairs", normalized)
 
     @property
@@ -177,6 +184,57 @@ class SecondaryStructure:
 
     def without(self, pairs: Iterable[BasePair]) -> "SecondaryStructure":
         return SecondaryStructure(self.sequence, self.pairs - frozenset(pairs))
+
+
+@dataclass(slots=True)
+class LoopRegion:
+    """One loop of a structure: its closing pair (None for the exterior
+    loop), its unpaired positions and its branches, each left to right.
+    ``before[k]`` counts the branches left of ``free[k]``."""
+
+    closing: BasePair | None
+    free: list[int] = field(default_factory=list)
+    before: list[int] = field(default_factory=list)
+    branches: list[BasePair] = field(default_factory=list)
+
+
+class LoopIndex(NamedTuple):
+    """The loops of a structure and, per position, where it is unpaired.
+
+    ``loops[0]`` is the exterior loop; ``loops[k]`` for k >= 1 is closed by
+    the k-th pair in sorted order. ``owner[pos]`` is the index of the loop in
+    which ``pos`` is unpaired (-1 for a paired position) and ``slot[pos]`` its
+    index in that loop's ``free`` list.
+    """
+
+    loops: list[LoopRegion]
+    owner: list[int]
+    slot: list[int]
+
+
+def loop_index(s: SecondaryStructure) -> LoopIndex:
+    """The loop view of a valid structure, from one left-to-right pass."""
+    partner = s.partner
+    loops = [LoopRegion(None)]
+    open_loops = [0]
+    owner = [-1] * s.n
+    slot = [-1] * s.n
+    for pos in range(s.n):
+        mate = partner.get(pos)
+        k = open_loops[-1]
+        loop = loops[k]
+        if mate is None:
+            owner[pos], slot[pos] = k, len(loop.free)
+            loop.free.append(pos)
+            loop.before.append(len(loop.branches))
+        elif mate > pos:
+            pair = BasePair(pos, mate)
+            loop.branches.append(pair)
+            open_loops.append(len(loops))
+            loops.append(LoopRegion(pair))
+        else:
+            open_loops.pop()
+    return LoopIndex(loops, owner, slot)
 
 
 @dataclass(frozen=True)

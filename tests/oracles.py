@@ -2,8 +2,8 @@
 
 Deliberately naive implementations that share no code path with the package:
 exhaustive recursive enumeration of valid structures, a maximum-pairing
-dynamic program, and a brute-force match scan driven only by the public
-gluing predicate.
+dynamic program, a brute-force match scan driven only by the public gluing
+predicate, and a loop decomposition by a stack walk over the sorted pairs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
+from grafold.energy import Loop, LoopClass
 from grafold.grammar import ALL_RULES, Grammar, LoopKind, Match, gluing_check
 from grafold.structure import (
     BasePair,
@@ -99,3 +100,42 @@ def brute_force_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
                         found.append(m)
     found.sort(key=lambda m: m.sort_key)
     return found
+
+
+def stack_walk_loops(s: SecondaryStructure) -> tuple[Loop, ...]:
+    """The loops of a valid structure in ``decompose_loops`` order, found by
+    a stack walk over its sorted pairs: closed loops by closing pair, then
+    the exterior loop."""
+    children: dict[BasePair, list[BasePair]] = {}
+    top_level: list[BasePair] = []
+    stack: list[BasePair] = []
+    for pair in sorted(s.pairs):
+        while stack and stack[-1].j < pair.i:
+            stack.pop()
+        if stack:
+            children.setdefault(stack[-1], []).append(pair)
+        else:
+            top_level.append(pair)
+        stack.append(pair)
+
+    loops: list[Loop] = []
+    for pair in sorted(s.pairs):
+        kids = tuple(children.get(pair, ()))
+        unpaired = pair.j - pair.i - 1 - sum(k.j - k.i + 1 for k in kids)
+        if not kids:
+            kind = LoopClass.HAIRPIN
+        elif len(kids) == 1:
+            gap_l = kids[0].i - pair.i - 1
+            gap_r = pair.j - kids[0].j - 1
+            if gap_l == 0 and gap_r == 0:
+                kind = LoopClass.STACK
+            elif gap_l == 0 or gap_r == 0:
+                kind = LoopClass.BULGE
+            else:
+                kind = LoopClass.INTERNAL
+        else:
+            kind = LoopClass.MULTI
+        loops.append(Loop(kind, pair, kids, unpaired))
+    exterior_unpaired = s.n - sum(p.j - p.i + 1 for p in top_level)
+    loops.append(Loop(LoopClass.EXTERIOR, None, tuple(top_level), exterior_unpaired))
+    return tuple(loops)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from grafold.controller import (
     register_strategy,
     run,
 )
-from grafold.energy import NussinovModel, observable
+from grafold.energy import LoopTableModel, NussinovModel, example_parameters, observable
 from grafold.grammar import Grammar
 from grafold.space import successors
 from grafold.structure import (
@@ -319,6 +320,51 @@ class TestInverseMoves:
         assert len({r.db for r in steady_moves}) == len(steady_moves)
 
 
+class TestScoredSelection:
+    """The controller decides phi0 from scored, lazily built moves;
+    phi0_select over the built, visited-filtered successors is the oracle."""
+
+    @pytest.mark.parametrize(
+        "bases,grammar,model",
+        [
+            ("GGGAAACCC", Grammar(allow_inverse=True), NUSSINOV),
+            ("GGGAGGGAGAAACCCACACCC", Grammar(allow_inverse=True),
+             LoopTableModel(example_parameters())),
+            ("GGGAGGGAGAAACCCACACCC", G3, LoopTableModel(example_parameters())),
+            ("GGGAAACCC", Grammar(allow_inverse=True), trap_model()),
+        ],
+        ids=["nussinov-inverse", "loop-table-inverse", "loop-table", "scripted-inverse"],
+    )
+    def test_same_choice_as_phi0_select(self, bases, grammar, model):
+        compared = visited_ties = 0
+
+        class Checked(Controller):
+            def _phi0(self, structure):
+                nonlocal compared, visited_ties
+                succs = successors(structure, self.grammar)
+                fresh = [(m, t) for m, t in succs if t.key not in self._visited]
+                want = phi0_select(structure, fresh, self.model)
+                got = super()._phi0(structure)
+                assert got == want
+                compared += 1
+                if succs:
+                    scores = [observable(t, self.model) for _, t in succs]
+                    low = min(scores)
+                    visited_ties += any(
+                        t.key in self._visited and e == low
+                        for (_, t), e in zip(succs, scores)
+                    )
+                return got
+
+        trace = Checked(grammar=grammar, model=model, limits=RunLimits(max_steps=40)).run(
+            PrimarySequence(bases)
+        )
+        assert compared > len(trace.records) // 2
+        # inverse moves lead back to visited structures, some tied at the
+        # minimal score; forward-only runs never meet a visited successor
+        assert (visited_ties > 0) is grammar.allow_inverse
+
+
 class TestStrategies:
     def test_lookahead_machine_reaches_optimum(self, seq_gggaaaccc):
         machine = AdaptiveMachine.from_config(
@@ -337,6 +383,21 @@ class TestStrategies:
         trace = run(machine, seq_gggaaaccc, model=trap_model())
         assert trace.summary.final_db == "(((...)))"
         assert any(r.s_state == "w1" for r in trace.records)
+
+    def test_lookahead_scores_through_ctx_score(self, seq_gggaaaccc):
+        model = ScriptedModel({"..(...)..": -2.0, "(((...)))": -3.0})
+        ctx = make_context(parse_dot_bracket(seq_gggaaaccc, "..(...).."), model)
+        lookahead = Constraint.of_strategy("lookahead", depth=2)
+        scored = []
+
+        def score(s):
+            scored.append(s.key)
+            return observable(s, model)
+
+        plain = check_constraint(lookahead, ctx)
+        assert plain.satisfied and plain.target is not None
+        assert check_constraint(lookahead, replace(ctx, score=score)) == plain
+        assert ".((...))." in scored and "(((...)))" in scored
 
     def test_restart_from_best(self):
         s = parse_dot_bracket(PrimarySequence("GAAAC"), "(...)")

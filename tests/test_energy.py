@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grafold.energy import (
     ExternalEvaluationError,
@@ -11,6 +13,7 @@ from grafold.energy import (
     Loop,
     LoopClass,
     LoopTableModel,
+    LoopTableParams,
     NussinovModel,
     ParameterError,
     decompose_loops,
@@ -20,13 +23,14 @@ from grafold.energy import (
     observable,
     parse_parameters,
 )
+from grafold.grammar import Grammar, _apply_unchecked, enumerate_matches
 from grafold.structure import (
     BasePair,
     PrimarySequence,
     SecondaryStructure,
     parse_dot_bracket,
 )
-from oracles import all_valid_structures
+from oracles import all_valid_structures, stack_walk_loops
 
 
 def structure(bases: str, db: str, min_h: int = 1) -> SecondaryStructure:
@@ -94,6 +98,20 @@ class TestDecompose:
             assert decompose_loops(reparsed) == decompose_loops(s)
 
 
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_decompose_equals_stack_walk_along_derivations(min_h, bases, data):
+    g = Grammar(min_hairpin_unpaired=min_h)
+    s = SecondaryStructure(PrimarySequence(bases))
+    while True:
+        assert decompose_loops(s) == stack_walk_loops(s)
+        matches = enumerate_matches(s, g)
+        if not matches:
+            break
+        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)))
+
+
 class TestNussinov:
     def test_per_pair(self):
         model = NussinovModel()
@@ -144,6 +162,83 @@ class TestLoopTable:
             if l.kind is LoopClass.STACK
         )
         assert term == pytest.approx(-(3.0 + 1.0) / 2)
+
+
+def rounding_sensitive_parameters() -> LoopTableParams:
+    """A table whose terms span sixteen orders of magnitude, so a sum taken
+    in another order than the full decomposition's rounds differently."""
+    rng = random.Random(0)
+
+    def value() -> float:
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 16)
+
+    example = example_parameters()
+    return LoopTableParams(
+        stack={key: value() for key in example.stack},
+        hairpin={length: value() for length in example.hairpin},
+        bulge={length: value() for length in example.bulge},
+        internal={length: value() for length in example.internal},
+        multibranch_offset=value(),
+        multibranch_per_branch=value(),
+        multibranch_per_unpaired=value(),
+    )
+
+
+MODELS = [
+    NussinovModel(),
+    LoopTableModel(example_parameters()),
+    LoopTableModel(rounding_sensitive_parameters()),
+]
+
+
+def assert_moves_score_exactly(s: SecondaryStructure, matches) -> None:
+    # float ==, not approx: the loop-local sum must be the full sum, bit for bit
+    for model in MODELS:
+        scores = model.successor_observables(s, [m.added for m in matches])
+        assert scores == [observable(_apply_unchecked(s, m), model) for m in matches]
+
+
+class TestSuccessorObservables:
+    # each fixture covers loops a move can create or split: the exterior
+    # loop, multibranch loops of two and three branches, Rule-1 doubles that
+    # make a stack, a bulge and an internal loop, and Rule-2 moves with the
+    # closing pair (or an enclosed branch) as context
+    @pytest.mark.parametrize(
+        "bases,db,rules",
+        [
+            ("GGGAAACCC", ".........",
+             {"Hairpin-Rule-1", "Helix-Rule-1", "Bulge-r-Rule-1", "Internal-loop-Rule-1"}),
+            ("GGAAACCGGAAACC", ".(...)..(...).",
+             {"Multi-branched-loop-Rule-1", "Helix-Rule-2"}),
+            ("GGAAACGAAACGAAACC", ".(...)(...)(...).", {"Multi-branched-loop-Rule-2"}),
+            ("GGGAAACGAAACCGAAACCC", "(.(...)(...).(...).)",
+             {"Multi-branched-loop-Rule-1", "Multi-branched-loop-Rule-2", "Helix-Rule-2"}),
+            ("GGGGAAAAACCCC", "(...........)",
+             {"Helix-Rule-1", "Bulge-r-Rule-1", "Bulge-l-Rule-1", "Internal-loop-Rule-1",
+              "Helix-Rule-2", "Bulge-r-Rule-2", "Bulge-l-Rule-2", "Internal-loop-Rule-2"}),
+            ("GGGGAAACCCC", "(..(...)..)",
+             {"Helix-Rule-1", "Helix-Rule-2", "Bulge-r-Rule-2", "Internal-loop-Rule-2"}),
+        ],
+    )
+    def test_fixtures(self, bases, db, rules):
+        s = structure(bases, db, min_h=3)
+        matches = enumerate_matches(s, Grammar())
+        assert rules <= {m.rule.label for m in matches}
+        assert_moves_score_exactly(s, matches)
+
+
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_successor_observables_along_derivations(min_h, bases, data):
+    g = Grammar(min_hairpin_unpaired=min_h)
+    s = SecondaryStructure(PrimarySequence(bases))
+    while True:
+        matches = enumerate_matches(s, g)
+        assert_moves_score_exactly(s, matches)
+        if not matches:
+            break
+        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)))
 
 
 class TestParameterLoading:

@@ -77,6 +77,15 @@ class TestRuleSet:
         assert all(type(p) is BasePair for p in Match(HELIX_1, ((5, 1), (6, 0))).added)
         assert Match(HELIX_2, ((5, 1),), [(6, 0)]).context == (BasePair(0, 6),)
 
+    def test_rule_set_built_once_per_grammar(self):
+        g = Grammar(rules=(HELIX_1, HAIRPIN_1))
+        assert g.rule_set is g.rule_set
+        assert g.rule_set == frozenset({HAIRPIN_1, HELIX_1})
+        # equality and hash stay on the fields, whether or not it was built
+        other = Grammar(rules=(HELIX_1, HAIRPIN_1))
+        assert g == other and hash(g) == hash(other)
+        assert g != Grammar(rules=(HAIRPIN_1, HELIX_1))
+
 
 class TestGluingCheck:
     def test_hairpin_on_empty(self):

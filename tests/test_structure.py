@@ -51,6 +51,26 @@ class TestParseSequence:
             parse_sequence(">a\nGGG\n>b\nCCC")
 
 
+class TestSecondaryStructure:
+    def test_pairs_normalized(self):
+        seq = PrimarySequence("GGAAACC")
+        canonical = frozenset({BasePair(0, 6), BasePair(1, 5)})
+        for given in (
+            {(6, 0), (5, 1)},
+            [BasePair(0, 6), (1, 5)],
+            frozenset({(1, 5), BasePair(0, 6)}),
+            frozenset({BasePair(6, 0), BasePair(1, 5)}),
+        ):
+            s = SecondaryStructure(seq, given)
+            assert s.pairs == canonical
+            assert type(s.pairs) is frozenset
+            assert all(type(p) is BasePair and p.i < p.j for p in s.pairs)
+
+    def test_normal_pairs_kept_as_given(self):
+        pairs = frozenset({BasePair(0, 6), BasePair(1, 5)})
+        assert SecondaryStructure(PrimarySequence("GGAAACC"), pairs).pairs is pairs
+
+
 class TestAdmissiblePairs:
     @pytest.mark.parametrize(
         "a,b,expected",

@@ -9,16 +9,9 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .controller import (
-    AdaptiveMachine,
-    Controller,
-    MachineConfigError,
-    RunLimits,
-    UnknownStrategyError,
-)
+from .controller import AdaptiveMachine, Controller, RunLimits
 from .energy import (
     EnergyModel,
     ExternalEvaluationError,
@@ -26,7 +19,6 @@ from .energy import (
     ExternalModel,
     LoopTableModel,
     NussinovModel,
-    ParameterError,
     decompose_loops,
     example_parameters,
     load_parameters,
@@ -35,13 +27,7 @@ from .energy import (
 )
 from .grammar import ALL_RULES, RULE_DESCRIPTIONS, Grammar, LoopKind
 from .space import ExploreLimits, build_lts, export_lts, stats
-from .structure import (
-    PrimarySequence,
-    SequenceError,
-    StructureError,
-    parse_dot_bracket,
-    parse_sequence,
-)
+from .structure import PrimarySequence, StructureError, parse_dot_bracket, parse_sequence
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,16 +35,7 @@ EXIT_TRUNCATED = 3
 
 ENV_EXTERNAL_CMD = "GRAFOLD_EXTERNAL_CMD"
 
-_CONFIG_ERRORS = (
-    SequenceError,
-    StructureError,
-    ParameterError,
-    MachineConfigError,
-    UnknownStrategyError,
-    ExternalEvaluationError,
-    ValueError,
-    OSError,
-)
+_CONFIG_ERRORS = (ExternalEvaluationError, ValueError, OSError)
 
 
 class ConfigError(ValueError):
@@ -102,42 +79,21 @@ def _energy_str(value: float) -> str:
     return "+inf" if math.isinf(value) else str(value)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved fold configuration (flags plus defaults)."""
-
-    sequence: PrimarySequence
-    grammar: Grammar
-    model: EnergyModel
-    machine: AdaptiveMachine
-    limits: RunLimits
-    trace_out: Path | None
-
-
-def _fold_config(args: argparse.Namespace) -> RunConfig:
+def cmd_fold(args: argparse.Namespace) -> int:
     machine = (
         AdaptiveMachine.from_file(args.s_machine) if args.s_machine else AdaptiveMachine.default()
     )
-    return RunConfig(
-        sequence=_load_sequence(args.seq),
-        grammar=_build_grammar(args),
-        model=_build_model(args),
-        machine=machine,
-        limits=RunLimits(
-            max_steps=args.max_steps,
-            max_adaptation_depth=args.max_adaptation_depth,
-            max_adaptation_states=args.max_adaptation_states,
-        ),
-        trace_out=Path(args.trace_out) if args.trace_out else None,
+    sequence = _load_sequence(args.seq)
+    grammar = _build_grammar(args)
+    model = _build_model(args)
+    limits = RunLimits(
+        max_steps=args.max_steps,
+        max_adaptation_depth=args.max_adaptation_depth,
+        max_adaptation_states=args.max_adaptation_states,
     )
-
-
-def cmd_fold(args: argparse.Namespace) -> int:
-    cfg = _fold_config(args)
-    controller = Controller(cfg.machine, cfg.grammar, cfg.model, cfg.limits)
-    trace = controller.run(cfg.sequence)
-    if cfg.trace_out is not None:
-        cfg.trace_out.write_text(trace.to_jsonl())
+    trace = Controller(machine, grammar, model, limits).run(sequence)
+    if args.trace_out:
+        Path(args.trace_out).write_text(trace.to_jsonl())
     best = trace.summary.best_energy
     if math.isinf(best):
         print(f"{trace.summary.final_db}  +inf (no fold possible)")
@@ -292,9 +248,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         for violation in exc.violations:
             print(f"  {violation.code}: {violation.message}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -352,22 +352,18 @@ def phi0_select(
     q: SecondaryStructure,
     succs: list[tuple[Match, SecondaryStructure]] | tuple[tuple[Match, SecondaryStructure], ...],
     em: EnergyModel,
-    score: Callable[[SecondaryStructure], float] | None = None,
 ) -> tuple[Match, SecondaryStructure] | None:
     """The greedy choice: the minimal-observable successor, if it does not
     exceed the current observable.
 
     Ties break on the smallest dot-bracket key. Returns None when no
     successor qualifies (including an empty successor list), which signals
-    that adaptation is needed. ``score`` stands in for ``observable(_, em)``
-    when given, e.g. a memo of it.
+    that adaptation is needed.
     """
     if not succs:
         return None
-    if score is None:
-        score = lambda s: observable(s, em)
-    best = min(succs, key=lambda ms: (score(ms[1]), ms[1].key))
-    if score(best[1]) <= score(q):
+    best = min(succs, key=lambda ms: (observable(ms[1], em), ms[1].key))
+    if observable(best[1], em) <= observable(q, em):
         return best
     return None
 
@@ -385,7 +381,7 @@ def check_constraint(constraint: Constraint, ctx: StrategyContext) -> StrategyDe
     if constraint.kind == UNCONSTRAINED:
         return StrategyDecision(satisfied=True)
     if constraint.kind == GREEDY:
-        selected = phi0_select(ctx.structure, ctx.successors, ctx.model, ctx.score)
+        selected = phi0_select(ctx.structure, ctx.successors, ctx.model)
         if selected is None:
             return StrategyDecision(satisfied=False)
         match, target = selected

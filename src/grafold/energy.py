@@ -24,7 +24,6 @@ import shlex
 import subprocess
 import threading
 from bisect import bisect_left
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -320,12 +319,11 @@ class ExternalEvaluator:
     Protocol: the command receives two lines on stdin (the base string, then
     the dot-bracket string) and must print one finite decimal kcal/mol value.
     Results are cached per structure key for the lifetime of the adapter.
-    Calls are serialized unless ``concurrent_safe`` is set.
+    Calls are serialized.
     """
 
     command: str
     timeout: float = 10.0
-    concurrent_safe: bool = False
     _cache: dict[tuple[str, str], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -337,8 +335,7 @@ class ExternalEvaluator:
         key = (seq.bases, s.key)
         if key in self._cache:
             return self._cache[key]
-        guard = nullcontext() if self.concurrent_safe else self._lock
-        with guard:
+        with self._lock:
             value = self._invoke(seq.bases, s.key)
         self._cache[key] = value
         return value

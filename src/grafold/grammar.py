@@ -9,6 +9,16 @@ Applicability is a gluing check: added pairs must join admissible unpaired
 positions, the result must stay a valid pseudoknot-free structure, and the
 rule's site predicate must hold.
 
+Because every application glues one loop element, the loops of the result
+alone tell which applications produce it: the loop an added pair closes
+gives the hairpin, inward Rule-2 and multi-branch rules; the loop it is a
+branch of gives outward Rule-2 when the pair is that loop's only branch; and
+two added pairs are a Rule-1 double when the inner one is the only branch of
+the outer one. Gluing checks and inverse moves are both decided this way,
+from the loop view (:func:`~grafold.structure.loop_index`) of the result.
+Forward enumeration reads the loops of the source instead, so the two stay
+independent algorithms that tests compare.
+
 Site predicates, with (i,j) the added outer pair and ``min`` the grammar's
 minimum hairpin size:
 
@@ -29,18 +39,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from itertools import combinations
 
 from .structure import (
     BASES,
     DEFAULT_MIN_HAIRPIN,
     BasePair,
+    LoopRegion,
     SecondaryStructure,
+    StructureError,
     is_admissible_pair,
     loop_index,
-    pairs_cross,
-    with_pairs_added,
+    validate_structure,
 )
 
 __all__ = [
@@ -206,193 +215,14 @@ class Match:
 
 @dataclass(frozen=True)
 class Grammar:
-    """The production set plus the biological knobs that parametrize it."""
+    """The biological knobs that parametrize the fixed production set."""
 
     min_hairpin_unpaired: int = DEFAULT_MIN_HAIRPIN
     allow_inverse: bool = False
-    rules: tuple[RuleId, ...] = ALL_RULES
 
     def __post_init__(self) -> None:
         if self.min_hairpin_unpaired < 1:
             raise ValueError("min_hairpin_unpaired must be >= 1 (pairs join non-adjacent bases)")
-        if len(set(self.rules)) != len(self.rules):
-            raise ValueError("duplicate rules")
-
-    @cached_property
-    def rule_set(self) -> frozenset[RuleId]:
-        return frozenset(self.rules)
-
-
-# ---------------------------------------------------------------------------
-# Gluing machinery
-# ---------------------------------------------------------------------------
-
-
-def _run_clear(partner: dict[int, int], a: int, b: int) -> bool:
-    """True iff positions a..b (inclusive) are all unpaired; empty runs pass."""
-    return all(pos not in partner for pos in range(a, b + 1))
-
-
-def _addition_ok(s: SecondaryStructure, min_hairpin: int, added: tuple[BasePair, ...]) -> bool:
-    """Shared gluing core: would adding these pairs keep the structure valid?
-
-    Checks admissibility, free non-adjacent endpoints, non-crossing against
-    existing and sibling pairs, and the hairpin minimum for any added pair
-    that ends up innermost. Assumes ``s`` itself is valid.
-    """
-    seq, n, partner = s.sequence, s.n, s.partner
-    seen: set[int] = set()
-    for a, b in added:
-        if a < 0 or b >= n or b - a < 2:
-            return False
-        if not is_admissible_pair(seq[a], seq[b]):
-            return False
-        if a in partner or b in partner or a in seen or b in seen:
-            return False
-        seen.update((a, b))
-    for p in added:
-        for q in s.pairs:
-            if pairs_cross(p, q):
-                return False
-    for p, q in combinations(added, 2):
-        if pairs_cross(p, q):
-            return False
-    for a, b in added:
-        has_inner = any(a < pos < b for pos in partner) or any(
-            a < c and d < b for c, d in added if (c, d) != (a, b)
-        )
-        if not has_inner and b - a - 1 < min_hairpin:
-            return False
-    return True
-
-
-def _direct_children(s: SecondaryStructure, a: int, b: int) -> tuple[BasePair, ...]:
-    """Top-level pairs strictly inside (a, b), left to right."""
-    children: list[BasePair] = []
-    end = a
-    for pair in s.sorted_pairs:
-        if pair.i <= end or pair.j >= b:
-            continue
-        children.append(pair)
-        end = pair.j
-    return tuple(children)
-
-
-def _direct_parent(s: SecondaryStructure, a: int, b: int) -> BasePair | None:
-    """The innermost existing pair strictly enclosing (a, b), if any."""
-    parent: BasePair | None = None
-    for pair in s.sorted_pairs:
-        if pair.i < a and b < pair.j:
-            if parent is None or pair.i > parent.i:
-                parent = pair
-    return parent
-
-
-def _single_addition_matches(
-    s: SecondaryStructure, pair: BasePair, rule_set: frozenset[RuleId]
-) -> list[Match]:
-    """All matches whose single added pair is ``pair`` (gluing core assumed ok).
-
-    Classified twice: by the direct interior of the added pair (what it
-    closes) and by its direct parent (what it extends inward). The two views
-    can both apply, yielding distinct matches.
-    """
-    a, b = pair
-    partner = s.partner
-    out: list[Match] = []
-
-    children = _direct_children(s, a, b)
-    if not children:
-        if HAIRPIN_1 in rule_set:
-            out.append(Match(HAIRPIN_1, (pair,)))
-    elif len(children) == 1:
-        c, d = children[0]
-        gap_l, gap_r = c - a - 1, b - d - 1
-        if gap_l == 0 and gap_r == 0:
-            rule = HELIX_2
-        elif gap_l == 0:
-            rule = BULGE_R_2
-        elif gap_r == 0:
-            rule = BULGE_L_2
-        else:
-            rule = INTERNAL_2
-        if rule in rule_set:
-            out.append(Match(rule, (pair,), children))
-    else:
-        rule = MULTI_1 if len(children) == 2 else MULTI_2
-        if rule in rule_set:
-            out.append(Match(rule, (pair,), children))
-
-    parent = _direct_parent(s, a, b)
-    if parent is not None:
-        p, q = parent
-        if _run_clear(partner, p + 1, a - 1) and _run_clear(partner, b + 1, q - 1):
-            gap_l, gap_r = a - p - 1, q - b - 1
-            if gap_l == 0 and gap_r == 0:
-                rule = HELIX_2
-            elif gap_l == 0:
-                rule = BULGE_R_2
-            elif gap_r == 0:
-                rule = BULGE_L_2
-            else:
-                rule = INTERNAL_2
-            if rule in rule_set:
-                out.append(Match(rule, (pair,), (parent,)))
-    return out
-
-
-def _double_addition_matches(
-    s: SecondaryStructure, first: BasePair, second: BasePair, rule_set: frozenset[RuleId]
-) -> list[Match]:
-    """The Rule-1 match (if any) adding the nested pair {first, second}."""
-    outer, inner = sorted((first, second))
-    if not (outer.i < inner.i and inner.j < outer.j):
-        return []
-    partner = s.partner
-    gap_l, gap_r = inner.i - outer.i - 1, outer.j - inner.j - 1
-    if gap_l == 0 and gap_r == 0:
-        rule = HELIX_1
-    elif gap_l == 0 and _run_clear(partner, inner.j + 1, outer.j - 1):
-        rule = BULGE_R_1
-    elif gap_r == 0 and _run_clear(partner, outer.i + 1, inner.i - 1):
-        rule = BULGE_L_1
-    elif (
-        gap_l >= 1
-        and gap_r >= 1
-        and _run_clear(partner, outer.i + 1, inner.i - 1)
-        and _run_clear(partner, inner.j + 1, outer.j - 1)
-    ):
-        rule = INTERNAL_1
-    else:
-        return []
-    if rule not in rule_set:
-        return []
-    return [Match(rule, (outer, inner))]
-
-
-def _matches_for_added(
-    s: SecondaryStructure, g: Grammar, added: tuple[BasePair, ...]
-) -> list[Match]:
-    """All matches whose exact added-pair set is ``added``."""
-    if not _addition_ok(s, g.min_hairpin_unpaired, added):
-        return []
-    if len(added) == 1:
-        return _single_addition_matches(s, added[0], g.rule_set)
-    if len(added) == 2:
-        return _double_addition_matches(s, added[0], added[1], g.rule_set)
-    return []
-
-
-def gluing_check(s: SecondaryStructure, m: Match, g: Grammar) -> bool:
-    """True iff applying ``m`` to ``s`` is admissible.
-
-    Covers base-pair admissibility, free endpoints, non-crossing, validity of
-    the result (including the hairpin minimum), presence of the context pairs
-    and the rule's site predicate.
-    """
-    if any(c not in s.pairs for c in m.context):
-        return False
-    return m in _matches_for_added(s, g, m.added)
 
 
 #: The Rule-2 (one added pair next to one existing pair) and Rule-1
@@ -436,13 +266,11 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
     """
     bases, n, partner = s.sequence.bases, s.n, s.partner
     min_h = g.min_hairpin_unpaired
-    # one output list per rule in the grammar; a rule outside it maps to None
-    buckets: dict[RuleId, list[Match]] = {rule: [] for rule in ALL_RULES if rule in g.rules}
-    hairpins = buckets.get(HAIRPIN_1)
-    multi = {more: (rule, buckets.get(rule)) for more, rule in ((False, MULTI_1), (True, MULTI_2))}
-    rule2 = {gaps: (rule, buckets.get(rule)) for gaps, rule in _RULE2_BY_GAPS.items()}
-    rule1 = {gaps: (rule, buckets.get(rule)) for gaps, rule in _RULE1_BY_GAPS.items()}
-    any_double = any(bucket is not None for _, bucket in rule1.values())
+    buckets: dict[RuleId, list[Match]] = {rule: [] for rule in ALL_RULES}
+    hairpins = buckets[HAIRPIN_1]
+    multi = {more: (rule, buckets[rule]) for more, rule in ((False, MULTI_1), (True, MULTI_2))}
+    rule2 = {gaps: (rule, buckets[rule]) for gaps, rule in _RULE2_BY_GAPS.items()}
+    rule1 = {gaps: (rule, buckets[rule]) for gaps, rule in _RULE1_BY_GAPS.items()}
 
     loops, owner, slot = loop_index(s)
     # run_end[a] / run_start[b]: the last / first position of the run of
@@ -472,23 +300,17 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
             if closing is not None and left == 0 and before[y] == len(branches):
                 p, q = closing
                 rule, bucket = rule2[(a - p > 1, q - b > 1)]
-                if bucket is not None:
-                    bucket.append(Match(rule, (pair,), (closing,)))
+                bucket.append(Match(rule, (pair,), (closing,)))
             if not kids:
-                if hairpins is not None:
-                    hairpins.append(Match(HAIRPIN_1, (pair,)))
+                hairpins.append(Match(HAIRPIN_1, (pair,)))
             elif len(kids) == 1:
                 c, d = kids[0]
                 rule, bucket = rule2[(c - a > 1, b - d > 1)]
-                if bucket is not None:
-                    bucket.append(Match(rule, (pair,), kids))
+                bucket.append(Match(rule, (pair,), kids))
             else:
                 rule, bucket = multi[len(kids) > 2]
-                if bucket is not None:
-                    bucket.append(Match(rule, (pair,), kids))
+                bucket.append(Match(rule, (pair,), kids))
 
-            if not any_double:
-                continue
             # the inner pair (c, d): c in the unpaired run after a, d in the
             # run before b, enclosing the children or a hairpin
             min_span = 2 if kids else min_h + 1
@@ -499,10 +321,85 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
                     if bases[d] not in inner_mates:
                         continue
                     rule, bucket = rule1[(c - a > 1, b - d > 1)]
-                    if bucket is not None:
-                        bucket.append(Match(rule, (pair, BasePair(c, d))))
+                    bucket.append(Match(rule, (pair, BasePair(c, d))))
 
     return [m for bucket in buckets.values() for m in bucket]
+
+
+_LoopsByPair = tuple[dict[BasePair, LoopRegion], dict[BasePair, LoopRegion]]
+
+
+def _loops_by_pair(t: SecondaryStructure) -> _LoopsByPair:
+    """For each pair of the valid structure ``t``: the loop it closes, and
+    the loop it is a branch of (the exterior loop for a top-level pair)."""
+    loops = loop_index(t).loops
+    closed_by = {loop.closing: loop for loop in loops[1:]}
+    branch_of = {pair: loop for loop in loops for pair in loop.branches}
+    return closed_by, branch_of
+
+
+def _matches_yielding(loops_by_pair: _LoopsByPair, added: tuple[BasePair, ...]) -> list[Match]:
+    """The matches that add exactly ``added`` and yield the valid structure
+    ``t`` whose :func:`_loops_by_pair` is given (``added`` is sorted and
+    taken from the pairs of ``t``).
+
+    A single pair is classified twice: inward by the loop it closes (a
+    hairpin with no branch, Rule-2 on its one branch, a multi-branch loop on
+    two or more) and outward by the loop it is a branch of (Rule-2 on that
+    loop's closing pair when the pair is its only branch). Two pairs are a
+    Rule-1 double when the inner one is the only branch of the outer one.
+    """
+    closed_by, branch_of = loops_by_pair
+    outer = added[0]
+    a, b = outer
+    kids = tuple(closed_by[outer].branches)
+    if len(added) == 2:
+        inner = added[1]
+        if kids != (inner,):
+            return []
+        return [Match(_RULE1_BY_GAPS[(inner.i - a > 1, b - inner.j > 1)], added)]
+    if not kids:
+        out = [Match(HAIRPIN_1, added)]
+    elif len(kids) == 1:
+        c, d = kids[0]
+        out = [Match(_RULE2_BY_GAPS[(c - a > 1, b - d > 1)], added, kids)]
+    else:
+        out = [Match(MULTI_1 if len(kids) == 2 else MULTI_2, added, kids)]
+    parent = branch_of[outer]
+    if parent.closing is not None and len(parent.branches) == 1:
+        p, q = parent.closing
+        out.append(Match(_RULE2_BY_GAPS[(a - p > 1, q - b > 1)], added, (parent.closing,)))
+    return out
+
+
+def _glued(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure | None:
+    """``s`` with ``m`` applied, or None when the gluing conditions fail."""
+    seq, n, partner = s.sequence, s.n, s.partner
+    ends: set[int] = set()
+    for a, b in m.added:
+        if not 0 <= a < b < n or not is_admissible_pair(seq[a], seq[b]):
+            return None
+        if a in partner or b in partner or a in ends or b in ends:
+            return None
+        ends.update((a, b))
+    t = _apply_unchecked(s, m)
+    if not validate_structure(t, g.min_hairpin_unpaired).ok:
+        return None
+    if m not in _matches_yielding(_loops_by_pair(t), m.added):
+        return None
+    return t
+
+
+def gluing_check(s: SecondaryStructure, m: Match, g: Grammar) -> bool:
+    """True iff applying ``m`` to ``s`` is admissible.
+
+    Covers base-pair admissibility, free endpoints, non-crossing, validity of
+    the result (including the hairpin minimum), presence of the context pairs
+    and the rule's site predicate. The last two are read off the loops of the
+    result: ``m`` must be one of the matches that yield it by adding
+    ``m.added``.
+    """
+    return _glued(s, m, g) is not None
 
 
 def enumerate_inverse_matches(
@@ -511,21 +408,28 @@ def enumerate_inverse_matches(
     """Rule applications that could have produced ``s``, with their sources.
 
     Each entry is a (match, predecessor) pair such that applying the match to
-    the predecessor yields ``s`` exactly. Used for backtracking moves.
+    the predecessor yields ``s`` exactly, sorted by match. The applications
+    are read off the loops of ``s``: each pair was added alone, or together
+    with the only branch of its loop. Used for backtracking moves.
+
+    Raises:
+        StructureError: ``s`` is not valid under ``g``.
     """
+    report = validate_structure(s, g.min_hairpin_unpaired)
+    if not report.ok:
+        raise StructureError(f"invalid structure: {report.describe()}", report.violations)
+    loops_by_pair = _loops_by_pair(s)
+    closed_by = loops_by_pair[0]
     out: list[tuple[Match, SecondaryStructure]] = []
-    pairs = s.sorted_pairs
-    for pair in pairs:
-        source = s.without((pair,))
-        for m in _matches_for_added(source, g, (pair,)):
-            out.append((m, source))
-    for first, second in combinations(pairs, 2):
-        outer, inner = sorted((first, second))
-        if not (outer.i < inner.i and inner.j < outer.j):
-            continue
-        source = s.without((first, second))
-        for m in _matches_for_added(source, g, (outer, inner)):
-            out.append((m, source))
+    for pair in s.sorted_pairs:
+        removals = [(pair,)]
+        kids = closed_by[pair].branches
+        if len(kids) == 1:
+            removals.append((pair, kids[0]))
+        # each of these removals yields at least one match
+        for removed in removals:
+            source = s.without(removed)
+            out.extend((m, source) for m in _matches_yielding(loops_by_pair, removed))
     out.sort(key=lambda item: item[0].sort_key)
     return out
 
@@ -543,9 +447,10 @@ def apply_match(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructu
     Raises:
         GluingError: the match does not pass :func:`gluing_check` on ``s``.
     """
-    if not gluing_check(s, m, g):
+    t = _glued(s, m, g)
+    if t is None:
         raise GluingError(f"gluing conditions fail for {m.rule.label} adding {list(m.added)}")
-    return with_pairs_added(s, m.added, min_hairpin_unpaired=g.min_hairpin_unpaired)
+    return t
 
 
 def invert_match(s: SecondaryStructure, m: Match) -> SecondaryStructure:
@@ -574,12 +479,10 @@ def derive(
     """
     states = [s0]
     for idx, m in enumerate(script):
-        current = states[-1]
-        if not gluing_check(current, m, g):
+        t = _glued(states[-1], m, g)
+        if t is None:
             raise DerivationError(
                 f"step {idx} ({m.rule.label} adding {list(m.added)}) is not applicable", idx
             )
-        states.append(
-            with_pairs_added(current, m.added, min_hairpin_unpaired=g.min_hairpin_unpaired)
-        )
+        states.append(t)
     return states

@@ -3,6 +3,8 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grafold.controller import (
     AdaptiveMachine,
@@ -20,7 +22,7 @@ from grafold.controller import (
     run,
 )
 from grafold.energy import LoopTableModel, NussinovModel, example_parameters, observable
-from grafold.grammar import Grammar
+from grafold.grammar import Grammar, apply_match, enumerate_inverse_matches, enumerate_matches
 from grafold.space import successors
 from grafold.structure import (
     PrimarySequence,
@@ -318,6 +320,42 @@ class TestInverseMoves:
         assert trace.summary.termination == "exhausted"
         steady_moves = [r for r in trace.records[1:] if r.mode == "steady" and r.move]
         assert len({r.db for r in steady_moves}) == len(steady_moves)
+
+
+@pytest.mark.parametrize(
+    "model", [NUSSINOV, LoopTableModel(example_parameters())], ids=["nussinov", "loop-table"]
+)
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14))
+@settings(max_examples=40, deadline=None)
+def test_allow_inverse_trace_invariants(model, bases):
+    # default machine with inverse moves: steady moves never raise the
+    # energy, every move is a forward or inverse match of the structure it
+    # leaves, and the summary's best is the least record
+    seq = PrimarySequence(bases)
+    g = Grammar(allow_inverse=True)
+    trace = run(None, seq, grammar=g, model=model, limits=RunLimits(max_steps=40))
+    records = trace.records
+    for prev, rec in zip(records, records[1:]):
+        if rec.move is None:
+            continue
+        if rec.mode == "steady":
+            assert rec.energy <= prev.energy
+        before = parse_dot_bracket(seq, prev.db)
+        if rec.move.startswith("inverse:"):
+            moves = {
+                (f"inverse:{m.rule.label}", source.key)
+                for m, source in enumerate_inverse_matches(before, g)
+            }
+        else:
+            moves = {
+                (m.rule.label, apply_match(before, m, g).key)
+                for m in enumerate_matches(before, g)
+            }
+        assert (rec.move, rec.db) in moves
+    assert trace.summary.best_energy == min(r.energy for r in records)
+    if math.isfinite(trace.summary.best_energy):
+        best = min((r.energy, r.db) for r in records)
+        assert (trace.summary.best_energy, trace.summary.best_db) == best
 
 
 class TestScoredSelection:

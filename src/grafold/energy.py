@@ -95,33 +95,24 @@ class Loop:
     unpaired: int
 
 
-def _loop_class(closing: BasePair, n_branches: int, first: BasePair | None) -> LoopClass:
-    """The class of the loop closed by ``closing`` with ``n_branches``
-    branches, the leftmost being ``first``."""
-    if n_branches == 0:
-        return LoopClass.HAIRPIN
-    if n_branches > 1:
-        return LoopClass.MULTI
-    gap_l = first.i - closing.i - 1
-    gap_r = closing.j - first.j - 1
-    if gap_l == 0 and gap_r == 0:
-        return LoopClass.STACK
-    if gap_l == 0 or gap_r == 0:
-        return LoopClass.BULGE
-    return LoopClass.INTERNAL
+def _loop_class(closing: BasePair, n_branches: int, first: BasePair | None) -> str:
+    """The :class:`LoopClass` value of the loop closed by ``closing`` with
+    ``n_branches`` branches, the leftmost being ``first``. A string, so that
+    the scorer's memo keys hash without a Python-level ``Enum.__hash__``."""
+    if n_branches == 1:
+        if first.i - closing.i == 1:
+            return "stack" if closing.j - first.j == 1 else "bulge"
+        return "bulge" if closing.j - first.j == 1 else "internal"
+    return "multibranch" if n_branches else "hairpin"
 
 
 def _loops(regions: list[LoopRegion]) -> tuple[Loop, ...]:
     """The loops of a loop view (:func:`loop_index`) in decomposition order."""
-    loops = [
-        Loop(
-            _loop_class(r.closing, len(r.branches), r.branches[0] if r.branches else None),
-            r.closing,
-            tuple(r.branches),
-            len(r.free),
-        )
-        for r in regions[1:]
-    ]
+    loops = []
+    for r in regions[1:]:
+        first = r.branches[0] if r.branches else None
+        kind = LoopClass(_loop_class(r.closing, len(r.branches), first))
+        loops.append(Loop(kind, r.closing, tuple(r.branches), len(r.free)))
     exterior = regions[0]
     loops.append(Loop(LoopClass.EXTERIOR, None, tuple(exterior.branches), len(exterior.free)))
     return tuple(loops)
@@ -156,53 +147,59 @@ class LoopTableParams:
     multibranch_offset: float
     multibranch_per_branch: float
     multibranch_per_unpaired: float
+    # the length terms read so far, extrapolated ones included, by (loop
+    # class value, length); the tables must not change after first use
+    _length_terms: dict[tuple[str, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
-def _length_term(table: Mapping[int, float], length: int, label: str) -> float:
+def _length_term(params: LoopTableParams, kind: str, length: int) -> float:
+    """The term of a ``kind`` ("hairpin", "bulge" or "internal") loop of
+    ``length`` unpaired positions, stored in ``params._length_terms``."""
+    table = getattr(params, kind)
     if length in table:
-        return table[length]
-    longest = max(table)
-    if length < min(table):
-        raise ParameterError(f"{label} table has no entry for length {length}")
-    return table[longest] + _EXTRAPOLATION_COEFF * math.log(length / longest)
-
-
-def _pair_type(seq: PrimarySequence, pair: BasePair) -> str:
-    return seq[pair.i] + seq[pair.j]
+        term = table[length]
+    else:
+        longest = max(table)
+        if length < min(table):
+            raise ParameterError(f"{kind} table has no entry for length {length}")
+        term = table[longest] + _EXTRAPOLATION_COEFF * math.log(length / longest)
+    params._length_terms[(kind, length)] = term
+    return term
 
 
 def loop_energy_term(loop: Loop, seq: PrimarySequence, params: LoopTableParams) -> float:
     """The loop-table contribution of a single loop."""
+    if loop.closing is None:
+        return 0.0
     first = loop.branches[0] if loop.branches else None
-    return _term(loop.kind, loop.closing, first, len(loop.branches), loop.unpaired, seq, params)
+    return _term(params, seq.bases, loop.closing, len(loop.branches), first, loop.unpaired)
 
 
 def _term(
-    kind: LoopClass,
-    closing: BasePair | None,
-    first: BasePair | None,
-    n_branches: int,
-    unpaired: int,
-    seq: PrimarySequence,
     params: LoopTableParams,
+    bases: str,
+    closing: BasePair,
+    n_branches: int,
+    first: BasePair | None,
+    unpaired: int,
 ) -> float:
-    """The loop-table term of a loop given by its parts (see :class:`Loop`;
-    ``first`` is its leftmost branch)."""
-    if kind is LoopClass.EXTERIOR:
-        return 0.0
-    if kind is LoopClass.HAIRPIN:
-        return _length_term(params.hairpin, unpaired, "hairpin")
-    if kind is LoopClass.STACK:
-        return params.stack[(_pair_type(seq, closing), _pair_type(seq, first))]
-    if kind is LoopClass.BULGE:
-        return _length_term(params.bulge, unpaired, "bulge")
-    if kind is LoopClass.INTERNAL:
-        return _length_term(params.internal, unpaired, "internal")
-    return (
-        params.multibranch_offset
-        + params.multibranch_per_branch * n_branches
-        + params.multibranch_per_unpaired * unpaired
-    )
+    """The loop-table term of the loop closed by ``closing`` with
+    ``n_branches`` branches, the leftmost being ``first``, and ``unpaired``
+    unpaired positions."""
+    kind = _loop_class(closing, n_branches, first)
+    if kind == "stack":
+        outer = bases[closing.i] + bases[closing.j]
+        return params.stack[(outer, bases[first.i] + bases[first.j])]
+    if kind == "multibranch":
+        return (
+            params.multibranch_offset
+            + params.multibranch_per_branch * n_branches
+            + params.multibranch_per_unpaired * unpaired
+        )
+    term = params._length_terms.get((kind, unpaired))
+    return _length_term(params, kind, unpaired) if term is None else term
 
 
 class EnergyModel:
@@ -252,7 +249,15 @@ class LoopTableModel(EnergyModel):
     mode: ClassVar[str] = "loop-table"
 
     def energy(self, s: SecondaryStructure) -> float:
-        return sum(loop_energy_term(loop, s.sequence, self.params) for loop in decompose_loops(s))
+        """The loop terms added one by one, left to right in
+        :func:`decompose_loops` order, from 0.0. The fold fixes the rounding
+        on every Python (``sum`` compensates from 3.12 on) and lets the move
+        scorer reuse a folded prefix."""
+        seq, params = s.sequence, self.params
+        total = 0.0
+        for loop in decompose_loops(s):
+            total += loop_energy_term(loop, seq, params)
+        return total
 
     def successor_observables(
         self, s: SecondaryStructure, moves: Sequence[tuple[BasePair, ...]]
@@ -261,20 +266,20 @@ class LoopTableModel(EnergyModel):
         keeps its closing pair with the outer new pair as a branch, and each
         new pair closes a new loop. So the successor's terms are the parent's
         terms with L's term replaced and the new loops' terms inserted at
-        the sorted place of their closing pairs: the same floats, in the same
-        order, that :meth:`energy` sums for the built successor."""
+        the sorted place of their closing pairs, and :meth:`energy` folds
+        them in that order. The part of the fold before the new loops depends
+        on the outer new pair only, so it is folded once per outer pair; each
+        move then adds its new loops' terms and the terms after them."""
         seq, params = s.sequence, self.params
+        bases = seq.bases
         regions, owner, slot = loop_index(s)
         terms = [loop_energy_term(loop, seq, params) for loop in _loops(regions)]
         sorted_pairs = s.sorted_pairs
 
-        def closed(closing: BasePair, n_branches: int, first: BasePair | None, unpaired: int):
-            kind = _loop_class(closing, n_branches, first)
-            return _term(kind, closing, first, n_branches, unpaired, seq, params)
-
-        out = []
-        for added in moves:
-            outer = added[0]
+        def split(outer: BasePair) -> tuple[float, list[float], int, BasePair | None, int]:
+            """The folded head and the tail of the successor's terms around
+            the new loops, and L's branches and unpaired positions inside
+            ``outer``: their count, the leftmost branch, the unpaired count."""
             a, b = outer
             k = owner[a]
             region = regions[k]
@@ -282,24 +287,37 @@ class LoopTableModel(EnergyModel):
             left = region.before[lo]
             kids = region.before[hi] - left
             first_kid = region.branches[left] if kids else None
-            inside = hi - lo - 1  # L's unpaired positions strictly inside (a, b)
+            at = bisect_left(sorted_pairs, outer)
+            head_terms = terms[:at]
+            if k:  # L's closing pair sorts before outer; the exterior term stays 0.0
+                n_branches = len(region.branches) - kids + 1
+                unpaired = len(region.free) - (hi - lo + 1)
+                head_terms[k - 1] = _term(
+                    params, bases, region.closing, n_branches, outer, unpaired
+                )
+            head = 0.0
+            for term in head_terms:
+                head += term
+            return head, terms[at:], kids, first_kid, hi - lo - 1
+
+        contexts: dict[BasePair, tuple] = {}
+        out = []
+        for added in moves:
+            outer = added[0]
+            context = contexts.get(outer)
+            if context is None:
+                context = contexts[outer] = split(outer)
+            total, tail, kids, first_kid, inside = context
             if len(added) == 1:
-                new = [closed(outer, kids, first_kid, inside)]
+                total += _term(params, bases, outer, kids, first_kid, inside)
             else:
                 inner = added[1]
-                gaps = (inner.i - a - 1) + (b - inner.j - 1)
-                new = [
-                    closed(outer, 1, inner, gaps),
-                    closed(inner, kids, first_kid, inside - gaps - 2),
-                ]
-            at = bisect_left(sorted_pairs, outer)
-            succ = terms[:at] + new + terms[at:]
-            if k:  # the exterior loop's term is 0.0 whatever it holds
-                n_branches = len(region.branches) - kids + 1
-                succ[k - 1] = closed(
-                    region.closing, n_branches, outer, len(region.free) - (hi - lo + 1)
-                )
-            out.append(sum(succ))
+                gaps = (inner.i - outer.i - 1) + (outer.j - inner.j - 1)
+                total += _term(params, bases, outer, 1, inner, gaps)
+                total += _term(params, bases, inner, kids, first_kid, inside - gaps - 2)
+            for term in tail:
+                total += term
+            out.append(total)
         return out
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .structure import (
     BASES,
@@ -95,11 +96,11 @@ class RuleId:
         if self.loop_kind is LoopKind.HAIRPIN and self.variant != 1:
             raise ValueError("the hairpin loop has a single rule (variant 1)")
 
-    @property
+    @cached_property
     def label(self) -> str:
         return f"{self.loop_kind.value}-Rule-{self.variant}"
 
-    @property
+    @cached_property
     def sort_key(self) -> tuple[int, int]:
         return (_KIND_ORDER[self.loop_kind], self.variant)
 
@@ -172,7 +173,7 @@ def _normalized(pairs) -> tuple[BasePair, ...]:
     return tuple(sorted(BasePair(min(i, j), max(i, j)) for i, j in pairs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
     """A rule together with a concrete site: added pairs plus context pairs.
 
@@ -211,6 +212,19 @@ class Match:
     @property
     def sort_key(self):
         return (self.rule.sort_key, self.added, self.context)
+
+
+def _unchecked_match(
+    rule: RuleId, added: tuple[BasePair, ...], context: tuple[BasePair, ...] = ()
+) -> Match:
+    """A :class:`Match` built without ``__post_init__``: for the enumerator,
+    whose pairs are already sorted ``BasePair(i < j)`` tuples of the rule's
+    arity."""
+    m = object.__new__(Match)
+    object.__setattr__(m, "rule", rule)
+    object.__setattr__(m, "added", added)
+    object.__setattr__(m, "context", context)
+    return m
 
 
 @dataclass(frozen=True)
@@ -300,16 +314,16 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
             if closing is not None and left == 0 and before[y] == len(branches):
                 p, q = closing
                 rule, bucket = rule2[(a - p > 1, q - b > 1)]
-                bucket.append(Match(rule, (pair,), (closing,)))
+                bucket.append(_unchecked_match(rule, (pair,), (closing,)))
             if not kids:
-                hairpins.append(Match(HAIRPIN_1, (pair,)))
+                hairpins.append(_unchecked_match(HAIRPIN_1, (pair,)))
             elif len(kids) == 1:
                 c, d = kids[0]
                 rule, bucket = rule2[(c - a > 1, b - d > 1)]
-                bucket.append(Match(rule, (pair,), kids))
+                bucket.append(_unchecked_match(rule, (pair,), kids))
             else:
                 rule, bucket = multi[len(kids) > 2]
-                bucket.append(Match(rule, (pair,), kids))
+                bucket.append(_unchecked_match(rule, (pair,), kids))
 
             # the inner pair (c, d): c in the unpaired run after a, d in the
             # run before b, enclosing the children or a hairpin
@@ -321,7 +335,7 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
                     if bases[d] not in inner_mates:
                         continue
                     rule, bucket = rule1[(c - a > 1, b - d > 1)]
-                    bucket.append(Match(rule, (pair, BasePair(c, d))))
+                    bucket.append(_unchecked_match(rule, (pair, BasePair(c, d))))
 
     return [m for bucket in buckets.values() for m in bucket]
 

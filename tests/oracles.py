@@ -3,15 +3,17 @@
 Deliberately naive implementations that share no code path with the package:
 exhaustive recursive enumeration of valid structures, a maximum-pairing
 dynamic program, a brute-force match scan driven only by the public gluing
-predicate, and a loop decomposition by a stack walk over the sorted pairs.
+predicate, a loop decomposition by a stack walk over the sorted pairs, and
+loop-table terms read straight off the parameter tables.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 
-from grafold.energy import Loop, LoopClass
+from grafold.energy import Loop, LoopClass, LoopTableParams
 from grafold.grammar import ALL_RULES, Grammar, LoopKind, Match, gluing_check
 from grafold.structure import (
     BasePair,
@@ -139,3 +141,31 @@ def stack_walk_loops(s: SecondaryStructure) -> tuple[Loop, ...]:
     exterior_unpaired = s.n - sum(p.j - p.i + 1 for p in top_level)
     loops.append(Loop(LoopClass.EXTERIOR, None, tuple(top_level), exterior_unpaired))
     return tuple(loops)
+
+
+def table_loop_term(loop: Loop, seq: PrimarySequence, params: LoopTableParams) -> float:
+    """The loop-table term of ``loop``, read off the tables on every call:
+    the stack entry keyed (closing pair type, branch pair type); the length
+    entry of a hairpin, bulge or internal loop, or past the end of its table
+    the last entry plus 1.75 RT ln(length / last length); the multibranch
+    line; 0.0 for the exterior loop."""
+    if loop.kind is LoopClass.EXTERIOR:
+        return 0.0
+    if loop.kind is LoopClass.STACK:
+        (i, j), (k, l) = loop.closing, loop.branches[0]
+        return params.stack[(seq[i] + seq[j], seq[k] + seq[l])]
+    if loop.kind is LoopClass.MULTI:
+        return (
+            params.multibranch_offset
+            + params.multibranch_per_branch * len(loop.branches)
+            + params.multibranch_per_unpaired * loop.unpaired
+        )
+    table = {
+        LoopClass.HAIRPIN: params.hairpin,
+        LoopClass.BULGE: params.bulge,
+        LoopClass.INTERNAL: params.internal,
+    }[loop.kind]
+    last = max(table)
+    if loop.unpaired <= last:
+        return table[loop.unpaired]
+    return table[last] + 1.75 * 0.616 * math.log(loop.unpaired / last)

@@ -30,7 +30,7 @@ from grafold.structure import (
     SecondaryStructure,
     parse_dot_bracket,
 )
-from oracles import all_valid_structures, stack_walk_loops
+from oracles import all_valid_structures, stack_walk_loops, table_loop_term
 
 
 def structure(bases: str, db: str, min_h: int = 1) -> SecondaryStructure:
@@ -191,9 +191,24 @@ MODELS = [
 ]
 
 
-def assert_moves_score_exactly(s: SecondaryStructure, matches) -> None:
+def short_table_parameters() -> LoopTableParams:
+    """:func:`rounding_sensitive_parameters` with hairpin and bulge lengths
+    1-3 and internal lengths 2-3 only, so that most loops extrapolate."""
+    params = rounding_sensitive_parameters()
+    return LoopTableParams(
+        stack=params.stack,
+        hairpin={n: params.hairpin[n] for n in (1, 2, 3)},
+        bulge={n: params.bulge[n] for n in (1, 2, 3)},
+        internal={n: params.internal[n] for n in (2, 3)},
+        multibranch_offset=params.multibranch_offset,
+        multibranch_per_branch=params.multibranch_per_branch,
+        multibranch_per_unpaired=params.multibranch_per_unpaired,
+    )
+
+
+def assert_moves_score_exactly(s: SecondaryStructure, matches, models=MODELS) -> None:
     # float ==, not approx: the loop-local sum must be the full sum, bit for bit
-    for model in MODELS:
+    for model in models:
         scores = model.successor_observables(s, [m.added for m in matches])
         assert scores == [observable(_apply_unchecked(s, m), model) for m in matches]
 
@@ -239,6 +254,57 @@ def test_successor_observables_along_derivations(min_h, bases, data):
         if not matches:
             break
         s = _apply_unchecked(s, data.draw(st.sampled_from(matches)))
+
+
+def random_derivation(bases: str, min_h: int, data):
+    """Each structure of a random derivation from the unfolded strand down to
+    a terminal structure, with its matches."""
+    g = Grammar(min_hairpin_unpaired=min_h)
+    s = SecondaryStructure(PrimarySequence(bases))
+    while True:
+        matches = enumerate_matches(s, g)
+        yield s, matches
+        if not matches:
+            return
+        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)))
+
+
+TABLES = [rounding_sensitive_parameters(), short_table_parameters()]
+
+
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_energy_is_left_fold_of_table_terms_along_derivations(min_h, bases, data):
+    # float ==: the energy is the left-to-right fold, from 0.0, of the loop
+    # terms in decomposition order, whatever rounding the interpreter's sum()
+    # uses; each term is the table's own entry (asymmetric stack entries,
+    # extrapolated lengths of every loop class)
+    for s, _ in random_derivation(bases, min_h, data):
+        for params in TABLES:
+            total = 0.0
+            for loop in decompose_loops(s):
+                term = loop_energy_term(loop, s.sequence, params)
+                assert term == table_loop_term(loop, s.sequence, params)
+                total += term
+            assert LoopTableModel(params).energy(s) == total
+
+
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_successor_observables_extrapolate_along_derivations(min_h, bases, data):
+    # with tables that end at length 3, most moves make or split a loop
+    # whose term extrapolates, so the scorer reads extrapolated lengths
+    model = LoopTableModel(short_table_parameters())
+    for s, matches in random_derivation(bases, min_h, data):
+        assert_moves_score_exactly(s, matches, models=[model])
+
+
+def test_length_memo_leaves_equality_and_repr_alone():
+    used, unused = (LoopTableModel(short_table_parameters()) for _ in range(2))
+    used.energy(structure("GGGGAAAAAAAACCCC", "((.(........).))"))
+    assert used == unused and repr(used) == repr(unused)
 
 
 class TestParameterLoading:

@@ -1,3 +1,4 @@
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -58,6 +59,11 @@ class TestRuleSet:
     def test_labels(self):
         assert HAIRPIN_1.label == "Hairpin-Rule-1"
         assert BULGE_L_2.label == "Bulge-l-Rule-2"
+
+    def test_label_and_sort_key_computed_once(self):
+        # exports and the transition sort read them for every transition
+        for rule in ALL_RULES:
+            assert rule.label is rule.label and rule.sort_key is rule.sort_key
 
     def test_match_arity_enforced(self):
         with pytest.raises(ValueError):
@@ -439,6 +445,29 @@ def test_inverse_matches_dual_to_forward_along_derivations(grammar, bases, data)
         want.sort(key=lambda item: item[0].sort_key)
         assert enumerate_inverse_matches(s, grammar) == want
         matches = enumerate_matches(s, grammar)
+        if not matches:
+            break
+        s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)
+
+
+@pytest.mark.parametrize("grammar", [G1, G3], ids=["min1", "min3"])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=12), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_enumerated_matches_equal_checked_matches_along_derivations(grammar, bases, data):
+    # the enumerator builds its matches without Match.__post_init__; each
+    # must be the match the checked constructor builds from its fields
+    s = empty(bases)
+    while True:
+        matches = enumerate_matches(s, grammar)
+        for m in matches:
+            checked = Match(m.rule, m.added, m.context)
+            assert m == checked and hash(m) == hash(checked)
+            for got, want in ((m.added, checked.added), (m.context, checked.context)):
+                assert type(got) is tuple and got == want
+                assert all(type(pair) is BasePair for pair in got)
+            wrong_arity = m.added[:1] if len(m.added) == 2 else m.added + (BasePair(0, s.n),)
+            with pytest.raises(ValueError):
+                dataclasses.replace(m, added=wrong_arity)
         if not matches:
             break
         s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)

@@ -78,6 +78,17 @@ class LoopClass(Enum):
     EXTERIOR = "exterior"
 
 
+# The classes as module globals for the per-move scorer: up to Python 3.11,
+# ``EnumType.__getattr__`` makes every ``LoopClass.X`` read a slow lookup
+_HAIRPIN, _STACK, _BULGE, _INTERNAL, _MULTI = (
+    LoopClass.HAIRPIN,
+    LoopClass.STACK,
+    LoopClass.BULGE,
+    LoopClass.INTERNAL,
+    LoopClass.MULTI,
+)
+
+
 @dataclass(frozen=True)
 class Loop:
     """One loop of a decomposition.
@@ -95,24 +106,27 @@ class Loop:
     unpaired: int
 
 
-def _loop_class(closing: BasePair, n_branches: int, first: BasePair | None) -> str:
-    """The :class:`LoopClass` value of the loop closed by ``closing`` with
-    ``n_branches`` branches, the leftmost being ``first``. A string, so that
-    the scorer's memo keys hash without a Python-level ``Enum.__hash__``."""
+def _loop_class(closing: BasePair, n_branches: int, first: BasePair | None) -> LoopClass:
+    """The class of the loop closed by ``closing`` with ``n_branches``
+    branches, the leftmost being ``first``."""
     if n_branches == 1:
         if first.i - closing.i == 1:
-            return "stack" if closing.j - first.j == 1 else "bulge"
-        return "bulge" if closing.j - first.j == 1 else "internal"
-    return "multibranch" if n_branches else "hairpin"
+            return _STACK if closing.j - first.j == 1 else _BULGE
+        return _BULGE if closing.j - first.j == 1 else _INTERNAL
+    return _MULTI if n_branches else _HAIRPIN
 
 
 def _loops(regions: list[LoopRegion]) -> tuple[Loop, ...]:
     """The loops of a loop view (:func:`loop_index`) in decomposition order."""
-    loops = []
-    for r in regions[1:]:
-        first = r.branches[0] if r.branches else None
-        kind = LoopClass(_loop_class(r.closing, len(r.branches), first))
-        loops.append(Loop(kind, r.closing, tuple(r.branches), len(r.free)))
+    loops = [
+        Loop(
+            _loop_class(r.closing, len(r.branches), r.branches[0] if r.branches else None),
+            r.closing,
+            tuple(r.branches),
+            len(r.free),
+        )
+        for r in regions[1:]
+    ]
     exterior = regions[0]
     loops.append(Loop(LoopClass.EXTERIOR, None, tuple(exterior.branches), len(exterior.free)))
     return tuple(loops)
@@ -147,59 +161,54 @@ class LoopTableParams:
     multibranch_offset: float
     multibranch_per_branch: float
     multibranch_per_unpaired: float
-    # the length terms read so far, extrapolated ones included, by (loop
-    # class value, length); the tables must not change after first use
-    _length_terms: dict[tuple[str, int], float] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
 
-def _length_term(params: LoopTableParams, kind: str, length: int) -> float:
-    """The term of a ``kind`` ("hairpin", "bulge" or "internal") loop of
-    ``length`` unpaired positions, stored in ``params._length_terms``."""
-    table = getattr(params, kind)
-    if length in table:
-        term = table[length]
-    else:
-        longest = max(table)
-        if length < min(table):
-            raise ParameterError(f"{kind} table has no entry for length {length}")
-        term = table[longest] + _EXTRAPOLATION_COEFF * math.log(length / longest)
-    params._length_terms[(kind, length)] = term
-    return term
+def _extrapolated_term(table: Mapping[int, float], length: int, label: str) -> float:
+    """The term of a ``length`` missing from ``table``: past its end, the
+    last entry extrapolated logarithmically."""
+    longest = max(table)
+    if length < min(table):
+        raise ParameterError(f"{label} table has no entry for length {length}")
+    return table[longest] + _EXTRAPOLATION_COEFF * math.log(length / longest)
 
 
 def loop_energy_term(loop: Loop, seq: PrimarySequence, params: LoopTableParams) -> float:
     """The loop-table contribution of a single loop."""
-    if loop.closing is None:
+    if loop.closing is None:  # the exterior loop
         return 0.0
     first = loop.branches[0] if loop.branches else None
-    return _term(params, seq.bases, loop.closing, len(loop.branches), first, loop.unpaired)
+    return _term(
+        params, seq.bases, loop.kind, loop.closing, len(loop.branches), first, loop.unpaired
+    )
 
 
 def _term(
     params: LoopTableParams,
     bases: str,
+    kind: LoopClass,
     closing: BasePair,
     n_branches: int,
     first: BasePair | None,
     unpaired: int,
 ) -> float:
-    """The loop-table term of the loop closed by ``closing`` with
+    """The loop-table term of the ``kind`` loop closed by ``closing`` with
     ``n_branches`` branches, the leftmost being ``first``, and ``unpaired``
     unpaired positions."""
-    kind = _loop_class(closing, n_branches, first)
-    if kind == "stack":
+    if kind is _STACK:
         outer = bases[closing.i] + bases[closing.j]
         return params.stack[(outer, bases[first.i] + bases[first.j])]
-    if kind == "multibranch":
+    if kind is _MULTI:
         return (
             params.multibranch_offset
             + params.multibranch_per_branch * n_branches
             + params.multibranch_per_unpaired * unpaired
         )
-    term = params._length_terms.get((kind, unpaired))
-    return _length_term(params, kind, unpaired) if term is None else term
+    if kind is _HAIRPIN:
+        table = params.hairpin
+    else:
+        table = params.bulge if kind is _BULGE else params.internal
+    term = table.get(unpaired)
+    return _extrapolated_term(table, unpaired, kind.value) if term is None else term
 
 
 class EnergyModel:
@@ -292,8 +301,10 @@ class LoopTableModel(EnergyModel):
             if k:  # L's closing pair sorts before outer; the exterior term stays 0.0
                 n_branches = len(region.branches) - kids + 1
                 unpaired = len(region.free) - (hi - lo + 1)
+                closing = region.closing
+                kind = _loop_class(closing, n_branches, outer)
                 head_terms[k - 1] = _term(
-                    params, bases, region.closing, n_branches, outer, unpaired
+                    params, bases, kind, closing, n_branches, outer, unpaired
                 )
             head = 0.0
             for term in head_terms:
@@ -309,12 +320,15 @@ class LoopTableModel(EnergyModel):
                 context = contexts[outer] = split(outer)
             total, tail, kids, first_kid, inside = context
             if len(added) == 1:
-                total += _term(params, bases, outer, kids, first_kid, inside)
+                kind = _loop_class(outer, kids, first_kid)
+                total += _term(params, bases, kind, outer, kids, first_kid, inside)
             else:
                 inner = added[1]
                 gaps = (inner.i - outer.i - 1) + (outer.j - inner.j - 1)
-                total += _term(params, bases, outer, 1, inner, gaps)
-                total += _term(params, bases, inner, kids, first_kid, inside - gaps - 2)
+                kind = _loop_class(outer, 1, inner)
+                total += _term(params, bases, kind, outer, 1, inner, gaps)
+                kind = _loop_class(inner, kids, first_kid)
+                total += _term(params, bases, kind, inner, kids, first_kid, inside - gaps - 2)
             for term in tail:
                 total += term
             out.append(total)

@@ -301,12 +301,6 @@ def test_successor_observables_extrapolate_along_derivations(min_h, bases, data)
         assert_moves_score_exactly(s, matches, models=[model])
 
 
-def test_length_memo_leaves_equality_and_repr_alone():
-    used, unused = (LoopTableModel(short_table_parameters()) for _ in range(2))
-    used.energy(structure("GGGGAAAAAAAACCCC", "((.(........).))"))
-    assert used == unused and repr(used) == repr(unused)
-
-
 class TestParameterLoading:
     def test_example_file_loads(self, tmp_path):
         params = example_parameters()

@@ -19,7 +19,6 @@ from .structure import (
     parse_dot_bracket,
     parse_sequence,
     validate_structure,
-    with_pairs_added,
 )
 from .grammar import (
     ALL_RULES,
@@ -76,8 +75,6 @@ from .controller import (
     Trace,
     TraceRecord,
     UnknownStrategyError,
-    check_constraint,
-    phi0_select,
     register_strategy,
     run,
 )

@@ -26,7 +26,7 @@ import json
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -48,8 +48,6 @@ __all__ = [
     "StrategyContext",
     "StrategyDecision",
     "register_strategy",
-    "phi0_select",
-    "check_constraint",
     "Controller",
     "run",
 ]
@@ -109,11 +107,11 @@ class Constraint:
             if obj == UNCONSTRAINED:
                 return cls.true()
             return cls.of_strategy(obj)
-        if isinstance(obj, dict) and "strategy" in obj:
+        if isinstance(obj, dict) and isinstance(obj.get("strategy"), str):
             params = obj.get("params", {})
             if not isinstance(params, dict):
                 raise MachineConfigError(f"strategy params must be an object: {obj!r}")
-            return cls.of_strategy(obj["strategy"], **params)
+            return cls(STRATEGY, obj["strategy"], tuple(sorted(params.items())))
         raise MachineConfigError(f"cannot parse constraint {obj!r}")
 
     def describe(self) -> str:
@@ -191,15 +189,22 @@ class AdaptiveMachine:
             raise MachineConfigError("machine config needs 'states' and 'initial'")
         if not isinstance(raw_states, list) or not raw_states:
             raise MachineConfigError("'states' must be a nonempty list")
+        raw_transitions = doc.get("transitions", [])
+        if not isinstance(raw_transitions, list):
+            raise MachineConfigError("'transitions' must be a list")
         outgoing: dict[str, list[tuple[str, Constraint]]] = {}
-        for t in doc.get("transitions", []):
-            if not isinstance(t, dict) or "from" not in t or "to" not in t:
+        for t in raw_transitions:
+            if not (
+                isinstance(t, dict) and isinstance(t.get("from"), str)
+                and isinstance(t.get("to"), str)
+            ):
                 raise MachineConfigError(f"bad transition record {t!r}")
             psi = Constraint.from_config(t.get("psi", "true"))
             outgoing.setdefault(t["from"], []).append((t["to"], psi))
         states = []
         for raw in raw_states:
-            if not isinstance(raw, dict) or "id" not in raw or "constraint" not in raw:
+            if not (isinstance(raw, dict) and isinstance(raw.get("id"), str)
+                    and "constraint" in raw):
                 raise MachineConfigError(f"bad state record {raw!r}")
             sid = raw["id"]
             states.append(
@@ -300,23 +305,22 @@ class Trace:
 
 @dataclass(frozen=True)
 class StrategyContext:
-    """Everything a constraint or strategy may inspect when evaluated.
+    """Everything a strategy may inspect when evaluated.
 
-    ``successors`` are the unvisited forward steps in match order (the
-    controller builds them on first read). ``score`` is the observable under
-    ``model``, possibly memoized (the controller passes its run-scoped memo);
-    None means ``observable``.
+    ``successors`` are the unvisited forward steps of ``structure`` in match
+    order (the controller builds them on first read); ``successors_of``
+    gives every forward step of any structure, and ``score`` its
+    observable, both from the run's memos.
     """
 
     structure: SecondaryStructure
     energy: float
     s_state: str
     successors: Sequence[tuple[Match, SecondaryStructure]]
-    grammar: Grammar
-    model: EnergyModel
+    successors_of: Callable[[SecondaryStructure], list[tuple[Match, SecondaryStructure]]]
+    score: Callable[[SecondaryStructure], float]
     best: tuple[float, SecondaryStructure] | None
     params: dict[str, object]
-    score: Callable[[SecondaryStructure], float] | None = None
 
 
 @dataclass(frozen=True)
@@ -348,73 +352,31 @@ def _get_strategy(name: str) -> StrategyFn:
         )
 
 
-def phi0_select(
-    q: SecondaryStructure,
-    succs: list[tuple[Match, SecondaryStructure]] | tuple[tuple[Match, SecondaryStructure], ...],
-    em: EnergyModel,
-) -> tuple[Match, SecondaryStructure] | None:
-    """The greedy choice: the minimal-observable successor, if it does not
-    exceed the current observable.
-
-    Ties break on the smallest dot-bracket key. Returns None when no
-    successor qualifies (including an empty successor list), which signals
-    that adaptation is needed.
-    """
-    if not succs:
-        return None
-    best = min(succs, key=lambda ms: (observable(ms[1], em), ms[1].key))
-    if observable(best[1], em) <= observable(q, em):
-        return best
-    return None
-
-
-def check_constraint(constraint: Constraint, ctx: StrategyContext) -> StrategyDecision:
-    """Evaluate a constraint against a configuration.
-
-    "true" is always satisfied (with no preferred move); "phi0" is satisfied
-    exactly when :func:`phi0_select` finds a successor, which becomes the
-    witness move; strategy constraints delegate to their registered function.
-
-    Raises:
-        UnknownStrategyError: for an unregistered strategy name.
-    """
-    if constraint.kind == UNCONSTRAINED:
-        return StrategyDecision(satisfied=True)
-    if constraint.kind == GREEDY:
-        selected = phi0_select(ctx.structure, ctx.successors, ctx.model)
-        if selected is None:
-            return StrategyDecision(satisfied=False)
-        match, target = selected
-        return StrategyDecision(satisfied=True, target=target, move=match.rule.label)
-    fn = _get_strategy(constraint.strategy or "")
-    ctx = replace(ctx, params=constraint.params_dict)
-    return fn(ctx)
-
-
 def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
     """Escape strategy: accept when a strictly lower observable is reachable
     within ``depth`` forward steps; move one step toward the best such
     structure."""
-    depth = int(ctx.params.get("depth", 2))
+    try:
+        depth = int(ctx.params.get("depth", 2))
+    except (TypeError, ValueError):
+        raise MachineConfigError(f"lookahead depth must be an integer: {ctx.params!r}")
     if depth < 1:
         return StrategyDecision(satisfied=False)
-    score = ctx.score or (lambda s: observable(s, ctx.model))
     best_choice: tuple[float, str, str, SecondaryStructure] | None = None
     for match, first in ctx.successors:
         frontier = [first]
         seen = {first.key}
         level = 1
-        local_best = (score(first), first.key)
+        local_best = (ctx.score(first), first.key)
         while level < depth and frontier:
             next_frontier = []
             for node in frontier:
-                for m2 in enumerate_matches(node, ctx.grammar):
-                    child = _apply_unchecked(node, m2)
+                for _, child in ctx.successors_of(node):
                     if child.key in seen:
                         continue
                     seen.add(child.key)
                     next_frontier.append(child)
-                    local_best = min(local_best, (score(child), child.key))
+                    local_best = min(local_best, (ctx.score(child), child.key))
             frontier = next_frontier
             level += 1
         candidate = (local_best[0], local_best[1], first.key, first)
@@ -497,6 +459,23 @@ class _LazySuccessors(Sequence):
 
     def __getitem__(self, index):
         return self._all()[index]
+
+
+def _path(
+    node: SecondaryStructure,
+    parent: dict[str, tuple[str | None, str | None, SecondaryStructure]],
+) -> list[tuple[str, SecondaryStructure]]:
+    """The (move label, structure) steps of the adaptation search from its
+    origin to ``node``, read off the ``parent`` links."""
+    path: list[tuple[str, SecondaryStructure]] = []
+    key: str | None = node.key
+    while key is not None:
+        prev_key, label, structure = parent[key]
+        if label is not None:
+            path.append((label, structure))
+        key = prev_key
+    path.reverse()
+    return path
 
 
 class Controller:
@@ -583,10 +562,12 @@ class Controller:
         return entry.inverse
 
     def _phi0(self, structure: SecondaryStructure) -> tuple[Match, SecondaryStructure] | None:
-        """:func:`phi0_select` over the unvisited successors of ``structure``,
-        read off the scores of its matches: only the successors tied at the
-        lowest score still in play are built, for the visited filter and the
-        key tie-break."""
+        """The greedy choice among the unvisited successors of ``structure``:
+        the one of minimal observable, ties broken on the smallest key, if it
+        does not exceed the observable of ``structure``; None otherwise. It
+        is read off the scores of the matches: only the successors tied at
+        the lowest score still in play are built, for the visited filter and
+        the key tie-break."""
         entry = self._moves(structure)
         if entry.scores is None:
             entry.scores = self.model.successor_observables(
@@ -614,17 +595,28 @@ class Controller:
     def _check(
         self, constraint: Constraint, structure: SecondaryStructure, s_state: str
     ) -> StrategyDecision:
-        """:func:`check_constraint` at ``structure``, with phi0 decided from
-        the scored moves."""
+        """Evaluate ``constraint`` at ``structure``. "true" always holds,
+        with no preferred move; "phi0" holds exactly when :meth:`_phi0` finds
+        a move, which becomes the witness; a strategy constraint delegates to
+        its registered function.
+
+        Raises:
+            UnknownStrategyError: for an unregistered strategy name.
+        """
+        if constraint.kind == UNCONSTRAINED:
+            return StrategyDecision(satisfied=True)
         if constraint.kind == GREEDY:
             selected = self._phi0(structure)
             if selected is None:
                 return StrategyDecision(satisfied=False)
             match, target = selected
             return StrategyDecision(satisfied=True, target=target, move=match.rule.label)
-        return check_constraint(constraint, self._context(structure, s_state))
+        fn = _get_strategy(constraint.strategy or "")
+        return fn(self._context(structure, s_state, constraint.params_dict))
 
-    def _context(self, structure: SecondaryStructure, s_state: str) -> StrategyContext:
+    def _context(
+        self, structure: SecondaryStructure, s_state: str, params: dict[str, object]
+    ) -> StrategyContext:
         visited = self._visited
         return StrategyContext(
             structure=structure,
@@ -635,11 +627,10 @@ class Controller:
                     (m, t) for m, t in self._moves(structure).successors() if t.key not in visited
                 )
             ),
-            grammar=self.grammar,
-            model=self.model,
-            best=self._best,
-            params={},
+            successors_of=lambda s: self._moves(s).successors(),
             score=self._observable,
+            best=self._best,
+            params=params,
         )
 
     # -- the two phases ------------------------------------------------------
@@ -687,12 +678,11 @@ class Controller:
 
     def _psi_holds(self, psis: tuple[Constraint, ...], structure: SecondaryStructure) -> bool:
         """All transition constraints must hold at every structure of the phase."""
-        for psi in psis:
-            if psi.kind == UNCONSTRAINED:
-                continue
-            if not self._check(psi, structure, self.state.s_state if self.state else "").satisfied:
-                return False
-        return True
+        s_state = self.state.s_state if self.state else ""
+        return all(
+            psi.kind == UNCONSTRAINED or self._check(psi, structure, s_state).satisfied
+            for psi in psis
+        )
 
     def adaptation_phase(self) -> AdaptationOutcome:
         """Search the folding space for a structure where some successor
@@ -730,13 +720,13 @@ class Controller:
                 limit_hit = "adaptation-state-limit"
                 break
             for target_id, _psi in candidates:
-                if (target_id, node.key) in self._occupied_since_move and not (
-                    self._path_visits_new(node, parent)
+                if (target_id, node.key) in self._occupied_since_move and all(
+                    structure.key in self._visited for _, structure in _path(node, parent)
                 ):
                     continue
                 target_constraint = self.machine.state(target_id).constraint
                 if self._check(target_constraint, node, target_id).satisfied:
-                    self._resume(origin, target_id, node, parent)
+                    self._resume(origin, target_id, node, _path(node, parent))
                     return AdaptationOutcome(True)
             max_depth = self.limits.max_adaptation_depth
             if max_depth is not None and depth >= max_depth:
@@ -760,34 +750,13 @@ class Controller:
 
         return AdaptationOutcome(False, limit_hit or "exhausted")
 
-    def _path_visits_new(
-        self,
-        node: SecondaryStructure,
-        parent: dict[str, tuple[str | None, str | None, SecondaryStructure]],
-    ) -> bool:
-        key: str | None = node.key
-        while key is not None:
-            prev_key, label, structure = parent[key]
-            if label is not None and structure.key not in self._visited:
-                return True
-            key = prev_key
-        return False
-
     def _resume(
         self,
         origin: RunState,
         target_id: str,
         node: SecondaryStructure,
-        parent: dict[str, tuple[str | None, str | None, SecondaryStructure]],
+        path: list[tuple[str, SecondaryStructure]],
     ) -> None:
-        path: list[tuple[str, SecondaryStructure]] = []
-        key: str | None = node.key
-        while key is not None:
-            prev_key, label, structure = parent[key]
-            if label is not None:
-                path.append((label, structure))
-            key = prev_key
-        path.reverse()
         for label, structure in path:
             state = RunState(origin.s_state, structure, self._observable(structure))
             self.state = state

@@ -19,6 +19,7 @@ unfolded state has no defined free energy and folding must begin somewhere.
 from __future__ import annotations
 
 import configparser
+import functools
 import math
 import shlex
 import subprocess
@@ -350,8 +351,11 @@ class ExternalEvaluator:
 
     Protocol: the command receives two lines on stdin (the base string, then
     the dot-bracket string) and must print one finite decimal kcal/mol value.
-    Results are cached per structure key for the lifetime of the adapter.
-    Calls are serialized.
+    Results are cached per structure key for the lifetime of the adapter:
+    the controller's run memo does not cover
+    :meth:`EnergyModel.successor_observables`, which scores each successor
+    through :meth:`ExternalModel.energy`, so a run asks again for structures
+    it has scored. Calls are serialized.
     """
 
     command: str
@@ -523,7 +527,10 @@ def load_parameters(path: str | Path) -> LoopTableParams:
     return parse_parameters(Path(path).read_text())
 
 
+@functools.cache
 def example_parameters() -> LoopTableParams:
-    """The packaged demonstration table (deterministic, non-thermodynamic)."""
+    """The packaged demonstration table (deterministic, non-thermodynamic),
+    parsed once per process; every call returns the same tables, which must
+    not be changed."""
     text = resources.files("grafold").joinpath("data/example_loop_params.ini").read_text()
     return parse_parameters(text)

@@ -32,7 +32,6 @@ __all__ = [
     "parse_dot_bracket",
     "emit_dot_bracket",
     "loop_index",
-    "with_pairs_added",
 ]
 
 BASES = frozenset("ACGU")
@@ -178,9 +177,6 @@ class SecondaryStructure:
     def key(self) -> str:
         """Canonical dot-bracket key; injective over valid structures."""
         return emit_dot_bracket(self)
-
-    def is_paired(self, pos: int) -> bool:
-        return pos in self.partner
 
     def without(self, pairs: Iterable[BasePair]) -> "SecondaryStructure":
         return SecondaryStructure(self.sequence, self.pairs - frozenset(pairs))
@@ -397,52 +393,3 @@ def emit_dot_bracket(s: SecondaryStructure) -> str:
         chars[i] = "("
         chars[j] = ")"
     return "".join(chars)
-
-
-def with_pairs_added(
-    s: SecondaryStructure,
-    added: Iterable[BasePair],
-    *,
-    min_hairpin_unpaired: int = 1,
-) -> SecondaryStructure:
-    """Return a new structure with ``added`` pairs glued onto ``s``.
-
-    The input is never mutated. Each added pair must join admissible,
-    currently unpaired, non-adjacent positions, and the combined pair set
-    must stay non-crossing. Hairpin-size policy beyond the structural floor
-    of 1 is the caller's concern (pass a larger ``min_hairpin_unpaired``).
-
-    Raises:
-        StructureError: naming the offending pair on any precondition breach.
-    """
-    new_pairs = [BasePair(min(i, j), max(i, j)) for i, j in added]
-    n = s.n
-    taken: set[int] = set()
-    for pair in new_pairs:
-        i, j = pair
-        if i < 0 or j >= n:
-            raise StructureError(f"pair ({i},{j}) out of range for n={n}")
-        if j - i < 2:
-            raise StructureError(f"pair ({i},{j}) joins adjacent or identical positions")
-        if not is_admissible_pair(s.sequence[i], s.sequence[j]):
-            raise StructureError(
-                f"pair ({i},{j}) joins {s.sequence[i]}-{s.sequence[j]}, which is inadmissible"
-            )
-        for pos in (i, j):
-            if s.is_paired(pos):
-                raise StructureError(f"position {pos} already paired (adding pair ({i},{j}))")
-            if pos in taken:
-                raise StructureError(f"position {pos} used twice by added pairs")
-            taken.add(pos)
-    for idx, p in enumerate(new_pairs):
-        for q in s.sorted_pairs:
-            if pairs_cross(p, q):
-                raise StructureError(f"added pair ({p.i},{p.j}) crosses existing ({q.i},{q.j})")
-        for q in new_pairs[idx + 1 :]:
-            if pairs_cross(p, q):
-                raise StructureError(f"added pairs ({p.i},{p.j}) and ({q.i},{q.j}) cross")
-    result = SecondaryStructure(s.sequence, s.pairs | frozenset(new_pairs))
-    report = validate_structure(result, min_hairpin_unpaired)
-    if not report.ok:
-        raise StructureError(f"result fails validation: {report.describe()}", report.violations)
-    return result

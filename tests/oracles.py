@@ -3,8 +3,9 @@
 Deliberately naive implementations that share no code path with the package:
 exhaustive recursive enumeration of valid structures, a maximum-pairing
 dynamic program, a brute-force match scan driven only by the public gluing
-predicate, a loop decomposition by a stack walk over the sorted pairs, and
-loop-table terms read straight off the parameter tables.
+predicate, a loop decomposition by a stack walk over the sorted pairs,
+loop-table terms read straight off the parameter tables, and the greedy
+choice taken over fully built, fully scored successors.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import math
 from functools import lru_cache
 from itertools import combinations
 
-from grafold.energy import Loop, LoopClass, LoopTableParams
+from grafold.energy import EnergyModel, Loop, LoopClass, LoopTableParams, observable
 from grafold.grammar import ALL_RULES, Grammar, LoopKind, Match, gluing_check
 from grafold.structure import (
     BasePair,
@@ -169,3 +170,19 @@ def table_loop_term(loop: Loop, seq: PrimarySequence, params: LoopTableParams) -
     if loop.unpaired <= last:
         return table[loop.unpaired]
     return table[last] + 1.75 * 0.616 * math.log(loop.unpaired / last)
+
+
+def phi0_select(
+    q: SecondaryStructure,
+    succs: list[tuple[Match, SecondaryStructure]],
+    em: EnergyModel,
+) -> tuple[Match, SecondaryStructure] | None:
+    """The greedy choice: the minimal-observable successor, ties broken on
+    the smallest dot-bracket key, if it does not exceed the observable of
+    ``q``; None when no successor qualifies (or there is none)."""
+    if not succs:
+        return None
+    best = min(succs, key=lambda ms: (observable(ms[1], em), ms[1].key))
+    if observable(best[1], em) <= observable(q, em):
+        return best
+    return None

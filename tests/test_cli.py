@@ -73,6 +73,42 @@ class TestFold:
         assert code == 2 and "error" in err
 
 
+    @pytest.mark.parametrize(
+        "machine",
+        [
+            {"initial": "w0", "states": [{"id": "w0", "constraint": "phi0"}], "transitions": 5},
+            {"initial": "w0", "states": [{"id": ["w0"], "constraint": "phi0"}]},
+        ],
+        ids=["transitions-not-a-list", "state-id-not-a-string"],
+    )
+    def test_malformed_machine_file(self, tmp_path, capsys, machine):
+        path = tmp_path / "machine.json"
+        path.write_text(json.dumps(machine))
+        code, _, err = run_cli(["fold", "--seq", "GAAAC", "--s-machine", str(path)], capsys)
+        assert code == 2 and err.startswith("error: ")
+
+    def test_strategy_param_called_name(self, tmp_path, capsys):
+        # "name" is an ordinary strategy param, which lookahead ignores
+        outputs = []
+        for params in ({"depth": 2}, {"depth": 2, "name": 1}):
+            machine = {
+                "initial": "w0",
+                "states": [
+                    {"id": "w0", "constraint": "phi0"},
+                    {"id": "w1", "constraint": {"strategy": "lookahead", "params": params}},
+                ],
+                "transitions": [{"from": "w0", "to": "w1"}, {"from": "w1", "to": "w0"}],
+            }
+            path = tmp_path / "machine.json"
+            path.write_text(json.dumps(machine))
+            code, out, _ = run_cli(
+                ["fold", "--seq", "GGGAAACCC", "--s-machine", str(path)], capsys
+            )
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+
 class TestEnumerate:
     def test_json_export_and_stats(self, capsys):
         code, out, err = run_cli(

@@ -16,8 +16,7 @@ from grafold.controller import (
     StrategyContext,
     StrategyDecision,
     UnknownStrategyError,
-    check_constraint,
-    phi0_select,
+    _get_strategy,
     register_strategy,
     run,
 )
@@ -31,25 +30,35 @@ from grafold.structure import (
     validate_structure,
 )
 from conftest import ScriptedModel, trap_model
+from oracles import phi0_select
 
 G3 = Grammar()
 NUSSINOV = NussinovModel()
 
 
-def make_context(structure, model, grammar=G3, best=None, s_state="w0"):
+def make_context(structure, model, grammar=G3, best=None, params=None):
+    """A strategy context built outside a run, from the public successor
+    enumeration and the plain observable."""
     return StrategyContext(
         structure=structure,
         energy=observable(structure, model),
-        s_state=s_state,
+        s_state="w0",
         successors=tuple(successors(structure, grammar)),
-        grammar=grammar,
-        model=model,
+        successors_of=lambda s: successors(s, grammar),
+        score=lambda s: observable(s, model),
         best=best,
-        params={},
+        params=params or {},
     )
 
 
+def check(constraint, structure, model):
+    """The controller's constraint check at ``structure``, outside a run."""
+    return Controller(model=model)._check(constraint, structure, "w0")
+
+
 class TestPhi0Select:
+    """The phi0 oracle itself, on hand-scored successors."""
+
     def test_picks_unique_minimum(self):
         seq = PrimarySequence("GGAAACC")
         empty = SecondaryStructure(seq)
@@ -86,27 +95,31 @@ class TestPhi0Select:
 
 
 class TestCheckConstraint:
+    """The controller's one constraint evaluator."""
+
     def test_true_always_satisfied(self):
-        ctx = make_context(SecondaryStructure(PrimarySequence("AAAA")), NUSSINOV)
-        decision = check_constraint(Constraint.true(), ctx)
+        decision = check(Constraint.true(), SecondaryStructure(PrimarySequence("AAAA")), NUSSINOV)
         assert decision.satisfied and decision.target is None
 
     def test_phi0_unsatisfied_at_local_minimum(self, seq_gggaaaccc):
         trap = parse_dot_bracket(seq_gggaaaccc, "..(...)..")
-        ctx = make_context(trap, trap_model())
-        assert not check_constraint(Constraint.phi0(), ctx).satisfied
+        assert not check(Constraint.phi0(), trap, trap_model()).satisfied
 
     def test_phi0_witness(self, seq_gggaaaccc):
         empty = SecondaryStructure(seq_gggaaaccc)
-        decision = check_constraint(Constraint.phi0(), make_context(empty, NUSSINOV))
+        decision = check(Constraint.phi0(), empty, NUSSINOV)
         assert decision.satisfied
         assert decision.target.key == "((....))."
         assert decision.move == "Helix-Rule-1"
+        assert decision.target == phi0_select(empty, successors(empty, G3), NUSSINOV)[1]
 
     def test_unregistered_strategy(self):
-        ctx = make_context(SecondaryStructure(PrimarySequence("GAAAC")), NUSSINOV)
         with pytest.raises(UnknownStrategyError):
-            check_constraint(Constraint.of_strategy("frobnicate"), ctx)
+            check(
+                Constraint.of_strategy("frobnicate"),
+                SecondaryStructure(PrimarySequence("GAAAC")),
+                NUSSINOV,
+            )
 
     def test_registered_strategy_receives_params(self):
         seen = {}
@@ -116,8 +129,11 @@ class TestCheckConstraint:
             return StrategyDecision(satisfied=False)
 
         register_strategy("probe-test", probe)
-        ctx = make_context(SecondaryStructure(PrimarySequence("GAAAC")), NUSSINOV)
-        check_constraint(Constraint.of_strategy("probe-test", knob=7), ctx)
+        check(
+            Constraint.of_strategy("probe-test", knob=7),
+            SecondaryStructure(PrimarySequence("GAAAC")),
+            NUSSINOV,
+        )
         assert seen == {"knob": 7}
 
 
@@ -179,6 +195,27 @@ class TestMachineConfig:
         )
         with pytest.raises(MachineConfigError, match="phi0"):
             Controller(machine)
+
+    def test_transitions_must_be_a_list(self):
+        with pytest.raises(MachineConfigError, match="transitions"):
+            AdaptiveMachine.from_config(
+                {
+                    "initial": "w0",
+                    "states": [{"id": "w0", "constraint": "phi0"}],
+                    "transitions": 5,
+                }
+            )
+
+    def test_state_id_must_be_a_string(self):
+        with pytest.raises(MachineConfigError, match="bad state record"):
+            AdaptiveMachine.from_config(
+                {"initial": "w0", "states": [{"id": ["w0"], "constraint": "phi0"}]}
+            )
+
+    def test_strategy_param_called_name(self):
+        constraint = Constraint.from_config({"strategy": "lookahead", "params": {"name": 1}})
+        assert constraint.strategy == "lookahead"
+        assert constraint.params_dict == {"name": 1}
 
     def test_constraint_parsing(self):
         assert Constraint.from_config("phi0") == Constraint.phi0()
@@ -424,34 +461,56 @@ class TestStrategies:
 
     def test_lookahead_scores_through_ctx_score(self, seq_gggaaaccc):
         model = ScriptedModel({"..(...)..": -2.0, "(((...)))": -3.0})
-        ctx = make_context(parse_dot_bracket(seq_gggaaaccc, "..(...).."), model)
-        lookahead = Constraint.of_strategy("lookahead", depth=2)
-        scored = []
+        trap = parse_dot_bracket(seq_gggaaaccc, "..(...)..")
+        ctx = make_context(trap, model, params={"depth": 2})
+        lookahead = _get_strategy("lookahead")
+        scored, expanded = [], []
 
         def score(s):
             scored.append(s.key)
             return observable(s, model)
 
-        plain = check_constraint(lookahead, ctx)
+        def successors_of(s):
+            expanded.append(s.key)
+            return successors(s, G3)
+
+        plain = lookahead(ctx)
         assert plain.satisfied and plain.target is not None
-        assert check_constraint(lookahead, replace(ctx, score=score)) == plain
+        assert lookahead(replace(ctx, score=score, successors_of=successors_of)) == plain
         assert ".((...))." in scored and "(((...)))" in scored
+        assert sorted(expanded) == sorted(t.key for _, t in ctx.successors)
+        # the controller evaluates the same constraint from its run memos
+        assert check(Constraint.of_strategy("lookahead", depth=2), trap, model) == plain
+
+    def test_lookahead_rejects_non_integer_depth(self, seq_gggaaaccc):
+        machine = AdaptiveMachine.from_config(
+            {
+                "initial": "w0",
+                "states": [
+                    {"id": "w0", "constraint": "phi0"},
+                    {"id": "w1", "constraint": {"strategy": "lookahead",
+                                                "params": {"depth": [1]}}},
+                ],
+                "transitions": [{"from": "w0", "to": "w1"}],
+            }
+        )
+        with pytest.raises(MachineConfigError, match="depth"):
+            run(machine, seq_gggaaaccc, model=trap_model())
 
     def test_restart_from_best(self):
+        restart = _get_strategy("restart-from-best")
         s = parse_dot_bracket(PrimarySequence("GAAAC"), "(...)")
         best_structure = SecondaryStructure(PrimarySequence("GAAAC"), {(0, 4)})
         worse = SecondaryStructure(PrimarySequence("GAAAC"))
-        ctx_at_best = make_context(s, NUSSINOV, best=(-1.0, s))
-        decision = check_constraint(Constraint.of_strategy("restart-from-best"), ctx_at_best)
+        decision = restart(make_context(s, NUSSINOV, best=(-1.0, s)))
         assert not decision.satisfied  # already at the best structure
-        ctx_elsewhere = make_context(worse, NUSSINOV, best=(-1.0, best_structure))
-        decision = check_constraint(Constraint.of_strategy("restart-from-best"), ctx_elsewhere)
+        decision = restart(make_context(worse, NUSSINOV, best=(-1.0, best_structure)))
         assert decision.satisfied
         assert decision.target == best_structure
 
     def test_restart_unsatisfied_without_best(self):
         ctx = make_context(SecondaryStructure(PrimarySequence("GAAAC")), NUSSINOV, best=None)
-        assert not check_constraint(Constraint.of_strategy("restart-from-best"), ctx).satisfied
+        assert not _get_strategy("restart-from-best")(ctx).satisfied
 
     def test_restart_self_loop_machine_terminates(self, seq_gggaaaccc):
         # a restart state with a self-loop invites an endless jump-back

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grafold.controller import RunLimits, run
 from grafold.energy import (
     ExternalEvaluationError,
     ExternalEvaluator,
@@ -302,6 +303,9 @@ def test_successor_observables_extrapolate_along_derivations(min_h, bases, data)
 
 
 class TestParameterLoading:
+    def test_example_table_parsed_once(self):
+        assert example_parameters() is example_parameters()
+
     def test_example_file_loads(self, tmp_path):
         params = example_parameters()
         assert len(params.stack) == 36
@@ -413,6 +417,34 @@ class TestExternal:
         assert evaluator.evaluate(s.sequence, s) == pytest.approx(-2.5)
         assert evaluator.evaluate(s.sequence, s) == pytest.approx(-2.5)
         assert counter.read_text() == "1"
+
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_cache_calls_out_once_per_structure_of_a_run(self, monkeypatch, n):
+        # the controller's run memo does not cover successor_observables,
+        # which scores every successor through energy(), so a run evaluates
+        # structures again; the cache keeps it to one command call each
+        scorer = LoopTableModel(example_parameters())
+        invoked = []
+        evaluated = 0
+        evaluate = ExternalEvaluator.evaluate
+
+        def fake_invoke(self, bases, db):
+            invoked.append(db)
+            return scorer.energy(parse_dot_bracket(PrimarySequence(bases), db))
+
+        def counting_evaluate(self, seq, s):
+            nonlocal evaluated
+            evaluated += 1
+            return evaluate(self, seq, s)
+
+        monkeypatch.setattr(ExternalEvaluator, "_invoke", fake_invoke)
+        monkeypatch.setattr(ExternalEvaluator, "evaluate", counting_evaluate)
+        rng = random.Random(1)
+        seq = PrimarySequence("".join(rng.choice("ACGU") for _ in range(n)))
+        model = ExternalModel(ExternalEvaluator("unused"))
+        run(None, seq, Grammar(allow_inverse=True), model, RunLimits(max_steps=40))
+        assert invoked and len(invoked) == len(set(invoked))
+        assert evaluated > len(invoked)
 
     def test_unfolded_state_never_calls_out(self):
         # +inf shortcut: the evaluator would fail if invoked

@@ -14,7 +14,6 @@ from grafold.structure import (
     parse_dot_bracket,
     parse_sequence,
     validate_structure,
-    with_pairs_added,
 )
 from oracles import all_valid_structures
 
@@ -175,37 +174,6 @@ class TestDotBracket:
             s = SecondaryStructure(seq, pair_set)
             recovered = parse_dot_bracket(seq, emit_dot_bracket(s), min_hairpin_unpaired=1)
             assert recovered.pairs == s.pairs
-
-
-class TestWithPairsAdded:
-    def test_add(self):
-        seq = PrimarySequence("GAAAC")
-        s = SecondaryStructure(seq)
-        t = with_pairs_added(s, [BasePair(0, 4)])
-        assert t.key == "(...)"
-        assert s.pairs == frozenset()  # input untouched
-
-    def test_already_paired(self):
-        seq = PrimarySequence("GAAAC")
-        s = parse_dot_bracket(seq, "(...)")
-        with pytest.raises(StructureError, match="already paired"):
-            with_pairs_added(s, [BasePair(0, 4)])
-
-    def test_crossing_rejected(self):
-        seq = PrimarySequence("GAGAAACAAAC")
-        s = SecondaryStructure(seq)
-        with pytest.raises(StructureError, match="cross"):
-            with_pairs_added(s, [BasePair(0, 6), BasePair(2, 10)])
-
-    def test_inadmissible_rejected(self):
-        s = SecondaryStructure(PrimarySequence("AAAAA"))
-        with pytest.raises(StructureError, match="inadmissible"):
-            with_pairs_added(s, [BasePair(0, 4)])
-
-    def test_adjacent_rejected(self):
-        s = SecondaryStructure(PrimarySequence("GCAAA"))
-        with pytest.raises(StructureError, match="adjacent"):
-            with_pairs_added(s, [BasePair(0, 1)])
 
 
 class TestPairsCross:

@@ -1,6 +1,9 @@
 """Command-line front end: fold, enumerate, eval and rules subcommands.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 truncated result.
+Exit codes: 0 success, 2 usage or configuration error (an external evaluator
+command that cannot be found included), 3 truncated result, 4 the external
+evaluator failed during the run (timeout, nonzero exit, unparsable or
+non-finite output).
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from .structure import PrimarySequence, StructureError, parse_dot_bracket, parse
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRUNCATED = 3
+EXIT_EVALUATOR = 4
 
 ENV_EXTERNAL_CMD = "GRAFOLD_EXTERNAL_CMD"
 
-_CONFIG_ERRORS = (ExternalEvaluationError, ValueError, OSError)
+_CONFIG_ERRORS = (ValueError, OSError)
 
 
 class ConfigError(ValueError):
@@ -249,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
         for violation in exc.violations:
             print(f"  {violation.code}: {violation.message}", file=sys.stderr)
         return EXIT_CONFIG
+    except ExternalEvaluationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG if exc.reason == "command-not-found" else EXIT_EVALUATOR
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,12 +27,23 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .energy import EnergyModel, NussinovModel, observable
-from .grammar import Grammar, Match, _apply_unchecked, enumerate_inverse_matches, enumerate_matches
-from .structure import PrimarySequence, SecondaryStructure
+from .energy import EnergyModel, MoveScorer, NussinovModel, observable
+from .grammar import (
+    Grammar,
+    Match,
+    _apply_unchecked,
+    _first_match,
+    _inner_pairs,
+    _sites,
+    _stacked_pair,
+    enumerate_inverse_matches,
+    enumerate_matches,
+)
+from .structure import BasePair, PrimarySequence, SecondaryStructure, loop_index
 
 __all__ = [
     "Constraint",
@@ -419,18 +430,39 @@ class AdaptationOutcome:
 
 
 class _Moves:
-    """The moves of one structure in a run: its forward matches, their
-    observables once scored, their targets once built, and its inverse
-    (match, source) steps once enumerated."""
+    """The moves of one structure in a run, each worked out on first read
+    from its one loop view: the outer pairs its forward moves add, its
+    forward matches and their targets, its move scorer, its φ0 levels and its
+    inverse (match, source) steps."""
 
-    __slots__ = ("structure", "matches", "scores", "targets", "inverse")
-
-    def __init__(self, structure: SecondaryStructure, matches: list[Match]):
+    def __init__(self, structure: SecondaryStructure, grammar: Grammar, model: EnergyModel):
         self.structure = structure
-        self.matches = matches
-        self.scores: list[float] | None = None
-        self.targets: list[SecondaryStructure | None] = [None] * len(matches)
-        self.inverse: list[tuple[Match, SecondaryStructure]] | None = None
+        self.grammar = grammar
+        self.model = model
+        self.view = loop_index(structure)
+        # (score, tied added pairs in key order), by rising score; a level
+        # with no pairs ends the list
+        self.levels: list[tuple[float, list[tuple[BasePair, ...]]]] = []
+
+    @cached_property
+    def sites(self) -> list[tuple]:
+        return _sites(self.structure, self.grammar, self.view)
+
+    @cached_property
+    def matches(self) -> list[Match]:
+        return enumerate_matches(self.structure, self.grammar, self.sites)
+
+    @cached_property
+    def targets(self) -> list[SecondaryStructure | None]:
+        return [None] * len(self.matches)
+
+    @cached_property
+    def scorer(self) -> MoveScorer:
+        return self.model.move_scorer(self.structure, self.view)
+
+    @cached_property
+    def inverse(self) -> list[tuple[Match, SecondaryStructure]]:
+        return enumerate_inverse_matches(self.structure, self.grammar, self.view)
 
     def target(self, index: int) -> SecondaryStructure:
         target = self.targets[index]
@@ -440,6 +472,50 @@ class _Moves:
 
     def successors(self) -> list[tuple[Match, SecondaryStructure]]:
         return [(m, self.target(index)) for index, m in enumerate(self.matches)]
+
+
+def _phi0_level(
+    entry: _Moves, threshold: float, floor: float | None
+) -> tuple[float, list[tuple[BasePair, ...]]]:
+    """The least score above ``floor`` (None: no floor) and at most
+    ``threshold`` among the forward moves of ``entry.structure``, with the
+    added pairs of every move scoring it (none when no move qualifies).
+
+    Branch and bound over the outer pairs of :func:`_sites`: the bar starts at
+    ``threshold`` and drops to the best score found. Each outer pair's single
+    and stacked double are scored; its bulge and internal doubles only when
+    their bound (:meth:`MoveScorer.double_bound`) does not exceed the bar.
+    Every skipped move scores above the bar, so the result is exact.
+    """
+    bases, scorer = entry.structure.sequence.bases, entry.scorer
+    low, tied = threshold, []
+
+    def offer(score: float, added: tuple[BasePair, ...]) -> None:
+        nonlocal low, tied
+        if score <= low and (floor is None or floor < score):
+            if score < low:
+                low, tied = score, []
+            tied.append(added)
+
+    for site in entry.sites:
+        outer = site[0]
+        offer(scorer.single(outer), (outer,))
+        stacked = _stacked_pair(bases, site)
+        if stacked is not None:
+            offer(scorer.double(outer, stacked), (outer, stacked))
+        if scorer.double_bound(outer) <= low:
+            for inner in _inner_pairs(bases, site):
+                if inner != stacked:
+                    offer(scorer.double(outer, inner), (outer, inner))
+    return low, tied
+
+
+def _signature(added: tuple[BasePair, ...]) -> list[tuple[int, str]]:
+    """The order key of a move among the moves of one structure, equal to
+    the order of their dot-bracket keys: the keys differ only at the added
+    ends, where ``'('`` and ``')'`` sort before ``'.'``. The pairs a move
+    adds nest, so no move's ends are a prefix of another's."""
+    return sorted([(i, "(") for i, _ in added] + [(j, ")") for _, j in added])
 
 
 class _LazySuccessors(Sequence):
@@ -535,62 +611,60 @@ class Controller:
                 self._best = cand
 
     def _observable(self, structure: SecondaryStructure) -> float:
-        """The observable of ``structure``, scored once per run."""
+        """The observable of ``structure``, scored once per run, from its move
+        scorer when the structure has a move entry."""
         key = structure.key
         energy = self._energy_memo.get(key)
         if energy is None:
-            energy = self._energy_memo[key] = observable(structure, self.model)
+            entry = self._move_memo.get(key)
+            energy = self._energy_memo[key] = (
+                observable(structure, self.model) if entry is None else entry.scorer.observable()
+            )
         return energy
 
     def _moves(self, structure: SecondaryStructure) -> _Moves:
-        """The run's move entry of ``structure``; its matches are
-        enumerated once per run."""
+        """The run's move entry of ``structure``, made once per run."""
         key = structure.key
         entry = self._move_memo.get(key)
         if entry is None:
-            entry = self._move_memo[key] = _Moves(
-                structure, enumerate_matches(structure, self.grammar)
-            )
+            entry = self._move_memo[key] = _Moves(structure, self.grammar, self.model)
         return entry
-
-    def _inverse_moves(
-        self, structure: SecondaryStructure
-    ) -> list[tuple[Match, SecondaryStructure]]:
-        entry = self._moves(structure)
-        if entry.inverse is None:
-            entry.inverse = enumerate_inverse_matches(structure, self.grammar)
-        return entry.inverse
 
     def _phi0(self, structure: SecondaryStructure) -> tuple[Match, SecondaryStructure] | None:
         """The greedy choice among the unvisited successors of ``structure``:
         the one of minimal observable, ties broken on the smallest key, if it
-        does not exceed the observable of ``structure``; None otherwise. It
-        is read off the scores of the matches: only the successors tied at
-        the lowest score still in play are built, for the visited filter and
-        the key tie-break."""
-        entry = self._moves(structure)
-        if entry.scores is None:
-            entry.scores = self.model.successor_observables(
-                structure, [m.added for m in entry.matches]
-            )
-        scores, visited = entry.scores, self._visited
-        remaining = range(len(scores))
-        while remaining:
-            low = min(scores[index] for index in remaining)
-            if not low <= self._observable(structure):
-                return None
-            fresh, rest = [], []
-            for index in remaining:
-                if scores[index] != low:
-                    rest.append(index)
-                elif (key := entry.target(index).key) not in visited:
-                    fresh.append((key, index))
-            if fresh:
-                key, index = min(fresh)
-                self._energy_memo[key] = low
-                return entry.matches[index], entry.target(index)
-            remaining = rest
+        does not exceed the observable of ``structure``; None otherwise.
+
+        It is read off the structure's φ0 levels, each found by
+        :func:`_phi0_level` and kept for the run: the least score and the
+        moves tied at it, in key order. The first tied move whose target is
+        unvisited wins, with the first match, in rule order, that adds its
+        pairs; when every tied target is visited (only inverse moves lead
+        back), the next level is searched above that score."""
+        sequence, pairs = structure.sequence, structure.pairs
+        for low, tied in self._levels(self._moves(structure)):
+            for added in tied:
+                target = SecondaryStructure(sequence, pairs | frozenset(added))
+                if target.key not in self._visited:
+                    self._energy_memo[target.key] = low
+                    return _first_match(self._moves(target).view, added), target
         return None
+
+    def _levels(self, entry: _Moves):
+        """The φ0 levels of ``entry``, each searched on first read."""
+        levels = entry.levels
+        index = 0
+        while True:
+            if index == len(levels):
+                floor = levels[-1][0] if levels else None
+                low, tied = _phi0_level(entry, self._observable(entry.structure), floor)
+                tied.sort(key=_signature)
+                levels.append((low, tied))
+            low, tied = levels[index]
+            if not tied:
+                return
+            yield low, tied
+            index += 1
 
     def _check(
         self, constraint: Constraint, structure: SecondaryStructure, s_state: str
@@ -738,7 +812,7 @@ class Controller:
             if self.grammar.allow_inverse:
                 moves.extend(
                     (f"inverse:{m.rule.label}", source)
-                    for m, source in self._inverse_moves(node)
+                    for m, source in self._moves(node).inverse
                 )
             for label, child in moves:
                 if child.key in parent:

@@ -29,10 +29,11 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import ClassVar, Mapping, Sequence
+from typing import ClassVar, Mapping
 
 from .structure import (
     BasePair,
+    LoopIndex,
     LoopRegion,
     PrimarySequence,
     SecondaryStructure,
@@ -45,6 +46,7 @@ __all__ = [
     "Loop",
     "LoopTableParams",
     "EnergyModel",
+    "MoveScorer",
     "NussinovModel",
     "LoopTableModel",
     "ExternalModel",
@@ -117,8 +119,16 @@ def _loop_class(closing: BasePair, n_branches: int, first: BasePair | None) -> L
     return _MULTI if n_branches else _HAIRPIN
 
 
-def _loops(regions: list[LoopRegion]) -> tuple[Loop, ...]:
-    """The loops of a loop view (:func:`loop_index`) in decomposition order."""
+def decompose_loops(s: SecondaryStructure) -> tuple[Loop, ...]:
+    """Partition a valid structure into its loops.
+
+    Each pair (i,j) closes the loop classified by its direct interior:
+    no branches -> hairpin; one flush branch -> stack; one branch with a gap
+    on one side -> bulge; gaps on both sides -> internal; two or more
+    branches -> multibranch. Closed loops come first (by closing pair), the
+    exterior loop last.
+    """
+    regions = loop_index(s).loops
     loops = [
         Loop(
             _loop_class(r.closing, len(r.branches), r.branches[0] if r.branches else None),
@@ -131,18 +141,6 @@ def _loops(regions: list[LoopRegion]) -> tuple[Loop, ...]:
     exterior = regions[0]
     loops.append(Loop(LoopClass.EXTERIOR, None, tuple(exterior.branches), len(exterior.free)))
     return tuple(loops)
-
-
-def decompose_loops(s: SecondaryStructure) -> tuple[Loop, ...]:
-    """Partition a valid structure into its loops.
-
-    Each pair (i,j) closes the loop classified by its direct interior:
-    no branches -> hairpin; one flush branch -> stack; one branch with a gap
-    on one side -> bulge; gaps on both sides -> internal; two or more
-    branches -> multibranch. Closed loops come first (by closing pair), the
-    exterior loop last.
-    """
-    return _loops(loop_index(s).loops)
 
 
 @dataclass(frozen=True)
@@ -212,6 +210,19 @@ def _term(
     return _extrapolated_term(table, unpaired, kind.value) if term is None else term
 
 
+def _terms(params: LoopTableParams, bases: str, regions: list[LoopRegion]) -> list[float]:
+    """The loop-table terms of the loops of a loop view (:func:`loop_index`)
+    in :func:`decompose_loops` order: :func:`loop_energy_term` of each."""
+    terms = []
+    for r in regions[1:]:
+        branches = r.branches
+        first = branches[0] if branches else None
+        kind = _loop_class(r.closing, len(branches), first)
+        terms.append(_term(params, bases, kind, r.closing, len(branches), first, len(r.free)))
+    terms.append(0.0)
+    return terms
+
+
 class EnergyModel:
     """Interface: ``energy(structure) -> kcal/mol``."""
 
@@ -220,20 +231,47 @@ class EnergyModel:
     def energy(self, s: SecondaryStructure) -> float:
         raise NotImplementedError
 
-    def successor_observables(
-        self, s: SecondaryStructure, moves: Sequence[tuple[BasePair, ...]]
-    ) -> list[float]:
-        """The observable of ``s`` with each tuple of ``moves`` added, in order.
+    def move_scorer(self, s: SecondaryStructure, view: LoopIndex | None = None) -> "MoveScorer":
+        """The scorer of the forward moves of ``s``; ``view`` is
+        ``loop_index(s)``, when the caller has it."""
+        return MoveScorer(self, s)
 
-        Each tuple is the added pairs of a match of ``s`` (as
-        ``enumerate_matches`` gives them). Subclasses may score without
-        building the successors, but must return exactly the value
-        :func:`observable` gives for the built successor.
-        """
-        return [
-            observable(SecondaryStructure(s.sequence, s.pairs | frozenset(added)), self)
-            for added in moves
-        ]
+
+class MoveScorer:
+    """The observables of the forward moves of one structure ``s``.
+
+    A move adds an outer pair, alone or with one inner pair nested inside it
+    (a Rule-1 double). :meth:`single` and :meth:`double` return exactly the
+    value :func:`observable` gives for the built successor, and
+    :meth:`observable` exactly that of ``s``. :meth:`double_bound` is a lower
+    bound on :meth:`double` over every inner pair that is not stacked on the
+    outer pair, that is over its bulge and internal-loop doubles: a selector
+    may skip them when the bound cannot win.
+
+    This base class builds each successor and scores it with
+    :func:`observable`, and bounds nothing (-inf), so a model that defines
+    only :meth:`EnergyModel.energy` has every move scored in full.
+    """
+
+    def __init__(self, model: EnergyModel, s: SecondaryStructure):
+        self.model = model
+        self.s = s
+
+    def observable(self) -> float:
+        return observable(self.s, self.model)
+
+    def single(self, outer: BasePair) -> float:
+        return self._built((outer,))
+
+    def double(self, outer: BasePair, inner: BasePair) -> float:
+        return self._built((outer, inner))
+
+    def double_bound(self, outer: BasePair) -> float:
+        return -math.inf
+
+    def _built(self, added: tuple[BasePair, ...]) -> float:
+        s = self.s
+        return observable(SecondaryStructure(s.sequence, s.pairs | frozenset(added)), self.model)
 
 
 @dataclass(frozen=True)
@@ -245,10 +283,28 @@ class NussinovModel(EnergyModel):
     def energy(self, s: SecondaryStructure) -> float:
         return float(-len(s.pairs))
 
-    def successor_observables(
-        self, s: SecondaryStructure, moves: Sequence[tuple[BasePair, ...]]
-    ) -> list[float]:
-        return [float(-(len(s.pairs) + len(added))) for added in moves]
+    def move_scorer(self, s: SecondaryStructure, view: LoopIndex | None = None) -> "MoveScorer":
+        return _NussinovScorer(self, s)
+
+
+class _NussinovScorer(MoveScorer):
+    """Every single scores one pair more than ``s``, every double two: the
+    double bound is exact."""
+
+    def __init__(self, model: NussinovModel, s: SecondaryStructure):
+        super().__init__(model, s)
+        pairs = len(s.pairs)
+        self._single = float(-(pairs + 1))
+        self._double = float(-(pairs + 2))
+
+    def single(self, outer: BasePair) -> float:
+        return self._single
+
+    def double(self, outer: BasePair, inner: BasePair) -> float:
+        return self._double
+
+    def double_bound(self, outer: BasePair) -> float:
+        return self._double
 
 
 @dataclass(frozen=True)
@@ -263,77 +319,138 @@ class LoopTableModel(EnergyModel):
         :func:`decompose_loops` order, from 0.0. The fold fixes the rounding
         on every Python (``sum`` compensates from 3.12 on) and lets the move
         scorer reuse a folded prefix."""
-        seq, params = s.sequence, self.params
         total = 0.0
-        for loop in decompose_loops(s):
-            total += loop_energy_term(loop, seq, params)
+        for term in _terms(self.params, s.sequence.bases, loop_index(s).loops):
+            total += term
         return total
 
-    def successor_observables(
-        self, s: SecondaryStructure, moves: Sequence[tuple[BasePair, ...]]
-    ) -> list[float]:
-        """Loop-local scoring. A move adds its pairs inside one loop L: L
-        keeps its closing pair with the outer new pair as a branch, and each
-        new pair closes a new loop. So the successor's terms are the parent's
-        terms with L's term replaced and the new loops' terms inserted at
-        the sorted place of their closing pairs, and :meth:`energy` folds
-        them in that order. The part of the fold before the new loops depends
-        on the outer new pair only, so it is folded once per outer pair; each
-        move then adds its new loops' terms and the terms after them."""
-        seq, params = s.sequence, self.params
-        bases = seq.bases
-        regions, owner, slot = loop_index(s)
-        terms = [loop_energy_term(loop, seq, params) for loop in _loops(regions)]
-        sorted_pairs = s.sorted_pairs
+    def move_scorer(self, s: SecondaryStructure, view: LoopIndex | None = None) -> "MoveScorer":
+        return _LoopTableScorer(self, s, loop_index(s) if view is None else view)
 
-        def split(outer: BasePair) -> tuple[float, list[float], int, BasePair | None, int]:
-            """The folded head and the tail of the successor's terms around
-            the new loops, and L's branches and unpaired positions inside
-            ``outer``: their count, the leftmost branch, the unpaired count."""
-            a, b = outer
-            k = owner[a]
-            region = regions[k]
-            lo, hi = slot[a], slot[b]
-            left = region.before[lo]
-            kids = region.before[hi] - left
-            first_kid = region.branches[left] if kids else None
-            at = bisect_left(sorted_pairs, outer)
-            head_terms = terms[:at]
-            if k:  # L's closing pair sorts before outer; the exterior term stays 0.0
-                n_branches = len(region.branches) - kids + 1
-                unpaired = len(region.free) - (hi - lo + 1)
-                closing = region.closing
-                kind = _loop_class(closing, n_branches, outer)
-                head_terms[k - 1] = _term(
-                    params, bases, kind, closing, n_branches, outer, unpaired
-                )
-            head = 0.0
-            for term in head_terms:
-                head += term
-            return head, terms[at:], kids, first_kid, hi - lo - 1
+    @functools.cached_property
+    def _least_terms(self) -> tuple[float, float, float]:
+        """The least term a bulge or internal loop, a hairpin, and a loop
+        with one branch (stack, bulge or internal) can take. A length past a
+        table's end adds a positive amount to its last entry, so the least
+        entry of a table is the least term of its loop class."""
+        params = self.params
+        bulge_or_internal = min(min(params.bulge.values()), min(params.internal.values()))
+        one_branch = min(min(params.stack.values()), bulge_or_internal)
+        return bulge_or_internal, min(params.hairpin.values()), one_branch
 
-        contexts: dict[BasePair, tuple] = {}
-        out = []
-        for added in moves:
-            outer = added[0]
-            context = contexts.get(outer)
-            if context is None:
-                context = contexts[outer] = split(outer)
-            total, tail, kids, first_kid, inside = context
-            if len(added) == 1:
-                kind = _loop_class(outer, kids, first_kid)
-                total += _term(params, bases, kind, outer, kids, first_kid, inside)
-            else:
-                inner = added[1]
-                gaps = (inner.i - outer.i - 1) + (outer.j - inner.j - 1)
-                kind = _loop_class(outer, 1, inner)
-                total += _term(params, bases, kind, outer, 1, inner, gaps)
-                kind = _loop_class(inner, kids, first_kid)
-                total += _term(params, bases, kind, inner, kids, first_kid, inside - gaps - 2)
-            for term in tail:
-                total += term
-            out.append(total)
-        return out
+
+class _LoopTableScorer(MoveScorer):
+    """Loop-local scoring. A move adds its pairs inside one loop L: L keeps
+    its closing pair with the outer new pair as a branch, and each new pair
+    closes a new loop. So the successor's terms are the parent's terms with
+    L's term replaced and the new loops' terms inserted at the sorted place
+    of their closing pairs, and :meth:`LoopTableModel.energy` folds them in
+    that order. The part of the fold before the new loops depends on the
+    outer new pair only, so it is folded once per outer pair (the context of
+    the last outer pair asked about is kept); each move then adds its new
+    loops' terms and the terms after them.
+
+    The bound of a bulge or internal double folds the same way with the new
+    loops' terms replaced by their least values: the outer new loop's by the
+    least bulge or internal term, the inner one's by the least hairpin term
+    (no children), the least one-branch term (one child), or the multibranch
+    term at the fewest or the most unpaired positions the inner loop can
+    keep (two or more children; the term is monotone in that count). Float
+    addition is monotone in each operand, so the bound never exceeds the
+    score of such a double."""
+
+    def __init__(self, model: LoopTableModel, s: SecondaryStructure, view: LoopIndex):
+        super().__init__(model, s)
+        seq, params = s.sequence, model.params
+        self.params, self.bases, self.view = params, seq.bases, view
+        self._least_terms = model._least_terms
+        self.terms = _terms(params, seq.bases, view.loops)
+        self._outer: BasePair | None = None
+        self._context: tuple = ()
+
+    def observable(self) -> float:
+        if not self.s.pairs:
+            return math.inf
+        total = 0.0
+        for term in self.terms:
+            total += term
+        return total
+
+    def _split(self, outer: BasePair) -> tuple:
+        """The folded head and the tail of the successor's terms around the
+        new loops, and L's branches and unpaired positions inside ``outer``:
+        the branch count, the leftmost and rightmost branch, the unpaired
+        count."""
+        if outer == self._outer:
+            return self._context
+        a, b = outer
+        regions, owner, slot = self.view
+        k = owner[a]
+        region = regions[k]
+        lo, hi = slot[a], slot[b]
+        left = region.before[lo]
+        kids = region.before[hi] - left
+        first_kid = region.branches[left] if kids else None
+        last_kid = region.branches[left + kids - 1] if kids else None
+        at = bisect_left(self.s.sorted_pairs, outer)
+        head_terms = self.terms[:at]
+        if k:  # L's closing pair sorts before outer; the exterior term stays 0.0
+            n_branches = len(region.branches) - kids + 1
+            unpaired = len(region.free) - (hi - lo + 1)
+            closing = region.closing
+            kind = _loop_class(closing, n_branches, outer)
+            head_terms[k - 1] = _term(
+                self.params, self.bases, kind, closing, n_branches, outer, unpaired
+            )
+        head = 0.0
+        for term in head_terms:
+            head += term
+        self._outer = outer
+        self._context = (head, self.terms[at:], kids, first_kid, last_kid, hi - lo - 1)
+        return self._context
+
+    def single(self, outer: BasePair) -> float:
+        total, tail, kids, first_kid, _, inside = self._split(outer)
+        kind = _loop_class(outer, kids, first_kid)
+        total += _term(self.params, self.bases, kind, outer, kids, first_kid, inside)
+        for term in tail:
+            total += term
+        return total
+
+    def double(self, outer: BasePair, inner: BasePair) -> float:
+        total, tail, kids, first_kid, _, inside = self._split(outer)
+        params, bases = self.params, self.bases
+        gaps = (inner.i - outer.i - 1) + (outer.j - inner.j - 1)
+        kind = _loop_class(outer, 1, inner)
+        total += _term(params, bases, kind, outer, 1, inner, gaps)
+        kind = _loop_class(inner, kids, first_kid)
+        total += _term(params, bases, kind, inner, kids, first_kid, inside - gaps - 2)
+        for term in tail:
+            total += term
+        return total
+
+    def double_bound(self, outer: BasePair) -> float:
+        total, tail, kids, first_kid, last_kid, inside = self._split(outer)
+        least_outer, least_hairpin, least_one_branch = self._least_terms
+        total += least_outer
+        if not kids:
+            total += least_hairpin
+        elif kids == 1:
+            total += least_one_branch
+        else:
+            # the inner loop keeps at least every unpaired position between
+            # the first and the last child (inside - runs), and at most
+            # inside - 3: the inner pair takes two positions of the runs and
+            # leaves at least one in a gap
+            runs = (first_kid.i - outer.i - 1) + (outer.j - last_kid.j - 1)
+            params, bases = self.params, self.bases
+            total += min(
+                _term(params, bases, _MULTI, outer, kids, first_kid, inside - runs),
+                _term(params, bases, _MULTI, outer, kids, first_kid, inside - 3),
+            )
+        for term in tail:
+            total += term
+        return total
 
 
 class ExternalEvaluationError(RuntimeError):
@@ -352,10 +469,10 @@ class ExternalEvaluator:
     Protocol: the command receives two lines on stdin (the base string, then
     the dot-bracket string) and must print one finite decimal kcal/mol value.
     Results are cached per structure key for the lifetime of the adapter:
-    the controller's run memo does not cover
-    :meth:`EnergyModel.successor_observables`, which scores each successor
-    through :meth:`ExternalModel.energy`, so a run asks again for structures
-    it has scored. Calls are serialized.
+    the controller's run memo does not cover the move scorer
+    (:meth:`EnergyModel.move_scorer`), which builds each successor and scores
+    it through :meth:`ExternalModel.energy`, so a run asks again for
+    structures it has scored. Calls are serialized.
     """
 
     command: str
@@ -433,10 +550,15 @@ _MULTIBRANCH_KEYS = ("offset", "per_branch", "per_unpaired")
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
+    """A finite number: a nan or an infinity would make energies nan or
+    infinite, and no longer monotone in each term."""
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ParameterError(f"[{section}] {key}: malformed number {raw!r}")
+    if not math.isfinite(value):
+        raise ParameterError(f"[{section}] {key}: non-finite number {raw!r}")
+    return value
 
 
 def _parse_length_table(parser: configparser.ConfigParser, section: str) -> dict[int, float]:
@@ -466,8 +588,8 @@ def parse_parameters(text: str) -> LoopTableParams:
     length tables, and [multibranch] with offset, per_branch, per_unpaired.
 
     Raises:
-        ParameterError: missing section or entry, malformed number,
-            non-contiguous lengths, or an inadmissible pair type.
+        ParameterError: missing section or entry, malformed or non-finite
+            number, non-contiguous lengths, or an inadmissible pair type.
     """
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # type: ignore[assignment]

@@ -45,6 +45,7 @@ from .structure import (
     BASES,
     DEFAULT_MIN_HAIRPIN,
     BasePair,
+    LoopIndex,
     LoopRegion,
     SecondaryStructure,
     StructureError,
@@ -255,38 +256,31 @@ _RULE1_BY_GAPS = {
     (True, True): INTERNAL_1,
 }
 
+#: The tables above with each rule's position in ``ALL_RULES``: the
+#: enumerator's bucket of that rule.
+_RULE2_AT = {gaps: (rule, ALL_RULES.index(rule)) for gaps, rule in _RULE2_BY_GAPS.items()}
+_RULE1_AT = {gaps: (rule, ALL_RULES.index(rule)) for gaps, rule in _RULE1_BY_GAPS.items()}
+_MULTI_AT = {more: (rule, ALL_RULES.index(rule)) for more, rule in ((False, MULTI_1), (True, MULTI_2))}
+
 #: The bases each base may pair with (Watson-Crick plus G-U wobble).
 _PAIRS_WITH = {a: "".join(b for b in sorted(BASES) if is_admissible_pair(a, b)) for a in BASES}
 
 
-def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
-    """Every match of every grammar rule on ``s``, in deterministic order.
+def _sites(s: SecondaryStructure, g: Grammar, view: LoopIndex) -> list[tuple]:
+    """The outer pairs a forward move of ``s`` can add, in enumeration order.
 
-    Every rule adds its pairs inside one loop, so the scan runs over one loop
-    index of ``s``: a new pair joins two admissible unpaired positions of one
-    loop, its children are the loop's branches between them, and its parent
-    is the loop's closing pair when no branch lies outside them. A Rule-1
-    double nests a second new pair inside the first, across the runs of
-    consecutive unpaired positions next to its ends. Each rule's matches come
-    out in (added pairs, context) order, so the result is sorted by (rule,
-    added pairs, context) without a sort.
-
-    Args:
-        s: A valid structure.
-        g: Grammar parameters.
-
-    Returns:
-        Sorted list of matches; empty when ``s`` is terminal.
+    Every rule adds its pairs inside one loop: a new pair (a, b) joins two
+    admissible unpaired positions of one loop of ``view`` (the loop view of
+    ``s``), its children are the loop's branches between them, and its parent
+    is the loop's closing pair when no branch lies outside them. Each site is
+    a tuple ``(pair, kids, outward, c_hi, d_lo, min_span)``: the new pair,
+    its children, the closing pair when the new pair would be the loop's only
+    branch (else None), and the ranges :func:`_inner_pairs` reads.
     """
+    sites = []
     bases, n, partner = s.sequence.bases, s.n, s.partner
     min_h = g.min_hairpin_unpaired
-    buckets: dict[RuleId, list[Match]] = {rule: [] for rule in ALL_RULES}
-    hairpins = buckets[HAIRPIN_1]
-    multi = {more: (rule, buckets[rule]) for more, rule in ((False, MULTI_1), (True, MULTI_2))}
-    rule2 = {gaps: (rule, buckets[rule]) for gaps, rule in _RULE2_BY_GAPS.items()}
-    rule1 = {gaps: (rule, buckets[rule]) for gaps, rule in _RULE1_BY_GAPS.items()}
-
-    loops, owner, slot = loop_index(s)
+    loops, owner, slot = view
     # run_end[a] / run_start[b]: the last / first position of the run of
     # consecutive unpaired positions through a / b
     run_end = [0] * n
@@ -310,43 +304,97 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
             kids = tuple(branches[left : before[y]])
             if not kids and b - a - 1 < min_h:
                 continue
-            pair = BasePair(a, b)
-            if closing is not None and left == 0 and before[y] == len(branches):
-                p, q = closing
-                rule, bucket = rule2[(a - p > 1, q - b > 1)]
-                bucket.append(_unchecked_match(rule, (pair,), (closing,)))
-            if not kids:
-                hairpins.append(_unchecked_match(HAIRPIN_1, (pair,)))
-            elif len(kids) == 1:
-                c, d = kids[0]
-                rule, bucket = rule2[(c - a > 1, b - d > 1)]
-                bucket.append(_unchecked_match(rule, (pair,), kids))
-            else:
-                rule, bucket = multi[len(kids) > 2]
-                bucket.append(_unchecked_match(rule, (pair,), kids))
+            outward = (
+                closing if closing is not None and left == 0 and before[y] == len(branches)
+                else None
+            )
+            sites.append((
+                BasePair(a, b), kids, outward, min(run_end[a], b - 1), max(run_start[b], a + 1),
+                2 if kids else min_h + 1,
+            ))
+    return sites
 
-            # the inner pair (c, d): c in the unpaired run after a, d in the
-            # run before b, enclosing the children or a hairpin
-            min_span = 2 if kids else min_h + 1
-            d_lo = max(run_start[b], a + 1)
-            for c in range(a + 1, min(run_end[a], b - 1) + 1):
-                inner_mates = _PAIRS_WITH[bases[c]]
-                for d in range(max(d_lo, c + min_span), b):
-                    if bases[d] not in inner_mates:
-                        continue
-                    rule, bucket = rule1[(c - a > 1, b - d > 1)]
-                    bucket.append(_unchecked_match(rule, (pair, BasePair(c, d))))
 
-    return [m for bucket in buckets.values() for m in bucket]
+def _inner_pairs(bases: str, site: tuple) -> list[BasePair]:
+    """The inner pairs (c, d) of the Rule-1 doubles on the outer pair of a
+    :func:`_sites` site, by (c, d): c in the unpaired run after a, d in the
+    run before b, enclosing the children or a hairpin."""
+    (a, b), _, _, c_hi, d_lo, min_span = site
+    out = []
+    for c in range(a + 1, c_hi + 1):
+        inner_mates = _PAIRS_WITH[bases[c]]
+        for d in range(max(d_lo, c + min_span), b):
+            if bases[d] in inner_mates:
+                out.append(BasePair(c, d))
+    return out
+
+
+def _stacked_pair(bases: str, site: tuple) -> BasePair | None:
+    """The inner pair (a+1, b-1) of a :func:`_sites` site's outer pair (a, b)
+    when :func:`_inner_pairs` lists it, else None."""
+    (a, b), _, _, c_hi, d_lo, min_span = site
+    c, d = a + 1, b - 1
+    if c <= c_hi and d >= max(d_lo, c + min_span) and bases[d] in _PAIRS_WITH[bases[c]]:
+        return BasePair(c, d)
+    return None
+
+
+def enumerate_matches(
+    s: SecondaryStructure, g: Grammar, sites: list[tuple] | None = None
+) -> list[Match]:
+    """Every match of every grammar rule on ``s``, in deterministic order.
+
+    The scan walks the outer pairs of :func:`_sites` over one loop index of
+    ``s``: each gives its inward and outward single-pair matches and the
+    Rule-1 doubles across the runs of unpaired positions next to its ends.
+    Each rule's matches come out in (added pairs, context) order, so the
+    result is sorted by (rule, added pairs, context) without a sort.
+
+    Args:
+        s: A valid structure.
+        g: Grammar parameters.
+        sites: ``_sites(s, g, loop_index(s))``, when the caller has it.
+
+    Returns:
+        Sorted list of matches; empty when ``s`` is terminal.
+    """
+    bases = s.sequence.bases
+    buckets: list[list[Match]] = [[] for _ in ALL_RULES]
+    hairpins = buckets[0]  # ALL_RULES[0] is HAIRPIN_1
+
+    for site in _sites(s, g, loop_index(s)) if sites is None else sites:
+        pair, kids, outward, c_hi, d_lo, _ = site
+        a, b = pair
+        if outward is not None:
+            p, q = outward
+            rule, at = _RULE2_AT[(a - p > 1, q - b > 1)]
+            buckets[at].append(_unchecked_match(rule, (pair,), (outward,)))
+        if not kids:
+            hairpins.append(_unchecked_match(HAIRPIN_1, (pair,)))
+        elif len(kids) == 1:
+            c, d = kids[0]
+            rule, at = _RULE2_AT[(c - a > 1, b - d > 1)]
+            buckets[at].append(_unchecked_match(rule, (pair,), kids))
+        else:
+            rule, at = _MULTI_AT[len(kids) > 2]
+            buckets[at].append(_unchecked_match(rule, (pair,), kids))
+        if c_hi > a and d_lo < b:
+            for inner in _inner_pairs(bases, site):
+                c, d = inner
+                rule, at = _RULE1_AT[(c - a > 1, b - d > 1)]
+                buckets[at].append(_unchecked_match(rule, (pair, inner)))
+
+    return [m for bucket in buckets for m in bucket]
 
 
 _LoopsByPair = tuple[dict[BasePair, LoopRegion], dict[BasePair, LoopRegion]]
 
 
-def _loops_by_pair(t: SecondaryStructure) -> _LoopsByPair:
-    """For each pair of the valid structure ``t``: the loop it closes, and
-    the loop it is a branch of (the exterior loop for a top-level pair)."""
-    loops = loop_index(t).loops
+def _loops_by_pair(view: LoopIndex) -> _LoopsByPair:
+    """For each pair of the valid structure ``t`` whose loop view is given:
+    the loop it closes, and the loop it is a branch of (the exterior loop for
+    a top-level pair)."""
+    loops = view.loops
     closed_by = {loop.closing: loop for loop in loops[1:]}
     branch_of = {pair: loop for loop in loops for pair in loop.branches}
     return closed_by, branch_of
@@ -386,6 +434,13 @@ def _matches_yielding(loops_by_pair: _LoopsByPair, added: tuple[BasePair, ...]) 
     return out
 
 
+def _first_match(view: LoopIndex, added: tuple[BasePair, ...]) -> Match:
+    """The first, in rule order, of the matches that add ``added`` and yield
+    the valid structure whose loop view is given: the one
+    :func:`enumerate_matches` lists first among them."""
+    return min(_matches_yielding(_loops_by_pair(view), added), key=lambda m: m.sort_key)
+
+
 def _glued(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure | None:
     """``s`` with ``m`` applied, or None when the gluing conditions fail."""
     seq, n, partner = s.sequence, s.n, s.partner
@@ -399,7 +454,7 @@ def _glued(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure | 
     t = _apply_unchecked(s, m)
     if not validate_structure(t, g.min_hairpin_unpaired).ok:
         return None
-    if m not in _matches_yielding(_loops_by_pair(t), m.added):
+    if m not in _matches_yielding(_loops_by_pair(loop_index(t)), m.added):
         return None
     return t
 
@@ -417,14 +472,15 @@ def gluing_check(s: SecondaryStructure, m: Match, g: Grammar) -> bool:
 
 
 def enumerate_inverse_matches(
-    s: SecondaryStructure, g: Grammar
+    s: SecondaryStructure, g: Grammar, view: LoopIndex | None = None
 ) -> list[tuple[Match, SecondaryStructure]]:
     """Rule applications that could have produced ``s``, with their sources.
 
     Each entry is a (match, predecessor) pair such that applying the match to
     the predecessor yields ``s`` exactly, sorted by match. The applications
     are read off the loops of ``s``: each pair was added alone, or together
-    with the only branch of its loop. Used for backtracking moves.
+    with the only branch of its loop. Used for backtracking moves; ``view``
+    is ``loop_index(s)``, when the caller has it.
 
     Raises:
         StructureError: ``s`` is not valid under ``g``.
@@ -432,7 +488,7 @@ def enumerate_inverse_matches(
     report = validate_structure(s, g.min_hairpin_unpaired)
     if not report.ok:
         raise StructureError(f"invalid structure: {report.describe()}", report.violations)
-    loops_by_pair = _loops_by_pair(s)
+    loops_by_pair = _loops_by_pair(loop_index(s) if view is None else view)
     closed_by = loops_by_pair[0]
     out: list[tuple[Match, SecondaryStructure]] = []
     for pair in s.sorted_pairs:

@@ -186,6 +186,22 @@ class TestEval:
         assert "unbalanced" in err
 
 
+    @pytest.mark.parametrize("command", ["eval", "enumerate"])
+    def test_non_finite_parameter_exits_2(self, tmp_path, capsys, command):
+        # a nan entry used to print "total nan" and export "energy": NaN
+        from importlib import resources
+
+        text = resources.files("grafold").joinpath("data/example_loop_params.ini").read_text()
+        params = tmp_path / "params.ini"
+        params.write_text(text.replace("\n4 = 4.2\n", "\n4 = nan\n"))
+        argv = [command, "--seq", "GAAAAC", "--energy", "loop-table", "--params", str(params)]
+        if command == "eval":
+            argv += ["--db", "(....)"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err == "error: [hairpin] 4: non-finite number 'nan'\n"
+
+
 class TestRules:
     def test_all_eleven(self, capsys):
         code, out, _ = run_cli(["rules"], capsys)
@@ -265,3 +281,41 @@ class TestExternalMode:
         )
         assert code == 0
         assert out == "(...)  -1.0\n"
+
+    @pytest.mark.parametrize(
+        "argv, fail_on",
+        [
+            (["fold", "--seq", "GGGAAACCCAGGGAAACCC", "--energy", "external"], 4),
+            (["enumerate", "--seq", "GGGAAACCC", "--energy", "external"], 4),
+            (["eval", "--seq", "GGGAAACCC", "--db", "(((...)))", "--energy", "external"], 1),
+        ],
+        ids=["fold", "enumerate", "eval"],
+    )
+    def test_evaluator_failing_mid_run_exits_4(self, tmp_path, capsys, argv, fail_on):
+        # the stub answers until its fail_on-th call, which exits nonzero
+        calls = tmp_path / "calls"
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "from pathlib import Path\n"
+            f"p = Path({str(calls)!r})\n"
+            "n = int(p.read_text()) + 1 if p.exists() else 1\n"
+            "p.write_text(str(n))\n"
+            f"if n == {fail_on}:\n"
+            "    raise SystemExit(1)\n"
+            "print(-1.0 * n)\n"
+        )
+        code, _, err = run_cli([*argv, "--external-cmd", f"{sys.executable} {stub}"], capsys)
+        assert code == 4
+        assert calls.read_text() == str(fail_on)
+        assert err.startswith("error: external evaluator nonzero-exit")
+        assert err.count("\n") == 1
+
+    def test_evaluator_command_not_found_exits_2(self, capsys):
+        code, _, err = run_cli(
+            ["eval", "--seq", "GAAAC", "--db", "(...)", "--energy", "external",
+             "--external-cmd", "definitely-not-a-real-command-xyz"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("error: external evaluator command-not-found")
+        assert err.count("\n") == 1

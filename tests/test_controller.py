@@ -17,6 +17,7 @@ from grafold.controller import (
     StrategyDecision,
     UnknownStrategyError,
     _get_strategy,
+    _signature,
     register_strategy,
     run,
 )
@@ -438,6 +439,26 @@ class TestScoredSelection:
         # inverse moves lead back to visited structures, some tied at the
         # minimal score; forward-only runs never meet a visited successor
         assert (visited_ties > 0) is grammar.allow_inverse
+
+
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_signature_order_is_key_order_along_derivations(min_h, bases, data):
+    # phi0 orders the moves tied at the least score by their added-pairs
+    # signature instead of building them. Under Nussinov every double ties
+    # with every double; a loop table can tie singles with doubles, so the
+    # orders must agree over all the moves of a structure
+    g = Grammar(min_hairpin_unpaired=min_h)
+    s = SecondaryStructure(PrimarySequence(bases))
+    while True:
+        matches = enumerate_matches(s, g)
+        if not matches:
+            break
+        key_of = {m.added: apply_match(s, m, g).key for m in matches}
+        by_signature = sorted(key_of, key=_signature)
+        assert by_signature == sorted(key_of, key=key_of.__getitem__)
+        s = apply_match(s, data.draw(st.sampled_from(matches)), g)
 
 
 class TestStrategies:

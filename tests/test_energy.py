@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafold.controller import RunLimits, run
+from grafold.controller import RunLimits, _Moves, _phi0_level, run
 from grafold.energy import (
     ExternalEvaluationError,
     ExternalEvaluator,
@@ -210,7 +210,12 @@ def short_table_parameters() -> LoopTableParams:
 def assert_moves_score_exactly(s: SecondaryStructure, matches, models=MODELS) -> None:
     # float ==, not approx: the loop-local sum must be the full sum, bit for bit
     for model in models:
-        scores = model.successor_observables(s, [m.added for m in matches])
+        scorer = model.move_scorer(s)
+        assert scorer.observable() == observable(s, model)
+        scores = [
+            scorer.single(m.added[0]) if len(m.added) == 1 else scorer.double(*m.added)
+            for m in matches
+        ]
         assert scores == [observable(_apply_unchecked(s, m), model) for m in matches]
 
 
@@ -302,6 +307,110 @@ def test_successor_observables_extrapolate_along_derivations(min_h, bases, data)
         assert_moves_score_exactly(s, matches, models=[model])
 
 
+def falling_loop_parameters() -> LoopTableParams:
+    """The example table with negative hairpin entries, least at length 7
+    (neither the first nor the last), bulges cheaper than internal loops,
+    and a negative multibranch ``per_unpaired``, so the multibranch term
+    falls as a loop keeps more unpaired positions."""
+    params = example_parameters()
+    return LoopTableParams(
+        stack=params.stack,
+        hairpin={n: abs(n - 7) * 0.3 - 5.0 for n in params.hairpin},
+        bulge={n: value - 2.0 for n, value in params.bulge.items()},
+        internal=params.internal,
+        multibranch_offset=params.multibranch_offset,
+        multibranch_per_branch=params.multibranch_per_branch,
+        multibranch_per_unpaired=-0.7,
+    )
+
+
+BOUND_MODELS = [
+    LoopTableModel(params)
+    for params in (
+        example_parameters(),
+        rounding_sensitive_parameters(),
+        short_table_parameters(),
+        falling_loop_parameters(),
+    )
+]
+
+
+def assert_double_bounds_hold(s: SecondaryStructure, matches) -> None:
+    # a bulge or internal double adds an outer pair and an inner pair that is
+    # not stacked on it; the bound of its outer pair must not exceed its exact
+    # observable on any table, and under Nussinov it is that observable
+    doubles = [m for m in matches if len(m.added) == 2 and m.rule.label != "Helix-Rule-1"]
+    for model in BOUND_MODELS:
+        scorer = model.move_scorer(s)
+        for m in doubles:
+            assert scorer.double_bound(m.added[0]) <= observable(_apply_unchecked(s, m), model)
+    nussinov = NussinovModel()
+    scorer = nussinov.move_scorer(s)
+    for m in doubles:
+        assert scorer.double_bound(m.added[0]) == observable(_apply_unchecked(s, m), nussinov)
+
+
+@pytest.mark.parametrize("min_h", [1, 3])
+@pytest.mark.parametrize(
+    "bases,db",
+    [
+        # no child, and a helix after the new loops
+        ("GGGGAAAAAAACCCCGGGAAACCC", "...............(((...)))"),
+        # one child
+        ("GGGGGAAACCCCC", "....(...)...."),
+        # two children, with up to two and up to three unpaired positions
+        # between an outer pair and each child
+        ("GGGGAAACGAAACCCC", "...(...)(...)..."),
+        ("GGGGGAAACGAAACCCCC", "....(...)(...)...."),
+    ],
+)
+def test_double_bound_fixtures(min_h, bases, db):
+    s = structure(bases, db, min_h=3)
+    matches = enumerate_matches(s, Grammar(min_hairpin_unpaired=min_h))
+    assert any(len(m.added) == 2 and m.rule.label != "Helix-Rule-1" for m in matches)
+    assert_double_bounds_hold(s, matches)
+
+
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_double_bound_along_derivations(min_h, bases, data):
+    for s, matches in random_derivation(bases, min_h, data):
+        assert_double_bounds_hold(s, matches)
+
+
+def full_level(s, matches, model, threshold, floor):
+    """The least observable above ``floor`` and at most ``threshold`` among
+    the built successors of ``s``, and the added pairs of each move scoring
+    it; the unpruned reference of ``_phi0_level``."""
+    scores = {m.added: observable(_apply_unchecked(s, m), model) for m in matches}
+    scores = {
+        added: e for added, e in scores.items()
+        if e <= threshold and (floor is None or floor < e)
+    }
+    low = min(scores.values(), default=threshold)
+    return low, {added for added, e in scores.items() if e == low}
+
+
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_bounded_level_equals_full_scoring_along_derivations(min_h, bases, data):
+    # the first two phi0 levels: the pruned search finds the same least
+    # score and the same tied moves as scoring every built successor
+    g = Grammar(min_hairpin_unpaired=min_h)
+    for s, matches in random_derivation(bases, min_h, data):
+        for model in [NussinovModel(), *BOUND_MODELS]:
+            entry = _Moves(s, g, model)
+            threshold = observable(s, model)
+            floor = None
+            for _ in range(2):
+                low, tied = _phi0_level(entry, threshold, floor)
+                assert (low, set(tied)) == full_level(s, matches, model, threshold, floor)
+                assert len(tied) == len(set(tied))
+                floor = low
+
+
 class TestParameterLoading:
     def test_example_table_parsed_once(self):
         assert example_parameters() is example_parameters()
@@ -333,6 +442,17 @@ class TestParameterLoading:
     def test_malformed_number(self):
         text = self._example_text().replace("offset = 3.0", "offset = three")
         with pytest.raises(ParameterError, match="malformed number"):
+            parse_parameters(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "section, key, entry",
+        [("stack", "GC/CG", "-3.0"), ("hairpin", "4", "4.2"), ("multibranch", "per_unpaired", "0.1")],
+    )
+    def test_non_finite_number(self, section, key, entry, value):
+        text = self._example_text().replace(f"\n{key} = {entry}\n", f"\n{key} = {value}\n")
+        assert text != self._example_text()
+        with pytest.raises(ParameterError, match=rf"^\[{section}\] {key}: non-finite number"):
             parse_parameters(text)
 
     def test_non_contiguous_lengths(self):
@@ -420,8 +540,8 @@ class TestExternal:
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_cache_calls_out_once_per_structure_of_a_run(self, monkeypatch, n):
-        # the controller's run memo does not cover successor_observables,
-        # which scores every successor through energy(), so a run evaluates
+        # the controller's run memo does not cover the move scorer, which
+        # scores every successor through energy(), so a run evaluates
         # structures again; the cache keeps it to one command call each
         scorer = LoopTableModel(example_parameters())
         invoked = []

@@ -3,7 +3,10 @@
 The digests below were recorded from the program before the loop-indexed
 match enumerator and the run-scoped successor and energy memos went in.
 Any change to the bytes of a fold trace or a folding-space export, on these
-fixed inputs, fails here.
+fixed inputs, fails here. The larger folds (n = 40 and 60, the first 40 and
+60 bases drawn by ``random.Random(1)``) were recorded before the bounded φ0
+selector went in; they reach internal loops and hairpins past the 30-entry
+tables and steps with many tied candidates.
 """
 
 import contextlib
@@ -47,6 +50,27 @@ FOLD_DIGESTS = {
     ),
 }
 
+# the first 40 and 60 of ``"".join(rng.choice("ACGU") ...)`` with rng = random.Random(1)
+SEEDED = {
+    40: "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUA",
+    60: "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUACGAGUCGGUUAUCUUCGGAU",
+}
+
+# (config, strand length, extra flags, trace digest)
+LARGE_FOLDS = (
+    ("loop-table", 40, ["--energy", "loop-table"],
+     "0e49c1ac96d1ec9714b49eb9e402f562ddeb32d569ce094d6652b53999770459"),
+    ("loop-table", 60, ["--energy", "loop-table"],
+     "4248b59ff9dad191ee7e87c61d38e73f81aad928856f1147380eb22b1278b4f6"),
+    ("nussinov", 40, ["--energy", "nussinov"],
+     "6aad0a9c32ab1a26cecdef131103bc261bbed04e56c25747328aa147231ba0c3"),
+    ("nussinov", 60, ["--energy", "nussinov"],
+     "2a249c727593f33aaa797abfd01a4cd4e6eea5d4462c5f978daf3773f85dbd89"),
+    ("loop-table-inverse", 40,
+     ["--energy", "loop-table", "--allow-inverse", "--max-steps", "60"],
+     "ca1f3a6969190e1ae263173148f37e0cda242bd89162f0c58bf6d4929a60593f"),
+)
+
 ENUMERATE_DIGEST = "ecb98f545e1402619c90a46c5508dbd4a7c234e102755c85f1d9afaeca02b37c"
 
 
@@ -62,6 +86,15 @@ def test_fold_trace_bytes(config, strand, tmp_path):
     out = tmp_path / "trace.jsonl"
     argv = ["fold", "--seq", STRANDS[strand], *FOLD_CONFIGS[config], "--trace-out", str(out)]
     assert _digest_of(argv, out) == FOLD_DIGESTS[config][strand]
+
+
+@pytest.mark.parametrize(
+    "config, n, flags, digest", LARGE_FOLDS, ids=[f"{c}-{n}" for c, n, _, _ in LARGE_FOLDS]
+)
+def test_large_fold_trace_bytes(config, n, flags, digest, tmp_path):
+    out = tmp_path / "trace.jsonl"
+    argv = ["fold", "--seq", SEEDED[n], *flags, "--trace-out", str(out)]
+    assert _digest_of(argv, out) == digest
 
 
 def test_enumerate_export_bytes(tmp_path):

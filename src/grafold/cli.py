@@ -9,6 +9,7 @@ non-finite output).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -199,7 +200,10 @@ def _add_energy_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    ``main`` call of the process (``parse_args`` leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="grafold",
         description="Pseudoknot-free RNA folding via loop-grammar rewriting",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -758,6 +758,17 @@ class Controller:
             for psi in psis
         )
 
+    def _children(self, node: SecondaryStructure) -> Iterator[tuple[str, SecondaryStructure]]:
+        """The (move label, structure) steps out of ``node``, each built when
+        it is taken: the forward targets in match order, then, when the
+        grammar allows them, the inverse sources."""
+        entry = self._moves(node)
+        for index, match in enumerate(entry.matches):
+            yield match.rule.label, entry.target(index)
+        if self.grammar.allow_inverse:
+            for match, source in entry.inverse:
+                yield f"inverse:{match.rule.label}", source
+
     def adaptation_phase(self) -> AdaptationOutcome:
         """Search the folding space for a structure where some successor
         machine state's constraint is satisfiable again.
@@ -768,6 +779,12 @@ class Controller:
         A resume that would visit nothing new and land in a configuration
         already occupied since the last new structure is skipped: the run is
         deterministic, so rerunning it could only repeat itself (livelock).
+
+        The frontier holds one child iterator per expanded structure, so a
+        child is built, deduplicated and checked against ψ only when the
+        search takes it. Structures are taken in the order a fully expanded
+        BFS would queue them, and ``max_adaptation_states`` counts them, the
+        origin first.
         """
         assert self.state is not None
         origin = self.state
@@ -776,21 +793,23 @@ class Controller:
         if not candidates:
             return AdaptationOutcome(False, "no-adaptation-targets")
         psis = tuple(psi for _, psi in candidates)
+        max_states = self.limits.max_adaptation_states
+        max_depth = self.limits.max_adaptation_depth
 
         parent: dict[str, tuple[str | None, str | None, SecondaryStructure]] = {
             origin.structure.key: (None, None, origin.structure)
         }
-        queue: deque[tuple[int, SecondaryStructure]] = deque([(0, origin.structure)])
+        frontier: deque[
+            tuple[int, SecondaryStructure, Iterator[tuple[str, SecondaryStructure]]]
+        ] = deque()
+        depth = 0
+        node: SecondaryStructure | None = origin.structure
         explored = 0
         limit_hit: str | None = None
 
-        while queue:
-            depth, node = queue.popleft()
+        while node is not None:
             explored += 1
-            if (
-                self.limits.max_adaptation_states is not None
-                and explored > self.limits.max_adaptation_states
-            ):
+            if max_states is not None and explored > max_states:
                 limit_hit = "adaptation-state-limit"
                 break
             for target_id, _psi in candidates:
@@ -802,25 +821,20 @@ class Controller:
                 if self._check(target_constraint, node, target_id).satisfied:
                     self._resume(origin, target_id, node, _path(node, parent))
                     return AdaptationOutcome(True)
-            max_depth = self.limits.max_adaptation_depth
             if max_depth is not None and depth >= max_depth:
                 limit_hit = limit_hit or "adaptation-depth-limit"
-                continue
-            moves: list[tuple[str, SecondaryStructure]] = [
-                (m.rule.label, target) for m, target in self._moves(node).successors()
-            ]
-            if self.grammar.allow_inverse:
-                moves.extend(
-                    (f"inverse:{m.rule.label}", source)
-                    for m, source in self._moves(node).inverse
-                )
-            for label, child in moves:
-                if child.key in parent:
-                    continue
-                if not self._psi_holds(psis, child):
-                    continue
-                parent[child.key] = (node.key, label, child)
-                queue.append((depth + 1, child))
+            else:
+                frontier.append((depth + 1, node, self._children(node)))
+            node = None
+            while frontier and node is None:
+                depth, expanded, children = frontier[0]
+                for label, child in children:
+                    if child.key not in parent and self._psi_holds(psis, child):
+                        parent[child.key] = (expanded.key, label, child)
+                        node = child
+                        break
+                else:
+                    frontier.popleft()
 
         return AdaptationOutcome(False, limit_hit or "exhausted")
 

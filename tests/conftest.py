@@ -6,6 +6,14 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import grafold
+from grafold.controller import (
+    AdaptiveMachine,
+    Constraint,
+    MachineState,
+    StrategyDecision,
+    register_strategy,
+)
 from grafold.energy import EnergyModel
 from grafold.structure import PrimarySequence, SecondaryStructure
 
@@ -33,6 +41,33 @@ def trap_model() -> ScriptedModel:
     """On GGGAAACCC: a deep one-pair minimum whose continuations all rise,
     but one continuation regains greedy progress a step later."""
     return ScriptedModel({"..(...)..": -2.0, "(((...)))": -1.5})
+
+
+def _even_pairs(ctx) -> StrategyDecision:
+    return StrategyDecision(satisfied=len(ctx.structure.pairs) % 2 == 0)
+
+
+register_strategy("even-pairs", _even_pairs)
+
+EXAMPLE_MACHINE = AdaptiveMachine.from_file(
+    Path(grafold.__file__).parent / "data" / "example_machine.json"
+)
+
+
+def psi_machine() -> AdaptiveMachine:
+    """A greedy state whose adaptation phases may pass only structures with
+    an even number of pairs (the ψ of its self-transition), resuming in
+    itself or in a one-step lookahead state."""
+    w0 = MachineState(
+        "w0",
+        Constraint.phi0(),
+        (("w0", Constraint.of_strategy("even-pairs")), ("w1", Constraint.true())),
+    )
+    w1 = MachineState(
+        "w1", Constraint.of_strategy("lookahead", depth=1), (("w0", Constraint.true()),)
+    )
+    return AdaptiveMachine((w0, w1), "w0")
+
 
 # Fixture families, sized so exhaustive oracles stay fast.
 SOUNDNESS_SEQUENCES = [

@@ -5,15 +5,20 @@ exhaustive recursive enumeration of valid structures, a maximum-pairing
 dynamic program, a brute-force match scan driven only by the public gluing
 predicate, a loop decomposition by a stack walk over the sorted pairs,
 loop-table terms read straight off the parameter tables, and the greedy
-choice taken over fully built, fully scored successors.
+choice taken over fully built, fully scored successors. The one exception is
+the eager adaptation search, a controller subclass that keeps the
+controller's constraint checks but builds and checks every child of a
+structure as soon as it expands it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
+from grafold.controller import AdaptationOutcome, Controller, _path
 from grafold.energy import EnergyModel, Loop, LoopClass, LoopTableParams, observable
 from grafold.grammar import ALL_RULES, Grammar, LoopKind, Match, gluing_check
 from grafold.structure import (
@@ -186,3 +191,56 @@ def phi0_select(
     if observable(best[1], em) <= observable(q, em):
         return best
     return None
+
+
+class EagerController(Controller):
+    """The controller with a fully expanded adaptation BFS: each structure
+    taken off the queue builds, deduplicates and ψ-checks all its forward
+    targets and then all its inverse sources before the next one is taken,
+    and ``max_adaptation_states`` counts structures taken off the queue."""
+
+    def adaptation_phase(self) -> AdaptationOutcome:
+        origin = self.state
+        candidates = self.machine.state(origin.s_state).transitions
+        if not candidates:
+            return AdaptationOutcome(False, "no-adaptation-targets")
+        psis = tuple(psi for _, psi in candidates)
+        parent = {origin.structure.key: (None, None, origin.structure)}
+        queue = deque([(0, origin.structure)])
+        explored = 0
+        limit_hit = None
+        while queue:
+            depth, node = queue.popleft()
+            explored += 1
+            if (
+                self.limits.max_adaptation_states is not None
+                and explored > self.limits.max_adaptation_states
+            ):
+                limit_hit = "adaptation-state-limit"
+                break
+            for target_id, _psi in candidates:
+                if (target_id, node.key) in self._occupied_since_move and all(
+                    structure.key in self._visited for _, structure in _path(node, parent)
+                ):
+                    continue
+                target_constraint = self.machine.state(target_id).constraint
+                if self._check(target_constraint, node, target_id).satisfied:
+                    self._resume(origin, target_id, node, _path(node, parent))
+                    return AdaptationOutcome(True)
+            max_depth = self.limits.max_adaptation_depth
+            if max_depth is not None and depth >= max_depth:
+                limit_hit = limit_hit or "adaptation-depth-limit"
+                continue
+            moves = [(m.rule.label, target) for m, target in self._moves(node).successors()]
+            if self.grammar.allow_inverse:
+                moves.extend(
+                    (f"inverse:{m.rule.label}", source) for m, source in self._moves(node).inverse
+                )
+            for label, child in moves:
+                if child.key in parent:
+                    continue
+                if not self._psi_holds(psis, child):
+                    continue
+                parent[child.key] = (node.key, label, child)
+                queue.append((depth + 1, child))
+        return AdaptationOutcome(False, limit_hit or "exhausted")

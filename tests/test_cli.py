@@ -1,10 +1,11 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from grafold.cli import main
+from grafold.cli import build_parser, main
 from grafold.space import validate_lts_json
 
 
@@ -245,6 +246,46 @@ class TestDeterminism:
         result = self._run(["rules"])
         assert result.returncode == 0
         assert len(result.stdout.strip().split("\n")) == 11
+
+
+class TestOneProcess:
+    """Calls of ``main`` in one process share one parser and behave as
+    separate processes do."""
+
+    CALLS = (
+        ["fold", "--seq", "GGGAAACCC", "--energy", "loop-table", "--allow-inverse"],
+        ["eval", "--seq", "GGGAAACCC", "--db", "(((...)))", "--energy", "loop-table"],
+        ["enumerate", "--seq", "GGGAAACCC", "--export", "json"],
+        ["fold", "--seq", "GGGAAACCC", "--no-such-flag"],
+        ["fold", "--seq", "GGGAAACCC"],
+    )
+
+    def test_same_as_separate_processes(self, capsys, monkeypatch):
+        progs = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        in_process = []
+        for argv in self.CALLS:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        assert progs.count("grafold") == 1
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0]
+
+        for argv, got in zip(self.CALLS, in_process):
+            alone = subprocess.run(
+                [sys.executable, "-m", "grafold", *argv], capture_output=True, text=True
+            )
+            assert got == (alone.returncode, alone.stdout, alone.stderr)
 
 
 class TestExternalMode:

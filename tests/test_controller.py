@@ -30,11 +30,18 @@ from grafold.structure import (
     parse_dot_bracket,
     validate_structure,
 )
-from conftest import ScriptedModel, trap_model
-from oracles import phi0_select
+import grafold.controller
+from conftest import EXAMPLE_MACHINE, ScriptedModel, psi_machine, trap_model
+from oracles import EagerController, phi0_select
 
 G3 = Grammar()
 NUSSINOV = NussinovModel()
+MODELS = {"nussinov": NUSSINOV, "loop-table": LoopTableModel(example_parameters())}
+MACHINES = {
+    "default": AdaptiveMachine.default(),
+    "example": EXAMPLE_MACHINE,
+    "psi-strategy": psi_machine(),
+}
 
 
 def make_context(structure, model, grammar=G3, best=None, params=None):
@@ -361,22 +368,30 @@ class TestInverseMoves:
 
 
 @pytest.mark.parametrize(
-    "model", [NUSSINOV, LoopTableModel(example_parameters())], ids=["nussinov", "loop-table"]
+    "model, machine",
+    [
+        pytest.param(model, machine, id=model if machine == "default" else f"{model}-{machine}")
+        for machine in sorted(MACHINES)
+        for model in sorted(MODELS)
+    ],
 )
 @given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14))
 @settings(max_examples=40, deadline=None)
-def test_allow_inverse_trace_invariants(model, bases):
-    # default machine with inverse moves: steady moves never raise the
-    # energy, every move is a forward or inverse match of the structure it
-    # leaves, and the summary's best is the least record
+def test_allow_inverse_trace_invariants(machine, model, bases):
+    # inverse moves on the default machine, the packaged example machine
+    # (a lookahead strategy state) and a machine with a strategy ψ: steady
+    # φ0 moves never raise the energy, every move is a forward or inverse
+    # match of the structure it leaves, and the summary's best is the least
+    # record
     seq = PrimarySequence(bases)
     g = Grammar(allow_inverse=True)
-    trace = run(None, seq, grammar=g, model=model, limits=RunLimits(max_steps=40))
+    s_machine = MACHINES[machine]
+    trace = run(s_machine, seq, grammar=g, model=MODELS[model], limits=RunLimits(max_steps=40))
     records = trace.records
     for prev, rec in zip(records, records[1:]):
         if rec.move is None:
             continue
-        if rec.mode == "steady":
+        if rec.mode == "steady" and s_machine.state(rec.s_state).constraint == Constraint.phi0():
             assert rec.energy <= prev.energy
         before = parse_dot_bracket(seq, prev.db)
         if rec.move.startswith("inverse:"):
@@ -394,6 +409,119 @@ def test_allow_inverse_trace_invariants(model, bases):
     if math.isfinite(trace.summary.best_energy):
         best = min((r.energy, r.db) for r in records)
         assert (trace.summary.best_energy, trace.summary.best_db) == best
+
+
+def _lazy_and_eager(bases, grammar, model, machine, limits):
+    seq = PrimarySequence(bases)
+    lazy = Controller(machine, grammar, model, limits).run(seq)
+    eager = EagerController(machine, grammar, model, limits).run(seq)
+    return lazy, eager
+
+
+class TestLazyAdaptation:
+    """The adaptation BFS builds a child only when the search takes it; the
+    fully expanded BFS of oracles.EagerController gives the same runs."""
+
+    @given(
+        bases=st.text(alphabet="ACGU", min_size=1, max_size=16),
+        min_hairpin=st.sampled_from([1, 3]),
+        model=st.sampled_from(sorted(MODELS)),
+        allow_inverse=st.booleans(),
+        machine=st.sampled_from(sorted(MACHINES)),
+        max_states=st.sampled_from([None, 1, 2, 3, 5, 10]),
+        max_depth=st.sampled_from([None, 0, 1, 2]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_run_as_eager_bfs(
+        self, bases, min_hairpin, model, allow_inverse, machine, max_states, max_depth
+    ):
+        lazy, eager = _lazy_and_eager(
+            bases,
+            Grammar(min_hairpin_unpaired=min_hairpin, allow_inverse=allow_inverse),
+            MODELS[model],
+            MACHINES[machine],
+            RunLimits(
+                max_steps=40, max_adaptation_states=max_states, max_adaptation_depth=max_depth
+            ),
+        )
+        assert lazy.to_jsonl() == eager.to_jsonl()
+        assert lazy.summary.termination == eager.summary.termination
+
+    @pytest.mark.parametrize(
+        "bases, min_hairpin, allow_inverse, machine, model, max_states, max_depth",
+        [
+            ("AUUGUUAUG", 1, True, "default", "loop-table", 5, None),
+            ("AGAUACCAUGGCCC", 3, True, "default", "loop-table", 3, None),
+            ("GAAUAGGCUACAUA", 3, True, "psi-strategy", "loop-table", 3, None),
+            ("UCUCAUGUAGCCAGA", 1, True, "example", "nussinov", 3, 1),
+            ("GCGCAACCCUGAG", 3, False, "example", "loop-table", 1, 2),
+        ],
+    )
+    def test_state_limit_truncates_where_eager_bfs_does(
+        self, bases, min_hairpin, allow_inverse, machine, model, max_states, max_depth
+    ):
+        lazy, eager = _lazy_and_eager(
+            bases,
+            Grammar(min_hairpin_unpaired=min_hairpin, allow_inverse=allow_inverse),
+            MODELS[model],
+            MACHINES[machine],
+            RunLimits(
+                max_steps=40, max_adaptation_states=max_states, max_adaptation_depth=max_depth
+            ),
+        )
+        assert lazy.summary.termination == "adaptation-state-limit"
+        assert lazy.to_jsonl() == eager.to_jsonl()
+
+    def test_children_built_only_when_taken(self, monkeypatch, seq_gggaaaccc):
+        # the trap's first phase starts at its one-pair minimum and resumes
+        # at a forward child of it, so a lazy search never needs the
+        # origin's inverse moves; the eager search enumerates them anyway
+        built: list[str] = []
+        inverse_of: list[str] = []
+        apply, inverse = grafold.controller._apply_unchecked, enumerate_inverse_matches
+
+        def counting_apply(structure, match):
+            built.append(structure.key)
+            return apply(structure, match)
+
+        def counting_inverse(structure, *args):
+            inverse_of.append(structure.key)
+            return inverse(structure, *args)
+
+        monkeypatch.setattr(grafold.controller, "_apply_unchecked", counting_apply)
+        monkeypatch.setattr(grafold.controller, "enumerate_inverse_matches", counting_inverse)
+
+        def first_phase(cls):
+            """(built count, trace, first phase's origin, the records it
+            added, the structures whose inverse moves it enumerated)"""
+            phases = []
+
+            class Probe(cls):
+                def adaptation_phase(self):
+                    origin = self.state.structure.key
+                    records, calls = len(self._records), len(inverse_of)
+                    outcome = super().adaptation_phase()
+                    phases.append((origin, self._records[records:], inverse_of[calls:]))
+                    return outcome
+
+            built.clear()
+            trace = Probe(
+                grammar=Grammar(allow_inverse=True),
+                model=trap_model(),
+                limits=RunLimits(max_steps=40),
+            ).run(seq_gggaaaccc)
+            return (len(built), trace, *phases[0])
+
+        lazy_built, lazy, origin, added, lazy_calls = first_phase(Controller)
+        eager_built, eager, _, _, eager_calls = first_phase(EagerController)
+        assert lazy.to_jsonl() == eager.to_jsonl()
+        assert lazy_built < eager_built
+        assert origin == "..(...).."
+        assert [(r.move, r.db) for r in added] == [
+            ("Helix-Rule-2", ".((...))."), (None, ".((...)).")
+        ]
+        assert origin not in lazy_calls
+        assert origin in eager_calls
 
 
 class TestScoredSelection:

@@ -6,7 +6,9 @@ Any change to the bytes of a fold trace or a folding-space export, on these
 fixed inputs, fails here. The larger folds (n = 40 and 60, the first 40 and
 60 bases drawn by ``random.Random(1)``) were recorded before the bounded φ0
 selector went in; they reach internal loops and hairpins past the 30-entry
-tables and steps with many tied candidates.
+tables and steps with many tied candidates. The loop-table folds of the
+first 80 and 100 bases were recorded before the adaptation search built
+children lazily; at these sizes most of a fold is adaptation search.
 """
 
 import contextlib
@@ -50,10 +52,15 @@ FOLD_DIGESTS = {
     ),
 }
 
-# the first 40 and 60 of ``"".join(rng.choice("ACGU") ...)`` with rng = random.Random(1)
+# the first 40, 60, 80 and 100 of ``"".join(rng.choice("ACGU") ...)`` with rng = random.Random(1)
 SEEDED = {
     40: "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUA",
     60: "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUACGAGUCGGUUAUCUUCGGAU",
+    80: "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUACGAGUCGGUUAUCUUCGGAUACUGUAUAGUCCCACCUGGU",
+    100: (
+        "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUACGAGUCGGUUAUCUUCGGAUACUGUAUAGUCCCACCUGGU"
+        "GAUCCUAUGCUUGUGAGUAC"
+    ),
 }
 
 # (config, strand length, extra flags, trace digest)
@@ -62,6 +69,10 @@ LARGE_FOLDS = (
      "0e49c1ac96d1ec9714b49eb9e402f562ddeb32d569ce094d6652b53999770459"),
     ("loop-table", 60, ["--energy", "loop-table"],
      "4248b59ff9dad191ee7e87c61d38e73f81aad928856f1147380eb22b1278b4f6"),
+    ("loop-table", 80, ["--energy", "loop-table"],
+     "c9402e21eb5accb44325cde7853f2ef15f9b68995c4d6c3d571c4167251883fe"),
+    ("loop-table", 100, ["--energy", "loop-table"],
+     "d423a0060bf6b9b0da7daf4e59883a9e40860bd45e7772e329f098969419195c"),
     ("nussinov", 40, ["--energy", "nussinov"],
      "6aad0a9c32ab1a26cecdef131103bc261bbed04e56c25747328aa147231ba0c3"),
     ("nussinov", 60, ["--energy", "nussinov"],

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 2 usage or configuration error (an external evaluator
 command that cannot be found included), 3 truncated result, 4 the external
 evaluator failed during the run (timeout, nonzero exit, unparsable or
-non-finite output).
+non-finite output). Any other exception is an internal error and propagates
+(exit 1 with a traceback).
 """
 
 from __future__ import annotations
@@ -12,10 +13,17 @@ import argparse
 import functools
 import math
 import os
+import shlex
 import sys
 from pathlib import Path
 
-from .controller import AdaptiveMachine, Controller, RunLimits
+from .controller import (
+    AdaptiveMachine,
+    Controller,
+    MachineConfigError,
+    RunLimits,
+    UnknownStrategyError,
+)
 from .energy import (
     EnergyModel,
     ExternalEvaluationError,
@@ -23,6 +31,7 @@ from .energy import (
     ExternalModel,
     LoopTableModel,
     NussinovModel,
+    ParameterError,
     decompose_loops,
     example_parameters,
     load_parameters,
@@ -31,7 +40,13 @@ from .energy import (
 )
 from .grammar import ALL_RULES, RULE_DESCRIPTIONS, Grammar, LoopKind
 from .space import ExploreLimits, build_lts, export_lts, stats
-from .structure import PrimarySequence, StructureError, parse_dot_bracket, parse_sequence
+from .structure import (
+    PrimarySequence,
+    SequenceError,
+    StructureError,
+    parse_dot_bracket,
+    parse_sequence,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,11 +55,31 @@ EXIT_EVALUATOR = 4
 
 ENV_EXTERNAL_CMD = "GRAFOLD_EXTERNAL_CMD"
 
-_CONFIG_ERRORS = (ValueError, OSError)
-
 
 class ConfigError(ValueError):
     """Bad flags or unreadable inputs; maps to exit code 2."""
+
+
+#: The errors of bad input, each exit code 2: flags, the sequence, the
+#: parameter and machine files (an input file that is not UTF-8 included)
+#: and the files written.
+_CONFIG_ERRORS = (
+    ConfigError,
+    SequenceError,
+    ParameterError,
+    MachineConfigError,
+    UnknownStrategyError,
+    UnicodeDecodeError,
+    OSError,
+)
+
+
+def _from_flags(build, **fields):
+    """``build(**fields)``, where a ``ValueError`` means a flag out of range."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _load_sequence(value: str) -> PrimarySequence:
@@ -70,11 +105,18 @@ def _build_model(args: argparse.Namespace) -> EnergyModel:
         raise ConfigError(
             f"external energy mode needs --external-cmd or ${ENV_EXTERNAL_CMD}"
         )
+    try:
+        argv = shlex.split(command)
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse external command {command!r}: {exc}") from None
+    if not argv:
+        raise ConfigError(f"external command {command!r} names no program")
     return ExternalModel(ExternalEvaluator(command))
 
 
 def _build_grammar(args: argparse.Namespace) -> Grammar:
-    return Grammar(
+    return _from_flags(
+        Grammar,
         min_hairpin_unpaired=args.min_hairpin,
         allow_inverse=getattr(args, "allow_inverse", False),
     )
@@ -109,7 +151,8 @@ def cmd_fold(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     seq = _load_sequence(args.seq)
-    limits = ExploreLimits(
+    limits = _from_flags(
+        ExploreLimits,
         max_states=args.max_states,
         max_depth=args.max_depth,
         max_seconds=args.max_seconds,

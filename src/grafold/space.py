@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from statistics import linear_regression
 
 from .energy import EnergyModel, observable
-from .grammar import Grammar, Match, RuleId, _apply_unchecked, enumerate_matches
-from .structure import PrimarySequence, SecondaryStructure
+from .grammar import ALL_RULES, Grammar, Match, RuleId, _apply_unchecked, enumerate_matches
+from .structure import PrimarySequence, SecondaryStructure, key_with_pairs
 
 __all__ = [
     "ExploreLimits",
@@ -119,7 +119,9 @@ def build_lts(
     """Breadth-first closure of the folding space from the unfolded state.
 
     States are deduplicated by dot-bracket key and annotated with their
-    observable. When a limit triggers, the result is marked via
+    observable. Each match's target key is read off its source's key
+    (:func:`key_with_pairs`), so a target is built and scored only when its
+    key is new. When a limit triggers, the result is marked via
     ``truncated_by`` instead of failing.
     """
     limits = limits or ExploreLimits()
@@ -128,7 +130,8 @@ def build_lts(
     states = [LTSState(0, s0.key, s0, observable(s0, em))]
     index: dict[str, int] = {s0.key: 0}
     depths = [0]
-    edges: dict[tuple[int, int, RuleId], int] = {}
+    # (source, target, rule position in ALL_RULES) -> parallel matches
+    edges: dict[tuple[int, int, int], int] = {}
     terminal: set[int] = set()
     truncated: str | None = None
     queue: deque[int] = deque([0])
@@ -138,36 +141,40 @@ def build_lts(
             truncated = "max_seconds"
             break
         src = queue.popleft()
-        succ = successors(states[src].structure, g)
-        if not succ:
+        source = states[src]
+        matches = enumerate_matches(source.structure, g)
+        if not matches:
             terminal.add(src)
             continue
         if limits.max_depth is not None and depths[src] >= limits.max_depth:
             truncated = "max_depth"
             continue
-        for match, target in succ:
-            tgt = index.get(target.key)
-            e = observable(target, em) if tgt is None else states[tgt].energy
-            if limits.energy_ceiling is not None and e > limits.energy_ceiling:
-                truncated = "energy_ceiling"
-                continue
-            if tgt is None:
+        at = 0  # the match's rule position: matches come out in ALL_RULES order
+        for match in matches:
+            while match.rule is not ALL_RULES[at]:
+                at += 1
+            key = key_with_pairs(source.key, match.added)
+            tgt = index.get(key)
+            if tgt is None:  # an indexed target passed the ceiling when it was added
+                target = _apply_unchecked(source.structure, match)
+                e = observable(target, em)
+                if limits.energy_ceiling is not None and e > limits.energy_ceiling:
+                    truncated = "energy_ceiling"
+                    continue
                 if limits.max_states is not None and len(states) >= limits.max_states:
                     truncated = "max_states"
                     continue
                 tgt = len(states)
-                states.append(LTSState(tgt, target.key, target, e))
-                index[target.key] = tgt
+                states.append(LTSState(tgt, key, target, e))
+                index[key] = tgt
                 depths.append(depths[src] + 1)
                 queue.append(tgt)
-            key = (src, tgt, match.rule)
-            edges[key] = edges.get(key, 0) + 1
+            edge = (src, tgt, at)
+            edges[edge] = edges.get(edge, 0) + 1
 
     transitions = tuple(
-        LTSTransition(src, tgt, rule, count)
-        for (src, tgt, rule), count in sorted(
-            edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].sort_key)
-        )
+        LTSTransition(src, tgt, ALL_RULES[at], count)
+        for (src, tgt, at), count in sorted(edges.items())
     )
     return LTS(
         sequence=seq,
@@ -307,8 +314,8 @@ def alternating_gc_sequence(n: int) -> PrimarySequence:
 # ---------------------------------------------------------------------------
 
 
-def _energy_json(e: float) -> float | None:
-    return None if math.isinf(e) else e
+def _energy_json(e: float) -> str:
+    return "null" if math.isinf(e) else repr(e)
 
 
 def _energy_label(e: float) -> str:
@@ -328,26 +335,36 @@ def export_lts(lts: LTS, fmt: str) -> str:
     raise ValueError(f"unknown export format {fmt!r} (expected 'json' or 'dot')")
 
 
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
 def _export_json(lts: LTS) -> str:
-    doc = {
-        "sequence": lts.sequence.bases,
-        "grammar": {
-            "min_hairpin": lts.min_hairpin,
-            "allow_inverse": lts.allow_inverse,
-        },
-        "energy_mode": lts.energy_mode,
-        "states": [
-            {"id": st.index, "db": st.key, "energy": _energy_json(st.energy)}
-            for st in lts.states
-        ],
-        "transitions": [
-            {"from": t.source, "to": t.target, "rule": t.rule.label, "matches": t.matches}
-            for t in lts.transitions
-        ],
-        "initial": lts.initial,
-        "truncated_by": lts.truncated_by,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The bytes ``json.dumps(doc, indent=2) + "\\n"`` gives for the export
+    as a document of dicts, written from one template per state and one per
+    transition: ``json`` has no C encoder for indented output. Keys hold only
+    ``.()`` and rule labels are fixed ASCII, so neither needs escaping; the
+    header strings go through ``json.dumps``."""
+    states = [
+        f'    {{\n      "id": {st.index},\n      "db": "{st.key}",\n'
+        f'      "energy": {_energy_json(st.energy)}\n    }}'
+        for st in lts.states
+    ]
+    transitions = [
+        f'    {{\n      "from": {t.source},\n      "to": {t.target},\n'
+        f'      "rule": "{t.rule.label}",\n      "matches": {t.matches}\n    }}'
+        for t in lts.transitions
+    ]
+    return (
+        f'{{\n  "sequence": {json.dumps(lts.sequence.bases)},\n'
+        f'  "grammar": {{\n    "min_hairpin": {lts.min_hairpin},\n'
+        f'    "allow_inverse": {json.dumps(lts.allow_inverse)}\n  }},\n'
+        f'  "energy_mode": {json.dumps(lts.energy_mode)},\n'
+        f'  "states": {_json_list(states)},\n'
+        f'  "transitions": {_json_list(transitions)},\n'
+        f'  "initial": {lts.initial},\n'
+        f'  "truncated_by": {json.dumps(lts.truncated_by)}\n}}\n'
+    )
 
 
 def _export_dot(lts: LTS) -> str:

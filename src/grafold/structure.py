@@ -31,6 +31,7 @@ __all__ = [
     "validate_structure",
     "parse_dot_bracket",
     "emit_dot_bracket",
+    "key_with_pairs",
     "loop_index",
 ]
 
@@ -390,6 +391,21 @@ def emit_dot_bracket(s: SecondaryStructure) -> str:
     """
     chars = ["."] * s.n
     for i, j in s.pairs:
+        chars[i] = "("
+        chars[j] = ")"
+    return "".join(chars)
+
+
+def key_with_pairs(key: str, pairs: Iterable[BasePair]) -> str:
+    """The key of a structure with key ``key`` plus ``pairs``: ``key`` with
+    '(' and ')' written at each pair's ends.
+
+    Equals ``SecondaryStructure(seq, s.pairs | pairs).key`` when ``key`` is
+    ``s.key`` and the pairs join positions unpaired in ``s``, so a caller can
+    look a successor up before it builds it.
+    """
+    chars = list(key)
+    for i, j in pairs:
         chars[i] = "("
         chars[j] = ")"
     return "".join(chars)

@@ -5,22 +5,27 @@ exhaustive recursive enumeration of valid structures, a maximum-pairing
 dynamic program, a brute-force match scan driven only by the public gluing
 predicate, a loop decomposition by a stack walk over the sorted pairs,
 loop-table terms read straight off the parameter tables, and the greedy
-choice taken over fully built, fully scored successors. The one exception is
+choice taken over fully built, fully scored successors. The exceptions are
 the eager adaptation search, a controller subclass that keeps the
 controller's constraint checks but builds and checks every child of a
-structure as soon as it expands it.
+structure as soon as it expands it, and the reference folding-space build
+and JSON export, which keep the package's records but build and key every
+successor and encode through ``json.dumps``.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import time
 from collections import deque
 from functools import lru_cache
 from itertools import combinations
 
 from grafold.controller import AdaptationOutcome, Controller, _path
 from grafold.energy import EnergyModel, Loop, LoopClass, LoopTableParams, observable
-from grafold.grammar import ALL_RULES, Grammar, LoopKind, Match, gluing_check
+from grafold.grammar import ALL_RULES, Grammar, LoopKind, Match, RuleId, gluing_check
+from grafold.space import LTS, ExploreLimits, LTSState, LTSTransition, successors
 from grafold.structure import (
     BasePair,
     PrimarySequence,
@@ -244,3 +249,94 @@ class EagerController(Controller):
                 parent[child.key] = (node.key, label, child)
                 queue.append((depth + 1, child))
         return AdaptationOutcome(False, limit_hit or "exhausted")
+
+
+def built_lts(
+    seq: PrimarySequence, g: Grammar, em: EnergyModel, limits: ExploreLimits | None = None
+) -> LTS:
+    """The folding space built by building every successor of a state
+    (``space.successors``) and keying the built structure, with parallel
+    matches merged under their ``RuleId`` and transitions sorted by
+    (source, target, rule order)."""
+    limits = limits or ExploreLimits()
+    start = time.monotonic()
+    s0 = SecondaryStructure(seq)
+    states = [LTSState(0, s0.key, s0, observable(s0, em))]
+    index: dict[str, int] = {s0.key: 0}
+    depths = [0]
+    edges: dict[tuple[int, int, RuleId], int] = {}
+    terminal: set[int] = set()
+    truncated: str | None = None
+    queue: deque[int] = deque([0])
+
+    while queue:
+        if limits.max_seconds is not None and time.monotonic() - start > limits.max_seconds:
+            truncated = "max_seconds"
+            break
+        src = queue.popleft()
+        succ = successors(states[src].structure, g)
+        if not succ:
+            terminal.add(src)
+            continue
+        if limits.max_depth is not None and depths[src] >= limits.max_depth:
+            truncated = "max_depth"
+            continue
+        for match, target in succ:
+            tgt = index.get(target.key)
+            e = observable(target, em) if tgt is None else states[tgt].energy
+            if limits.energy_ceiling is not None and e > limits.energy_ceiling:
+                truncated = "energy_ceiling"
+                continue
+            if tgt is None:
+                if limits.max_states is not None and len(states) >= limits.max_states:
+                    truncated = "max_states"
+                    continue
+                tgt = len(states)
+                states.append(LTSState(tgt, target.key, target, e))
+                index[target.key] = tgt
+                depths.append(depths[src] + 1)
+                queue.append(tgt)
+            key = (src, tgt, match.rule)
+            edges[key] = edges.get(key, 0) + 1
+
+    transitions = tuple(
+        LTSTransition(src, tgt, rule, count)
+        for (src, tgt, rule), count in sorted(
+            edges.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].sort_key)
+        )
+    )
+    return LTS(
+        sequence=seq,
+        min_hairpin=g.min_hairpin_unpaired,
+        allow_inverse=g.allow_inverse,
+        energy_mode=em.mode,
+        states=tuple(states),
+        transitions=transitions,
+        depths=tuple(depths),
+        terminal=frozenset(terminal),
+        truncated_by=truncated,
+    )
+
+
+def json_export(lts: LTS) -> str:
+    """The folding-space JSON export as ``json.dumps`` writes it: a document
+    of dicts, 2-space indent, +inf and -inf observables as null."""
+    doc = {
+        "sequence": lts.sequence.bases,
+        "grammar": {
+            "min_hairpin": lts.min_hairpin,
+            "allow_inverse": lts.allow_inverse,
+        },
+        "energy_mode": lts.energy_mode,
+        "states": [
+            {"id": st.index, "db": st.key, "energy": None if math.isinf(st.energy) else st.energy}
+            for st in lts.states
+        ],
+        "transitions": [
+            {"from": t.source, "to": t.target, "rule": t.rule.label, "matches": t.matches}
+            for t in lts.transitions
+        ],
+        "initial": lts.initial,
+        "truncated_by": lts.truncated_by,
+    }
+    return json.dumps(doc, indent=2) + "\n"

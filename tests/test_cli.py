@@ -360,3 +360,48 @@ class TestExternalMode:
         assert code == 2
         assert err.startswith("error: external evaluator command-not-found")
         assert err.count("\n") == 1
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fold", "--seq", "GGGAAACCC", "--min-hairpin", "0"],
+             "min_hairpin_unpaired must be >= 1"),
+            (["enumerate", "--seq", "GGGAAACCC", "--min-hairpin", "0"],
+             "min_hairpin_unpaired must be >= 1"),
+            (["enumerate", "--seq", "GGGAAACCC", "--max-states", "0"],
+             "max_states must be positive, got 0"),
+            (["enumerate", "--seq", "GGGAAACCC", "--max-depth", "-1"],
+             "max_depth must be positive, got -1"),
+            (["enumerate", "--seq", "GGGAAACCC", "--max-seconds", "0"],
+             "max_seconds must be positive, got 0.0"),
+            (["eval", "--seq", "GAAAC", "--db", "(...)", "--energy", "external",
+              "--external-cmd", "stub 'unclosed"], "cannot parse external command"),
+            (["eval", "--seq", "GAAAC", "--db", "(...)", "--energy", "external",
+              "--external-cmd", " "], "names no program"),
+        ],
+        ids=["fold-min-hairpin", "enumerate-min-hairpin", "max-states", "max-depth",
+             "max-seconds", "unparsable-external-cmd", "empty-external-cmd"],
+    )
+    def test_flag_out_of_range_exits_2(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_input_file_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "seq.fa"
+        path.write_bytes(b"\xff\xfeGAAAC\n")
+        code, _, err = run_cli(["fold", "--seq", f"@{path}"], capsys)
+        assert code == 2 and err.startswith("error: ")
+
+    def test_internal_value_error_propagates(self, monkeypatch):
+        # exit 2 means bad input; a ValueError from inside the program is a
+        # bug and must surface as one (exit 1 with a traceback)
+        def broken_build(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr("grafold.cli.build_lts", broken_build)
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["enumerate", "--seq", "GGGAAACCC"])

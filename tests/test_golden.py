@@ -9,6 +9,11 @@ selector went in; they reach internal loops and hairpins past the 30-entry
 tables and steps with many tied candidates. The loop-table folds of the
 first 80 and 100 bases were recorded before the adaptation search built
 children lazily; at these sizes most of a fold is adaptation search.
+The further folding-space exports (DOT, each exploration limit alone and
+two together, a strand too short to fold, and the n = 18 Nussinov export
+that is the benchmark's largest) were recorded before the build keyed each
+successor before building it and before JSON was written without ``json``'s
+encoder.
 """
 
 import contextlib
@@ -84,10 +89,37 @@ LARGE_FOLDS = (
 
 ENUMERATE_DIGEST = "ecb98f545e1402619c90a46c5508dbd4a7c234e102755c85f1d9afaeca02b37c"
 
+GC14 = ["--seq", "GCGCGCGCGCGCGC", "--energy", "loop-table"]
 
-def _digest_of(argv: list[str], path: Path) -> str:
+# name: (enumerate flags, exit code, export digest); exit 3 is a truncated space
+EXPORTS = {
+    "dot": ([*GC14, "--export", "dot"], 0,
+            "4bb691a89ce681c009a61b496d3bca2c3917bf6d3740e473b3fbbc253c619e55"),
+    "max-states": ([*GC14, "--max-states", "40"], 3,
+                   "80621b76750d53bd391a40d24bcc393132024b8c9d1193c43b89c745e0d7f738"),
+    "max-states-dot": (
+        ["--seq", "GCGCGCGCGCGCGC", "--max-states", "40", "--export", "dot"], 3,
+        "02ecc55813fcc804b2871a91432dfd8c3f1e835788d2a8834688eddabf1fbfca"),
+    "max-depth": ([*GC14, "--max-depth", "2"], 3,
+                  "7d2bb62c194ed2e7ab1d6e9c8c004813257cc654045326dc4d3faa1201b56aed"),
+    "energy-ceiling": ([*GC14, "--energy-ceiling", "3.0"], 3,
+                       "c5b499cef59526720954f1e38a5a20da4f26f573dd35bfc64bf0e07ccd0ff2ca"),
+    "max-states-and-ceiling": (
+        [*GC14, "--max-states", "30", "--energy-ceiling", "3.0"], 3,
+        "3bd23801e311d8dbe03fa6f9cc26338bd62bdc11c19d35b7c50706c4b4e54742"),
+    "max-depth-and-ceiling": (
+        [*GC14, "--max-depth", "1", "--energy-ceiling", "3.0"], 3,
+        "bc00f7039fc96c29cf0ff8c0453d5a671ed0da5998e3bcbbdef081071b59f8ae"),
+    "too-short": (["--seq", "GCGC", "--energy", "loop-table"], 0,
+                  "bae7f255b657b7f56b08fca824ec1d89acc8e654d9dfb30b59e26484e610a58f"),
+    "nussinov-18": (["--seq", "GCGCGCGCGCGCGCGCGC", "--energy", "nussinov"], 0,
+                    "209a24098ec7faa289e2803a8047526a7ab4cdecf2069d1b8edfe9085ca5b523"),
+}
+
+
+def _digest_of(argv: list[str], path: Path, code: int = 0) -> str:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv) == 0
+        assert main(argv) == code
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
@@ -113,3 +145,10 @@ def test_enumerate_export_bytes(tmp_path):
     argv = ["enumerate", "--seq", "GCGCGCGCGCGCGC", "--energy", "loop-table",
             "--export", "json", "--out", str(out)]
     assert _digest_of(argv, out) == ENUMERATE_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(EXPORTS))
+def test_enumerate_export_bytes_more(name, tmp_path):
+    flags, code, digest = EXPORTS[name]
+    out = tmp_path / "space"
+    assert _digest_of(["enumerate", *flags, "--out", str(out)], out, code) == digest

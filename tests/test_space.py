@@ -1,10 +1,15 @@
+import itertools
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafold.energy import NussinovModel
+import grafold.structure
+import oracles
+from grafold import space
+from grafold.energy import LoopTableModel, NussinovModel, example_parameters
 from grafold.grammar import Grammar
 from grafold.space import (
     ExploreLimits,
@@ -21,10 +26,11 @@ from grafold.space import (
 )
 from grafold.structure import PrimarySequence, SecondaryStructure, validate_structure
 from conftest import COMPLETENESS_SEQUENCES, SOUNDNESS_SEQUENCES, ScriptedModel
-from oracles import all_valid_structures, nussinov_max_pairs
+from oracles import all_valid_structures, built_lts, json_export, nussinov_max_pairs
 
 MODEL = NussinovModel()
 G3 = Grammar()
+MODELS = {"nussinov": MODEL, "loop-table": LoopTableModel(example_parameters())}
 
 
 class TestSuccessors:
@@ -112,6 +118,75 @@ def test_reachability_matches_enumeration_on_random_sequences(bases, min_h):
     seq = PrimarySequence(bases)
     lts = build_lts(seq, Grammar(min_hairpin_unpaired=min_h), MODEL)
     assert {s.structure.pairs for s in lts.states} == all_valid_structures(seq, min_h)
+
+
+class FakeClock:
+    """A stand-in for the ``time`` module whose clock advances one second
+    per reading, so a ``max_seconds`` budget ends a build after a fixed
+    number of BFS pops."""
+
+    def __init__(self):
+        self._ticks = itertools.count()
+
+    def monotonic(self) -> float:
+        return float(next(self._ticks))
+
+
+@given(
+    bases=st.text(alphabet="ACGU", min_size=1, max_size=14),
+    model=st.sampled_from(sorted(MODELS)),
+    min_h=st.sampled_from([1, 3]),
+    allow_inverse=st.booleans(),
+    max_states=st.sampled_from([None, 1, 2, 7, 40]),
+    max_depth=st.sampled_from([None, 1, 2]),
+    max_seconds=st.sampled_from([None, 0.5, 3.5, 20.5]),
+    energy_ceiling=st.sampled_from([None, -4.0, -1.0, 0.0, 2.5]),
+)
+@settings(max_examples=150, deadline=None)
+def test_build_and_export_equal_the_reference(
+    bases, model, min_h, allow_inverse, max_states, max_depth, max_seconds, energy_ceiling
+):
+    # the keyed build against one that builds and keys every successor, and
+    # the written JSON against json.dumps, under every exploration limit
+    seq = PrimarySequence(bases)
+    g = Grammar(min_hairpin_unpaired=min_h, allow_inverse=allow_inverse)
+    limits = ExploreLimits(max_states, max_depth, max_seconds, energy_ceiling)
+    with mock.patch.object(space, "time", FakeClock()):
+        lts = build_lts(seq, g, MODELS[model], limits)
+    with mock.patch.object(oracles, "time", FakeClock()):
+        ref = built_lts(seq, g, MODELS[model], limits)
+    assert lts == ref
+    assert export_lts(lts, "json") == json_export(ref)
+    assert export_lts(lts, "dot") == export_lts(ref, "dot")
+
+
+@pytest.mark.parametrize("energy", [-0.0, 1e-300, -12.25, 1 / 3, 1e22, float("-inf")])
+def test_json_energies_written_as_json_writes_them(seq_gaaac, energy):
+    lts = build_lts(seq_gaaac, G3, ScriptedModel(default=lambda s: energy))
+    assert export_lts(lts, "json") == json_export(lts)
+
+
+def test_each_new_state_built_once(seq_gggaaaccc):
+    # a match whose target key is already indexed builds nothing: one
+    # structure per state and one key (the start state's) for the whole build
+    built, keyed = [], []
+    post_init = SecondaryStructure.__post_init__
+    emit = grafold.structure.emit_dot_bracket
+
+    def counting_post_init(s):
+        built.append(s)
+        post_init(s)
+
+    def counting_emit(s):
+        keyed.append(s)
+        return emit(s)
+
+    with mock.patch.object(SecondaryStructure, "__post_init__", counting_post_init), \
+            mock.patch.object(grafold.structure, "emit_dot_bracket", counting_emit):
+        lts = build_lts(seq_gggaaaccc, G3, MODEL)
+    assert len(lts.transitions) > len(lts.states) == 20
+    assert len(built) == len(lts.states)
+    assert len(keyed) == 1
 
 
 class TestLimits:

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grafold.grammar import Grammar, _apply_unchecked, enumerate_matches
 from grafold.structure import (
     BasePair,
     PrimarySequence,
@@ -10,6 +11,7 @@ from grafold.structure import (
     StructureError,
     emit_dot_bracket,
     is_admissible_pair,
+    key_with_pairs,
     pairs_cross,
     parse_dot_bracket,
     parse_sequence,
@@ -202,3 +204,21 @@ def test_parse_sequence_normalizes_to_upper_rna(text):
     assert len(seq) == len(text)
     # idempotent once normalized
     assert parse_sequence(seq.bases).bases == seq.bases
+
+
+@pytest.mark.parametrize("min_h", [1, 3], ids=["min1", "min3"])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_key_with_pairs_along_derivations(min_h, bases, data):
+    # at every structure of a random derivation, each match's target key read
+    # off the source key is the key of the built target
+    grammar = Grammar(min_hairpin_unpaired=min_h)
+    s = SecondaryStructure(PrimarySequence(bases))
+    while True:
+        matches = enumerate_matches(s, grammar)
+        for m in matches:
+            built = SecondaryStructure(s.sequence, s.pairs | frozenset(m.added))
+            assert key_with_pairs(s.key, m.added) == built.key
+        if not matches:
+            break
+        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)))

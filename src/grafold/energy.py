@@ -160,15 +160,27 @@ class LoopTableParams:
     multibranch_offset: float
     multibranch_per_branch: float
     multibranch_per_unpaired: float
+    # (table label, length) -> the term past that table's end, once worked out
+    _extrapolated: dict[tuple[str, int], float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
-def _extrapolated_term(table: Mapping[int, float], length: int, label: str) -> float:
-    """The term of a ``length`` missing from ``table``: past its end, the
-    last entry extrapolated logarithmically."""
-    longest = max(table)
-    if length < min(table):
-        raise ParameterError(f"{label} table has no entry for length {length}")
-    return table[longest] + _EXTRAPOLATION_COEFF * math.log(length / longest)
+def _extrapolated_term(
+    params: LoopTableParams, table: Mapping[int, float], length: int, label: str
+) -> float:
+    """The term of a ``length`` missing from ``table``, the ``label`` table
+    of ``params``: past its end, the last entry extrapolated
+    logarithmically, worked out once per parameter set and length."""
+    key = (label, length)
+    term = params._extrapolated.get(key)
+    if term is None:
+        longest = max(table)
+        if length < min(table):
+            raise ParameterError(f"{label} table has no entry for length {length}")
+        term = table[longest] + _EXTRAPOLATION_COEFF * math.log(length / longest)
+        params._extrapolated[key] = term
+    return term
 
 
 def loop_energy_term(loop: Loop, seq: PrimarySequence, params: LoopTableParams) -> float:
@@ -207,7 +219,7 @@ def _term(
     else:
         table = params.bulge if kind is _BULGE else params.internal
     term = table.get(unpaired)
-    return _extrapolated_term(table, unpaired, kind.value) if term is None else term
+    return _extrapolated_term(params, table, unpaired, kind.value) if term is None else term
 
 
 def _terms(params: LoopTableParams, bases: str, regions: list[LoopRegion]) -> list[float]:

@@ -37,9 +37,11 @@ minimum hairpin size:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 
 from .structure import (
     BASES,
@@ -215,6 +217,12 @@ class Match:
         return (self.rule.sort_key, self.added, self.context)
 
 
+# the slot setters of a Match, which skip the frozen ``__setattr__``
+_set_rule, _set_added, _set_context = (
+    Match.rule.__set__, Match.added.__set__, Match.context.__set__
+)
+
+
 def _unchecked_match(
     rule: RuleId, added: tuple[BasePair, ...], context: tuple[BasePair, ...] = ()
 ) -> Match:
@@ -222,9 +230,9 @@ def _unchecked_match(
     whose pairs are already sorted ``BasePair(i < j)`` tuples of the rule's
     arity."""
     m = object.__new__(Match)
-    object.__setattr__(m, "rule", rule)
-    object.__setattr__(m, "added", added)
-    object.__setattr__(m, "context", context)
+    _set_rule(m, rule)
+    _set_added(m, added)
+    _set_context(m, context)
     return m
 
 
@@ -256,69 +264,68 @@ _RULE1_BY_GAPS = {
     (True, True): INTERNAL_1,
 }
 
-#: The tables above with each rule's position in ``ALL_RULES``: the
-#: enumerator's bucket of that rule.
-_RULE2_AT = {gaps: (rule, ALL_RULES.index(rule)) for gaps, rule in _RULE2_BY_GAPS.items()}
-_RULE1_AT = {gaps: (rule, ALL_RULES.index(rule)) for gaps, rule in _RULE1_BY_GAPS.items()}
-_MULTI_AT = {more: (rule, ALL_RULES.index(rule)) for more, rule in ((False, MULTI_1), (True, MULTI_2))}
+#: The positions in ``ALL_RULES`` of the rules of the tables above: the
+#: enumerator's bucket of each rule.
+_RULE2_AT = {gaps: ALL_RULES.index(rule) for gaps, rule in _RULE2_BY_GAPS.items()}
+_RULE1_AT = {gaps: ALL_RULES.index(rule) for gaps, rule in _RULE1_BY_GAPS.items()}
+_MULTI_AT = {False: ALL_RULES.index(MULTI_1), True: ALL_RULES.index(MULTI_2)}
 
 #: The bases each base may pair with (Watson-Crick plus G-U wobble).
 _PAIRS_WITH = {a: "".join(b for b in sorted(BASES) if is_admissible_pair(a, b)) for a in BASES}
 
 
-def _sites(s: SecondaryStructure, g: Grammar, view: LoopIndex) -> list[tuple]:
-    """The outer pairs a forward move of ``s`` can add, in enumeration order.
+def _loop_sites(bases: str, min_hairpin: int, region: LoopRegion) -> list[tuple]:
+    """The outer pairs a forward move can add inside one loop, by (a, b).
 
     Every rule adds its pairs inside one loop: a new pair (a, b) joins two
-    admissible unpaired positions of one loop of ``view`` (the loop view of
-    ``s``), its children are the loop's branches between them, and its parent
-    is the loop's closing pair when no branch lies outside them. Each site is
-    a tuple ``(pair, kids, outward, c_hi, d_lo, min_span)``: the new pair,
-    its children, the closing pair when the new pair would be the loop's only
-    branch (else None), and the ranges :func:`_inner_pairs` reads.
+    admissible unpaired positions of the loop, its children are the loop's
+    branches between them, and its parent is the loop's closing pair when no
+    branch lies outside them. Each site is a tuple ``(pair, kids, outward,
+    c_hi, d_lo, min_span)``: the new pair, its children, the closing pair
+    when the new pair would be the loop's only branch (else None), and the
+    ranges :func:`_inner_pairs` reads. The sites of a structure are those
+    of its loops (:func:`~grafold.structure.loop_index`).
     """
+    free, before, branches, closing = region.free, region.before, region.branches, region.closing
+    size = len(free)
+    # run_end[k] / run_start[k]: the last / first position of the run of
+    # consecutive unpaired positions through free[k]
+    run_end = free[:]
+    for k in range(size - 2, -1, -1):
+        if free[k + 1] == free[k] + 1:
+            run_end[k] = run_end[k + 1]
+    run_start = free[:]
+    for k in range(1, size):
+        if free[k - 1] == free[k] - 1:
+            run_start[k] = run_start[k - 1]
+    all_branches = len(branches)
     sites = []
-    bases, n, partner = s.sequence.bases, s.n, s.partner
-    min_h = g.min_hairpin_unpaired
-    loops, owner, slot = view
-    # run_end[a] / run_start[b]: the last / first position of the run of
-    # consecutive unpaired positions through a / b
-    run_end = [0] * n
-    for pos in range(n - 1, -1, -1):
-        run_end[pos] = run_end[pos + 1] if pos + 1 < n and pos + 1 not in partner else pos
-    run_start = [0] * n
-    for pos in range(n):
-        run_start[pos] = run_start[pos - 1] if pos and pos - 1 not in partner else pos
-
-    for a in range(n):
-        if owner[a] < 0:
-            continue
-        loop = loops[owner[a]]
-        free, before, branches, closing = loop.free, loop.before, loop.branches, loop.closing
+    for x in range(size):
+        a = free[x]
         mates = _PAIRS_WITH[bases[a]]
-        left = before[slot[a]]
-        for y in range(slot[a] + 1, len(free)):
+        left, a_end = before[x], run_end[x]
+        for y in range(x + 1, size):
             b = free[y]
             if bases[b] not in mates:
                 continue
             kids = tuple(branches[left : before[y]])
-            if not kids and b - a - 1 < min_h:
+            if not kids and b - a - 1 < min_hairpin:
                 continue
             outward = (
-                closing if closing is not None and left == 0 and before[y] == len(branches)
+                closing if closing is not None and left == 0 and before[y] == all_branches
                 else None
             )
             sites.append((
-                BasePair(a, b), kids, outward, min(run_end[a], b - 1), max(run_start[b], a + 1),
-                2 if kids else min_h + 1,
+                BasePair(a, b), kids, outward, min(a_end, b - 1), max(run_start[y], a + 1),
+                2 if kids else min_hairpin + 1,
             ))
     return sites
 
 
 def _inner_pairs(bases: str, site: tuple) -> list[BasePair]:
     """The inner pairs (c, d) of the Rule-1 doubles on the outer pair of a
-    :func:`_sites` site, by (c, d): c in the unpaired run after a, d in the
-    run before b, enclosing the children or a hairpin."""
+    :func:`_loop_sites` site, by (c, d): c in the unpaired run after a, d in
+    the run before b, enclosing the children or a hairpin."""
     (a, b), _, _, c_hi, d_lo, min_span = site
     out = []
     for c in range(a + 1, c_hi + 1):
@@ -330,8 +337,8 @@ def _inner_pairs(bases: str, site: tuple) -> list[BasePair]:
 
 
 def _stacked_pair(bases: str, site: tuple) -> BasePair | None:
-    """The inner pair (a+1, b-1) of a :func:`_sites` site's outer pair (a, b)
-    when :func:`_inner_pairs` lists it, else None."""
+    """The inner pair (a+1, b-1) of a :func:`_loop_sites` site's outer pair
+    (a, b) when :func:`_inner_pairs` lists it, else None."""
     (a, b), _, _, c_hi, d_lo, min_span = site
     c, d = a + 1, b - 1
     if c <= c_hi and d >= max(d_lo, c + min_span) and bases[d] in _PAIRS_WITH[bases[c]]:
@@ -339,51 +346,89 @@ def _stacked_pair(bases: str, site: tuple) -> BasePair | None:
     return None
 
 
+def _sites(s: SecondaryStructure, g: Grammar, view: LoopIndex) -> list[tuple]:
+    """The :func:`_loop_sites` of every loop of ``view`` (the loop view of
+    ``s``), by outer pair: the order in which :func:`_site_moves` lists each
+    rule's moves in (added, context) order."""
+    bases, min_h = s.sequence.bases, g.min_hairpin_unpaired
+    sites = [site for loop in view.loops for site in _loop_sites(bases, min_h, loop)]
+    sites.sort(key=itemgetter(0))
+    return sites
+
+
+def _site_moves(bases: str, sites: list[tuple]) -> Iterator[tuple[int, tuple, tuple]]:
+    """The forward moves on ``sites``, each as (rule position in
+    ``ALL_RULES``, added pairs, context pairs), site by site.
+
+    Each site gives its outward and inward single-pair moves and the Rule-1
+    doubles across the runs of unpaired positions next to its ends. When the
+    sites come by outer pair, each rule's moves come in (added, context)
+    order. The moves are yielded, not listed, so that a caller which wraps
+    them in :class:`Match` allocates no tuple that outlives its match.
+    """
+    for site in sites:
+        pair, kids, outward, c_hi, d_lo, _ = site
+        a, b = pair
+        added = (pair,)
+        if outward is not None:
+            p, q = outward
+            yield _RULE2_AT[(a - p > 1, q - b > 1)], added, (outward,)
+        if not kids:
+            yield 0, added, ()  # ALL_RULES[0] is HAIRPIN_1
+        elif len(kids) == 1:
+            c, d = kids[0]
+            yield _RULE2_AT[(c - a > 1, b - d > 1)], added, kids
+        else:
+            yield _MULTI_AT[len(kids) > 2], added, kids
+        if c_hi > a and d_lo < b:
+            for inner in _inner_pairs(bases, site):
+                c, d = inner
+                yield _RULE1_AT[(c - a > 1, b - d > 1)], (pair, inner), ()
+
+
+def _merged(loop_moves: list[list[list]]) -> list[list]:
+    """The moves of a structure from those of its loops, each loop's given
+    as one list per rule of ``ALL_RULES`` of its (added, context) moves in
+    that order: per rule, the loops' moves in that order. Two loops never
+    add the same outer pair, so only a rule fed by two or more loops needs a
+    sort. The result may share lists with the input: callers must not
+    change either."""
+    if len(loop_moves) == 1:
+        return loop_moves[0]
+    merged = []
+    for lists in zip(*loop_moves):
+        fed = [moves for moves in lists if moves]
+        if len(fed) > 1:
+            merged.append(sorted([move for moves in fed for move in moves]))
+        else:
+            merged.append(fed[0] if fed else [])
+    return merged
+
+
 def enumerate_matches(
     s: SecondaryStructure, g: Grammar, sites: list[tuple] | None = None
 ) -> list[Match]:
     """Every match of every grammar rule on ``s``, in deterministic order.
 
-    The scan walks the outer pairs of :func:`_sites` over one loop index of
-    ``s``: each gives its inward and outward single-pair matches and the
-    Rule-1 doubles across the runs of unpaired positions next to its ends.
-    Each rule's matches come out in (added pairs, context) order, so the
-    result is sorted by (rule, added pairs, context) without a sort.
+    The moves are read off the outer pairs of the loops of ``s``, by outer
+    pair (:func:`_sites`), so each rule's matches come out in (added pairs,
+    context) order and the result is sorted by (rule, added pairs, context)
+    without a sort of the matches.
 
     Args:
         s: A valid structure.
         g: Grammar parameters.
-        sites: ``_sites(s, g, loop_index(s))``, when the caller has it.
+        sites: ``_sites(s, g, loop_index(s))``, when the caller has them.
 
     Returns:
         Sorted list of matches; empty when ``s`` is terminal.
     """
     bases = s.sequence.bases
+    if sites is None:
+        sites = _sites(s, g, loop_index(s))
     buckets: list[list[Match]] = [[] for _ in ALL_RULES]
-    hairpins = buckets[0]  # ALL_RULES[0] is HAIRPIN_1
-
-    for site in _sites(s, g, loop_index(s)) if sites is None else sites:
-        pair, kids, outward, c_hi, d_lo, _ = site
-        a, b = pair
-        if outward is not None:
-            p, q = outward
-            rule, at = _RULE2_AT[(a - p > 1, q - b > 1)]
-            buckets[at].append(_unchecked_match(rule, (pair,), (outward,)))
-        if not kids:
-            hairpins.append(_unchecked_match(HAIRPIN_1, (pair,)))
-        elif len(kids) == 1:
-            c, d = kids[0]
-            rule, at = _RULE2_AT[(c - a > 1, b - d > 1)]
-            buckets[at].append(_unchecked_match(rule, (pair,), kids))
-        else:
-            rule, at = _MULTI_AT[len(kids) > 2]
-            buckets[at].append(_unchecked_match(rule, (pair,), kids))
-        if c_hi > a and d_lo < b:
-            for inner in _inner_pairs(bases, site):
-                c, d = inner
-                rule, at = _RULE1_AT[(c - a > 1, b - d > 1)]
-                buckets[at].append(_unchecked_match(rule, (pair, inner)))
-
+    for at, added, context in _site_moves(bases, sites):
+        buckets[at].append(_unchecked_match(ALL_RULES[at], added, context))
     return [m for bucket in buckets for m in bucket]
 
 

@@ -16,10 +16,21 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from statistics import linear_regression
+from typing import NamedTuple
 
 from .energy import EnergyModel, observable
-from .grammar import ALL_RULES, Grammar, Match, RuleId, _apply_unchecked, enumerate_matches
-from .structure import PrimarySequence, SecondaryStructure, key_with_pairs
+from .grammar import (
+    ALL_RULES,
+    Grammar,
+    Match,
+    RuleId,
+    _apply_unchecked,
+    _loop_sites,
+    _merged,
+    _site_moves,
+    enumerate_matches,
+)
+from .structure import PrimarySequence, SecondaryStructure, key_with_pairs, loop_index
 
 __all__ = [
     "ExploreLimits",
@@ -77,8 +88,7 @@ class LTSState:
     energy: float
 
 
-@dataclass(frozen=True)
-class LTSTransition:
+class LTSTransition(NamedTuple):
     source: int
     target: int
     rule: RuleId
@@ -119,13 +129,18 @@ def build_lts(
     """Breadth-first closure of the folding space from the unfolded state.
 
     States are deduplicated by dot-bracket key and annotated with their
-    observable. Each match's target key is read off its source's key
-    (:func:`key_with_pairs`), so a target is built and scored only when its
-    key is new. When a limit triggers, the result is marked via
+    observable. A state's moves are its loops' moves merged in match order.
+    Each distinct loop is scanned once per build: a move changes one loop
+    of its source and adds one or two, so a state shares most of its loops
+    with the state it was reached from. Each move's target key is read off
+    its source's key (:func:`key_with_pairs`), so a target is built and
+    scored only when its key is new, and a target that a limit turned away
+    is not built again. When a limit triggers, the result is marked via
     ``truncated_by`` instead of failing.
     """
     limits = limits or ExploreLimits()
     start = time.monotonic()
+    bases, min_h = seq.bases, g.min_hairpin_unpaired
     s0 = SecondaryStructure(seq)
     states = [LTSState(0, s0.key, s0, observable(s0, em))]
     index: dict[str, int] = {s0.key: 0}
@@ -134,6 +149,12 @@ def build_lts(
     edges: dict[tuple[int, int, int], int] = {}
     terminal: set[int] = set()
     truncated: str | None = None
+    # the limit that turned a key away: it turns the key away on every
+    # later match too, as the observable is fixed and states are never dropped
+    turned_away: dict[str, str] = {}
+    # a loop's (closing pair, branches) -> its (added, context) moves, one list
+    # per rule of ALL_RULES; () when it has none
+    loop_moves: dict[tuple, list | tuple] = {}
     queue: deque[int] = deque([0])
 
     while queue:
@@ -142,36 +163,51 @@ def build_lts(
             break
         src = queue.popleft()
         source = states[src]
-        matches = enumerate_matches(source.structure, g)
-        if not matches:
+        fed = []
+        for loop in loop_index(source.structure).loops:
+            loop_id = (loop.closing, tuple(loop.branches))
+            moves = loop_moves.get(loop_id)
+            if moves is None:
+                moves = [[] for _ in ALL_RULES]
+                for at, added, context in _site_moves(bases, _loop_sites(bases, min_h, loop)):
+                    moves[at].append((added, context))
+                moves = loop_moves[loop_id] = moves if any(moves) else ()
+            if moves:
+                fed.append(moves)
+        if not fed:
             terminal.add(src)
             continue
         if limits.max_depth is not None and depths[src] >= limits.max_depth:
             truncated = "max_depth"
             continue
-        at = 0  # the match's rule position: matches come out in ALL_RULES order
-        for match in matches:
-            while match.rule is not ALL_RULES[at]:
-                at += 1
-            key = key_with_pairs(source.key, match.added)
-            tgt = index.get(key)
-            if tgt is None:  # an indexed target passed the ceiling when it was added
-                target = _apply_unchecked(source.structure, match)
-                e = observable(target, em)
-                if limits.energy_ceiling is not None and e > limits.energy_ceiling:
-                    truncated = "energy_ceiling"
-                    continue
-                if limits.max_states is not None and len(states) >= limits.max_states:
-                    truncated = "max_states"
-                    continue
-                tgt = len(states)
-                states.append(LTSState(tgt, key, target, e))
-                index[key] = tgt
-                depths.append(depths[src] + 1)
-                queue.append(tgt)
-            edge = (src, tgt, at)
-            edges[edge] = edges.get(edge, 0) + 1
+        pairs = source.structure.pairs
+        for at, moves in enumerate(_merged(fed)):
+            for added, _ in moves:
+                key = key_with_pairs(source.key, added)
+                tgt = index.get(key)
+                if tgt is None:  # an indexed target passed the ceiling when it was added
+                    reason = turned_away.get(key)
+                    if reason is None:
+                        target = SecondaryStructure(seq, pairs | frozenset(added))
+                        e = observable(target, em)
+                        if limits.energy_ceiling is not None and e > limits.energy_ceiling:
+                            reason = "energy_ceiling"
+                        elif limits.max_states is not None and len(states) >= limits.max_states:
+                            reason = "max_states"
+                    if reason is not None:
+                        truncated = turned_away[key] = reason
+                        continue
+                    tgt = len(states)
+                    states.append(LTSState(tgt, key, target, e))
+                    index[key] = tgt
+                    depths.append(depths[src] + 1)
+                    queue.append(tgt)
+                edge = (src, tgt, at)
+                edges[edge] = edges.get(edge, 0) + 1
 
+    # the loops' moves are read no more: dropped before the transitions are
+    # made, where the build's memory peaks
+    loop_moves.clear()
     transitions = tuple(
         LTSTransition(src, tgt, ALL_RULES[at], count)
         for (src, tgt, at), count in sorted(edges.items())

@@ -207,6 +207,28 @@ def short_table_parameters() -> LoopTableParams:
     )
 
 
+@pytest.mark.parametrize("kind", [LoopClass.HAIRPIN, LoopClass.BULGE, LoopClass.INTERNAL])
+def test_length_terms_equal_the_formula(kind):
+    # every length up to 200, read twice from each of two parameter sets
+    # with tables of different lengths: the table's entry, past its end the
+    # last entry extrapolated (bit for bit), and below its first entry an error
+    sets = [short_table_parameters(), rounding_sensitive_parameters()]
+    seq = PrimarySequence("G" + "A" * 201 + "C")
+    branches = () if kind is LoopClass.HAIRPIN else (BasePair(1, 201),)
+    for length in range(201):
+        loop = Loop(kind, BasePair(0, 202), branches, length)
+        for _ in range(2):
+            for params in sets:
+                table = getattr(params, kind.value)
+                if length < min(table):
+                    with pytest.raises(ParameterError, match=f"^{kind.value} table has no entry"):
+                        loop_energy_term(loop, seq, params)
+                    continue
+                longest = max(table)
+                want = table.get(length, table[longest] + 1.75 * 0.616 * math.log(length / longest))
+                assert loop_energy_term(loop, seq, params) == want
+
+
 def assert_moves_score_exactly(s: SecondaryStructure, matches, models=MODELS) -> None:
     # float ==, not approx: the loop-local sum must be the full sum, bit for bit
     for model in models:

@@ -13,7 +13,10 @@ The further folding-space exports (DOT, each exploration limit alone and
 two together, a strand too short to fold, and the n = 18 Nussinov export
 that is the benchmark's largest) were recorded before the build keyed each
 successor before building it and before JSON was written without ``json``'s
-encoder.
+encoder. The exports of random non-GC strands (n = 14 to 16, both energy
+models, minimum hairpin 1 and 3, two of them with multi-branch states) were
+recorded before the build scanned each distinct loop once and merged the
+loops' moves; the merged order decides how new states are numbered.
 """
 
 import contextlib
@@ -116,6 +119,18 @@ EXPORTS = {
                     "209a24098ec7faa289e2803a8047526a7ab4cdecf2069d1b8edfe9085ca5b523"),
 }
 
+# (enumerate flags, JSON export digest) for random ACGU strands
+RANDOM_EXPORTS = (
+    (["--seq", "UUCGCCUGAUACGAGU", "--energy", "loop-table", "--min-hairpin", "1"],
+     "257ef133ac535555b4ae263a0f758e491426778560679675fdc9e6ef6b38ba47"),
+    (["--seq", "CCGCUUGGGUCUUCUG", "--energy", "nussinov", "--min-hairpin", "3"],
+     "29618c570561c25498ae4dfe92699f7b258af72ce4a91a2918b0704b581a0a6e"),
+    (["--seq", "CGAUUCAAAUGACG", "--energy", "nussinov", "--min-hairpin", "1"],
+     "9f1f98e96b9cc2e6766ff65ccce4efa74d656ef89f552d8e9f05d1d864a358af"),
+    (["--seq", "ACGAUGAGUGUACGA", "--energy", "loop-table", "--min-hairpin", "3"],
+     "ddb0a3ea5bd0b4189f73a59ac164071b509b1287aa3a68aa9704d120a14e5899"),
+)
+
 
 def _digest_of(argv: list[str], path: Path, code: int = 0) -> str:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -152,3 +167,12 @@ def test_enumerate_export_bytes_more(name, tmp_path):
     flags, code, digest = EXPORTS[name]
     out = tmp_path / "space"
     assert _digest_of(["enumerate", *flags, "--out", str(out)], out, code) == digest
+
+
+@pytest.mark.parametrize(
+    "flags, digest", RANDOM_EXPORTS, ids=[flags[1] for flags, _ in RANDOM_EXPORTS]
+)
+def test_random_strand_export_bytes(flags, digest, tmp_path):
+    out = tmp_path / "space.json"
+    argv = ["enumerate", *flags, "--export", "json", "--out", str(out)]
+    assert _digest_of(argv, out) == digest

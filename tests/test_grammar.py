@@ -20,6 +20,9 @@ from grafold.grammar import (
     LoopKind,
     Match,
     RuleId,
+    _loop_sites,
+    _merged,
+    _site_moves,
     apply_match,
     derive,
     enumerate_inverse_matches,
@@ -32,6 +35,7 @@ from grafold.structure import (
     PrimarySequence,
     SecondaryStructure,
     StructureError,
+    loop_index,
     parse_dot_bracket,
     validate_structure,
 )
@@ -418,6 +422,38 @@ def test_enumeration_equals_brute_force_along_derivations(grammar, bases, data):
     while True:
         matches = enumerate_matches(s, grammar)
         assert matches == brute_force_matches(s, grammar)
+        if not matches:
+            break
+        s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)
+
+
+@pytest.mark.parametrize("grammar", [G1, G3], ids=["min1", "min3"])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=12), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_loop_moves_merge_to_the_matches_along_derivations(grammar, bases, data):
+    # each loop's moves, classified on their own, join unpaired positions of
+    # that loop and come in (added, context) order per rule; merged, they are
+    # the structure's matches as (rule position, added, context)
+    s = empty(bases)
+    while True:
+        loops = loop_index(s).loops
+        per_loop = []
+        for loop in loops:
+            buckets = [[] for _ in ALL_RULES]
+            for at, added, context in _site_moves(
+                bases, _loop_sites(bases, grammar.min_hairpin_unpaired, loop)
+            ):
+                assert set(added[0]) <= set(loop.free)
+                buckets[at].append((added, context))
+            assert all(moves == sorted(moves) for moves in buckets)
+            per_loop.append(buckets)
+        merged = [
+            (at, added, context)
+            for at, moves in enumerate(_merged(per_loop))
+            for added, context in moves
+        ]
+        matches = enumerate_matches(s, grammar)
+        assert merged == [(ALL_RULES.index(m.rule), m.added, m.context) for m in matches]
         if not matches:
             break
         s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)

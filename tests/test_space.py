@@ -10,9 +10,10 @@ import grafold.structure
 import oracles
 from grafold import space
 from grafold.energy import LoopTableModel, NussinovModel, example_parameters
-from grafold.grammar import Grammar
+from grafold.grammar import HAIRPIN_1, Grammar, RuleId
 from grafold.space import (
     ExploreLimits,
+    LTSTransition,
     NoFoldedStateError,
     alternating_gc_sequence,
     build_lts,
@@ -24,7 +25,7 @@ from grafold.space import (
     successors,
     validate_lts_json,
 )
-from grafold.structure import PrimarySequence, SecondaryStructure, validate_structure
+from grafold.structure import PrimarySequence, SecondaryStructure, loop_index, validate_structure
 from conftest import COMPLETENESS_SEQUENCES, SOUNDNESS_SEQUENCES, ScriptedModel
 from oracles import all_valid_structures, built_lts, json_export, nussinov_max_pairs
 
@@ -187,6 +188,71 @@ def test_each_new_state_built_once(seq_gggaaaccc):
     assert len(lts.transitions) > len(lts.states) == 20
     assert len(built) == len(lts.states)
     assert len(keyed) == 1
+
+
+@pytest.mark.parametrize(
+    "bases, model, limits, built_count",
+    [
+        ("GCGCGCGCGCGCGC", "loop-table", ExploreLimits(energy_ceiling=3.0), 155),
+        ("GCGCGCGCGCGCGCGCGC", "nussinov", ExploreLimits(max_states=100), 1259),
+    ],
+    ids=["energy-ceiling", "max-states"],
+)
+def test_each_turned_away_target_built_once(bases, model, limits, built_count):
+    # a target that a limit turned away is remembered for the build: later
+    # matches onto it neither build nor score it again
+    built = []
+    post_init = SecondaryStructure.__post_init__
+
+    def counting_post_init(s):
+        built.append(s)
+        post_init(s)
+
+    seq = PrimarySequence(bases)
+    with mock.patch.object(SecondaryStructure, "__post_init__", counting_post_init):
+        lts = build_lts(seq, G3, MODELS[model], limits)
+    assert lts.truncated_by is not None
+    assert len(built) == len(set(built)) == built_count
+    assert lts == built_lts(seq, G3, MODELS[model], limits)
+
+
+def _loop_ids(structure: SecondaryStructure) -> list[tuple]:
+    return [(loop.closing, tuple(loop.branches)) for loop in loop_index(structure).loops]
+
+
+@pytest.mark.parametrize(
+    "bases, min_h", [("GCGCGCGCGCGCGC", 3), ("CGAUUCAAAUGACG", 1)], ids=["gc-14", "multi"]
+)
+def test_each_distinct_loop_scanned_once_per_build(bases, min_h):
+    # the build scans a loop, named by its closing pair and branches, the
+    # first time a state holds it, and never again in that build
+    scanned = []
+    loop_sites = space._loop_sites
+
+    def counting_loop_sites(bases, min_hairpin, region):
+        scanned.append((region.closing, tuple(region.branches)))
+        return loop_sites(bases, min_hairpin, region)
+
+    seq, g = PrimarySequence(bases), Grammar(min_hairpin_unpaired=min_h)
+    with mock.patch.object(space, "_loop_sites", counting_loop_sites):
+        lts = build_lts(seq, g, MODEL)
+        per_build = len(scanned)
+        assert build_lts(seq, g, MODEL) == lts
+    loops = [loop for st in lts.states for loop in _loop_ids(st.structure)]
+    assert len(set(scanned[:per_build])) == per_build
+    assert set(scanned[:per_build]) == set(loops)
+    assert len(loops) > 2 * per_build
+    # the memo lives for one build: the second build scans the same loops
+    assert scanned[per_build:] == scanned[:per_build]
+
+
+def test_transition_fields_by_name(seq_gggaaaccc):
+    lts = build_lts(seq_gggaaaccc, G3, MODEL)
+    for t in lts.transitions:
+        assert (t.source, t.target, t.rule, t.matches) == tuple(t)
+        assert isinstance(t.rule, RuleId) and t.matches >= 1
+    t = LTSTransition(source=0, target=1, rule=HAIRPIN_1, matches=2)
+    assert (t.source, t.target, t.rule.label, t.matches) == (0, 1, "Hairpin-Rule-1", 2)
 
 
 class TestLimits:

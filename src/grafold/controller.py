@@ -33,11 +33,13 @@ from typing import Callable, Mapping
 
 from .energy import EnergyModel, MoveScorer, NussinovModel, observable
 from .grammar import (
+    ALL_RULES,
     Grammar,
     Match,
     _apply_unchecked,
     _first_match,
     _inner_pairs,
+    _rule_moves,
     _sites,
     _stacked_pair,
     enumerate_inverse_matches,
@@ -135,9 +137,10 @@ class Constraint:
 class MachineState:
     """One upper-level state: its invariant plus outgoing transitions.
 
-    ``transitions`` lists (target state id, transition constraint) pairs; the
-    transition constraint must hold at every structure visited during an
-    adaptation ending in that target.
+    ``transitions`` lists (target state id, transition constraint) pairs.
+    An adaptation phase out of this state admits a structure into its search
+    only when every transition constraint holds there, whichever target the
+    phase ends in.
     """
 
     id: str
@@ -431,9 +434,9 @@ class AdaptationOutcome:
 
 class _Moves:
     """The moves of one structure in a run, each worked out on first read
-    from its one loop view: the outer pairs its forward moves add, its
-    forward matches and their targets, its move scorer, its φ0 levels and its
-    inverse (match, source) steps."""
+    from its one loop view: the outer pairs its forward moves add, its move
+    scorer, its φ0 levels, its inverse (match, source) steps and, for
+    strategies, its built forward successors."""
 
     def __init__(self, structure: SecondaryStructure, grammar: Grammar, model: EnergyModel):
         self.structure = structure
@@ -449,14 +452,6 @@ class _Moves:
         return _sites(self.structure, self.grammar, self.view)
 
     @cached_property
-    def matches(self) -> list[Match]:
-        return enumerate_matches(self.structure, self.grammar, self.sites)
-
-    @cached_property
-    def targets(self) -> list[SecondaryStructure | None]:
-        return [None] * len(self.matches)
-
-    @cached_property
     def scorer(self) -> MoveScorer:
         return self.model.move_scorer(self.structure, self.view)
 
@@ -464,14 +459,20 @@ class _Moves:
     def inverse(self) -> list[tuple[Match, SecondaryStructure]]:
         return enumerate_inverse_matches(self.structure, self.grammar, self.view)
 
-    def target(self, index: int) -> SecondaryStructure:
-        target = self.targets[index]
-        if target is None:
-            target = self.targets[index] = _apply_unchecked(self.structure, self.matches[index])
-        return target
-
+    @cached_property
     def successors(self) -> list[tuple[Match, SecondaryStructure]]:
-        return [(m, self.target(index)) for index, m in enumerate(self.matches)]
+        structure = self.structure
+        return [
+            (m, _apply_unchecked(structure, m.added))
+            for m in enumerate_matches(structure, self.grammar, self.sites)
+        ]
+
+    def forward(self) -> Iterator[tuple[str, SecondaryStructure]]:
+        """The forward steps as (rule label, target), in match order, each
+        target built when it is taken."""
+        structure = self.structure
+        for at, added, _ in _rule_moves(structure.sequence.bases, self.sites):
+            yield ALL_RULES[at].label, _apply_unchecked(structure, added)
 
 
 def _phi0_level(
@@ -698,10 +699,10 @@ class Controller:
             s_state=s_state,
             successors=_LazySuccessors(
                 lambda: tuple(
-                    (m, t) for m, t in self._moves(structure).successors() if t.key not in visited
+                    (m, t) for m, t in self._moves(structure).successors if t.key not in visited
                 )
             ),
-            successors_of=lambda s: self._moves(s).successors(),
+            successors_of=lambda s: self._moves(s).successors,
             score=self._observable,
             best=self._best,
             params=params,
@@ -717,10 +718,9 @@ class Controller:
         decision = self._check(constraint, state.structure, state.s_state)
         target, move, note = decision.target, decision.move, decision.note
         if decision.satisfied and target is None and constraint.kind == UNCONSTRAINED:
-            entry = self._moves(state.structure)
-            for index, match in enumerate(entry.matches):
-                if entry.target(index).key not in self._visited:
-                    target, move = entry.target(index), match.rule.label
+            for label, child in self._moves(state.structure).forward():
+                if child.key not in self._visited:
+                    target, move = child, label
                     break
         if not decision.satisfied or target is None:
             return False
@@ -763,8 +763,7 @@ class Controller:
         it is taken: the forward targets in match order, then, when the
         grammar allows them, the inverse sources."""
         entry = self._moves(node)
-        for index, match in enumerate(entry.matches):
-            yield match.rule.label, entry.target(index)
+        yield from entry.forward()
         if self.grammar.allow_inverse:
             for match, source in entry.inverse:
                 yield f"inverse:{match.rule.label}", source

@@ -23,7 +23,6 @@ import functools
 import math
 import shlex
 import subprocess
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
@@ -484,7 +483,7 @@ class ExternalEvaluator:
     the controller's run memo does not cover the move scorer
     (:meth:`EnergyModel.move_scorer`), which builds each successor and scores
     it through :meth:`ExternalModel.energy`, so a run asks again for
-    structures it has scored. Calls are serialized.
+    structures it has scored.
     """
 
     command: str
@@ -492,16 +491,12 @@ class ExternalEvaluator:
     _cache: dict[tuple[str, str], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
-    )
 
     def evaluate(self, seq: PrimarySequence, s: SecondaryStructure) -> float:
         key = (seq.bases, s.key)
         if key in self._cache:
             return self._cache[key]
-        with self._lock:
-            value = self._invoke(seq.bases, s.key)
+        value = self._invoke(seq.bases, s.key)
         self._cache[key] = value
         return value
 

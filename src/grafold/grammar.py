@@ -348,7 +348,7 @@ def _stacked_pair(bases: str, site: tuple) -> BasePair | None:
 
 def _sites(s: SecondaryStructure, g: Grammar, view: LoopIndex) -> list[tuple]:
     """The :func:`_loop_sites` of every loop of ``view`` (the loop view of
-    ``s``), by outer pair: the order in which :func:`_site_moves` lists each
+    ``s``), by outer pair: the order in which :func:`_rule_moves` lists each
     rule's moves in (added, context) order."""
     bases, min_h = s.sequence.bases, g.min_hairpin_unpaired
     sites = [site for loop in view.loops for site in _loop_sites(bases, min_h, loop)]
@@ -356,53 +356,40 @@ def _sites(s: SecondaryStructure, g: Grammar, view: LoopIndex) -> list[tuple]:
     return sites
 
 
-def _site_moves(bases: str, sites: list[tuple]) -> Iterator[tuple[int, tuple, tuple]]:
+def _rule_moves(bases: str, sites: list[tuple]) -> Iterator[tuple[int, tuple, tuple]]:
     """The forward moves on ``sites``, each as (rule position in
-    ``ALL_RULES``, added pairs, context pairs), site by site.
+    ``ALL_RULES``, added pairs, context pairs), in match order when the
+    sites come by outer pair.
 
-    Each site gives its outward and inward single-pair moves and the Rule-1
-    doubles across the runs of unpaired positions next to its ends. When the
-    sites come by outer pair, each rule's moves come in (added, context)
-    order. The moves are yielded, not listed, so that a caller which wraps
-    them in :class:`Match` allocates no tuple that outlives its match.
+    The hairpins come first, read straight off the sites with no children.
+    Only when a reader asks for more does one pass over the sites classify
+    the rest, by rule: each site's outward and inward single-pair moves and
+    the Rule-1 doubles across the runs of unpaired positions next to its
+    ends.
     """
+    for site in sites:
+        if not site[1]:
+            yield 0, (site[0],), ()  # ALL_RULES[0] is HAIRPIN_1
+    buckets: list[list[tuple]] = [[] for _ in ALL_RULES]
     for site in sites:
         pair, kids, outward, c_hi, d_lo, _ = site
         a, b = pair
         added = (pair,)
         if outward is not None:
             p, q = outward
-            yield _RULE2_AT[(a - p > 1, q - b > 1)], added, (outward,)
-        if not kids:
-            yield 0, added, ()  # ALL_RULES[0] is HAIRPIN_1
-        elif len(kids) == 1:
+            buckets[_RULE2_AT[(a - p > 1, q - b > 1)]].append((added, (outward,)))
+        if len(kids) == 1:
             c, d = kids[0]
-            yield _RULE2_AT[(c - a > 1, b - d > 1)], added, kids
-        else:
-            yield _MULTI_AT[len(kids) > 2], added, kids
+            buckets[_RULE2_AT[(c - a > 1, b - d > 1)]].append((added, kids))
+        elif kids:
+            buckets[_MULTI_AT[len(kids) > 2]].append((added, kids))
         if c_hi > a and d_lo < b:
             for inner in _inner_pairs(bases, site):
                 c, d = inner
-                yield _RULE1_AT[(c - a > 1, b - d > 1)], (pair, inner), ()
-
-
-def _merged(loop_moves: list[list[list]]) -> list[list]:
-    """The moves of a structure from those of its loops, each loop's given
-    as one list per rule of ``ALL_RULES`` of its (added, context) moves in
-    that order: per rule, the loops' moves in that order. Two loops never
-    add the same outer pair, so only a rule fed by two or more loops needs a
-    sort. The result may share lists with the input: callers must not
-    change either."""
-    if len(loop_moves) == 1:
-        return loop_moves[0]
-    merged = []
-    for lists in zip(*loop_moves):
-        fed = [moves for moves in lists if moves]
-        if len(fed) > 1:
-            merged.append(sorted([move for moves in fed for move in moves]))
-        else:
-            merged.append(fed[0] if fed else [])
-    return merged
+                buckets[_RULE1_AT[(c - a > 1, b - d > 1)]].append(((pair, inner), ()))
+    for at in range(1, len(ALL_RULES)):
+        for added, context in buckets[at]:
+            yield at, added, context
 
 
 def enumerate_matches(
@@ -411,9 +398,9 @@ def enumerate_matches(
     """Every match of every grammar rule on ``s``, in deterministic order.
 
     The moves are read off the outer pairs of the loops of ``s``, by outer
-    pair (:func:`_sites`), so each rule's matches come out in (added pairs,
-    context) order and the result is sorted by (rule, added pairs, context)
-    without a sort of the matches.
+    pair (:func:`_sites`), and come out of :func:`_rule_moves` rule by rule,
+    so the result is sorted by (rule, added pairs, context) without a sort
+    of the matches.
 
     Args:
         s: A valid structure.
@@ -423,13 +410,12 @@ def enumerate_matches(
     Returns:
         Sorted list of matches; empty when ``s`` is terminal.
     """
-    bases = s.sequence.bases
     if sites is None:
         sites = _sites(s, g, loop_index(s))
-    buckets: list[list[Match]] = [[] for _ in ALL_RULES]
-    for at, added, context in _site_moves(bases, sites):
-        buckets[at].append(_unchecked_match(ALL_RULES[at], added, context))
-    return [m for bucket in buckets for m in bucket]
+    return [
+        _unchecked_match(ALL_RULES[at], added, context)
+        for at, added, context in _rule_moves(s.sequence.bases, sites)
+    ]
 
 
 _LoopsByPair = tuple[dict[BasePair, LoopRegion], dict[BasePair, LoopRegion]]
@@ -496,7 +482,7 @@ def _glued(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure | 
         if a in partner or b in partner or a in ends or b in ends:
             return None
         ends.update((a, b))
-    t = _apply_unchecked(s, m)
+    t = _apply_unchecked(s, m.added)
     if not validate_structure(t, g.min_hairpin_unpaired).ok:
         return None
     if m not in _matches_yielding(_loops_by_pair(loop_index(t)), m.added):
@@ -549,9 +535,10 @@ def enumerate_inverse_matches(
     return out
 
 
-def _apply_unchecked(s: SecondaryStructure, m: Match) -> SecondaryStructure:
-    """Fast application for matches known to pass gluing (enumeration output)."""
-    return SecondaryStructure(s.sequence, s.pairs | frozenset(m.added))
+def _apply_unchecked(s: SecondaryStructure, added: tuple[BasePair, ...]) -> SecondaryStructure:
+    """``s`` with the pairs a move adds, for moves known to pass gluing
+    (enumeration output)."""
+    return SecondaryStructure(s.sequence, s.pairs | frozenset(added))
 
 
 def apply_match(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure:

@@ -26,8 +26,7 @@ from .grammar import (
     RuleId,
     _apply_unchecked,
     _loop_sites,
-    _merged,
-    _site_moves,
+    _rule_moves,
     enumerate_matches,
 )
 from .structure import PrimarySequence, SecondaryStructure, key_with_pairs, loop_index
@@ -117,7 +116,7 @@ def successors(
     s: SecondaryStructure, g: Grammar
 ) -> list[tuple[Match, SecondaryStructure]]:
     """All one-step derivations from ``s``, one entry per match, in match order."""
-    return [(m, _apply_unchecked(s, m)) for m in enumerate_matches(s, g)]
+    return [(m, _apply_unchecked(s, m.added)) for m in enumerate_matches(s, g)]
 
 
 def build_lts(
@@ -129,14 +128,17 @@ def build_lts(
     """Breadth-first closure of the folding space from the unfolded state.
 
     States are deduplicated by dot-bracket key and annotated with their
-    observable. A state's moves are its loops' moves merged in match order.
-    Each distinct loop is scanned once per build: a move changes one loop
-    of its source and adds one or two, so a state shares most of its loops
-    with the state it was reached from. Each move's target key is read off
-    its source's key (:func:`key_with_pairs`), so a target is built and
-    scored only when its key is new, and a target that a limit turned away
-    is not built again. When a limit triggers, the result is marked via
-    ``truncated_by`` instead of failing.
+    observable. Each distinct loop is scanned once per build and keeps its
+    moves as (rule position, added pairs) in match order: a move changes one
+    loop of its source and adds one or two, so a state shares most of its
+    loops with the state it was reached from. A state's moves are its loops'
+    moves sorted together: two loops never add the same outer pair, so the
+    sort keeps match order, and parallel matches stay equal, adjacent
+    entries. Each move's target key is read off its source's key
+    (:func:`key_with_pairs`), so a target is built and scored only when its
+    key is new, and a target that a limit turned away is not built again.
+    When a limit triggers, the result is marked via ``truncated_by`` instead
+    of failing.
     """
     limits = limits or ExploreLimits()
     start = time.monotonic()
@@ -152,9 +154,8 @@ def build_lts(
     # the limit that turned a key away: it turns the key away on every
     # later match too, as the observable is fixed and states are never dropped
     turned_away: dict[str, str] = {}
-    # a loop's (closing pair, branches) -> its (added, context) moves, one list
-    # per rule of ALL_RULES; () when it has none
-    loop_moves: dict[tuple, list | tuple] = {}
+    # a loop's (closing pair, branches) -> its (rule position, added) moves
+    loop_moves: dict[tuple, list[tuple[int, tuple]]] = {}
     queue: deque[int] = deque([0])
 
     while queue:
@@ -168,10 +169,10 @@ def build_lts(
             loop_id = (loop.closing, tuple(loop.branches))
             moves = loop_moves.get(loop_id)
             if moves is None:
-                moves = [[] for _ in ALL_RULES]
-                for at, added, context in _site_moves(bases, _loop_sites(bases, min_h, loop)):
-                    moves[at].append((added, context))
-                moves = loop_moves[loop_id] = moves if any(moves) else ()
+                moves = loop_moves[loop_id] = [
+                    (at, added)
+                    for at, added, _ in _rule_moves(bases, _loop_sites(bases, min_h, loop))
+                ]
             if moves:
                 fed.append(moves)
         if not fed:
@@ -181,29 +182,29 @@ def build_lts(
             truncated = "max_depth"
             continue
         pairs = source.structure.pairs
-        for at, moves in enumerate(_merged(fed)):
-            for added, _ in moves:
-                key = key_with_pairs(source.key, added)
-                tgt = index.get(key)
-                if tgt is None:  # an indexed target passed the ceiling when it was added
-                    reason = turned_away.get(key)
-                    if reason is None:
-                        target = SecondaryStructure(seq, pairs | frozenset(added))
-                        e = observable(target, em)
-                        if limits.energy_ceiling is not None and e > limits.energy_ceiling:
-                            reason = "energy_ceiling"
-                        elif limits.max_states is not None and len(states) >= limits.max_states:
-                            reason = "max_states"
-                    if reason is not None:
-                        truncated = turned_away[key] = reason
-                        continue
-                    tgt = len(states)
-                    states.append(LTSState(tgt, key, target, e))
-                    index[key] = tgt
-                    depths.append(depths[src] + 1)
-                    queue.append(tgt)
-                edge = (src, tgt, at)
-                edges[edge] = edges.get(edge, 0) + 1
+        moves = fed[0] if len(fed) == 1 else sorted([m for ms in fed for m in ms])
+        for at, added in moves:
+            key = key_with_pairs(source.key, added)
+            tgt = index.get(key)
+            if tgt is None:  # an indexed target passed the ceiling when it was added
+                reason = turned_away.get(key)
+                if reason is None:
+                    target = SecondaryStructure(seq, pairs | frozenset(added))
+                    e = observable(target, em)
+                    if limits.energy_ceiling is not None and e > limits.energy_ceiling:
+                        reason = "energy_ceiling"
+                    elif limits.max_states is not None and len(states) >= limits.max_states:
+                        reason = "max_states"
+                if reason is not None:
+                    truncated = turned_away[key] = reason
+                    continue
+                tgt = len(states)
+                states.append(LTSState(tgt, key, target, e))
+                index[key] = tgt
+                depths.append(depths[src] + 1)
+                queue.append(tgt)
+            edge = (src, tgt, at)
+            edges[edge] = edges.get(edge, 0) + 1
 
     # the loops' moves are read no more: dropped before the transitions are
     # made, where the build's memory peaks

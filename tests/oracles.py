@@ -236,7 +236,7 @@ class EagerController(Controller):
             if max_depth is not None and depth >= max_depth:
                 limit_hit = limit_hit or "adaptation-depth-limit"
                 continue
-            moves = [(m.rule.label, target) for m, target in self._moves(node).successors()]
+            moves = [(m.rule.label, target) for m, target in self._moves(node).successors]
             if self.grammar.allow_inverse:
                 moves.extend(
                     (f"inverse:{m.rule.label}", source) for m, source in self._moves(node).inverse

@@ -475,14 +475,17 @@ class TestLazyAdaptation:
     def test_children_built_only_when_taken(self, monkeypatch, seq_gggaaaccc):
         # the trap's first phase starts at its one-pair minimum and resumes
         # at a forward child of it, so a lazy search never needs the
-        # origin's inverse moves; the eager search enumerates them anyway
+        # origin's inverse moves; the eager search enumerates them anyway.
+        # Both build their forward children through _apply_unchecked, the lazy
+        # search in _Moves.forward and the eager one in _Moves.successors, so
+        # a count of 0 means a build escaped the count
         built: list[str] = []
         inverse_of: list[str] = []
         apply, inverse = grafold.controller._apply_unchecked, enumerate_inverse_matches
 
-        def counting_apply(structure, match):
+        def counting_apply(structure, added):
             built.append(structure.key)
-            return apply(structure, match)
+            return apply(structure, added)
 
         def counting_inverse(structure, *args):
             inverse_of.append(structure.key)
@@ -515,7 +518,7 @@ class TestLazyAdaptation:
         lazy_built, lazy, origin, added, lazy_calls = first_phase(Controller)
         eager_built, eager, _, _, eager_calls = first_phase(EagerController)
         assert lazy.to_jsonl() == eager.to_jsonl()
-        assert lazy_built < eager_built
+        assert 0 < lazy_built < eager_built
         assert origin == "..(...).."
         assert [(r.move, r.db) for r in added] == [
             ("Helix-Rule-2", ".((...))."), (None, ".((...)).")
@@ -709,6 +712,39 @@ class TestStrategies:
         assert adapting and all(r.db != ".((...))." for r in adapting)
         assert adapting[0].db == "(.(...).)"  # the next structure regaining descent
         assert fenced.summary.final_db == "(((...)))"
+
+    def test_every_outgoing_psi_fences_the_search(self, seq_gggaaaccc):
+        # a structure enters the search only when every outgoing ψ holds
+        # there, so the w0 -> w0 fence keeps ".((...))." out even though the
+        # phase ends in w1, whose transition is unconstrained
+        register_strategy(
+            "forbid-key",
+            lambda ctx: StrategyDecision(satisfied=ctx.structure.key != ctx.params["key"]),
+        )
+
+        def machine_with_psi(psi):
+            return AdaptiveMachine(
+                (
+                    MachineState(
+                        "w0", Constraint.phi0(), (("w1", Constraint.true()), ("w0", psi))
+                    ),
+                    MachineState("w1", Constraint.phi0()),
+                ),
+                "w0",
+            )
+
+        def first_phase(psi):
+            records = run(machine_with_psi(psi), seq_gggaaaccc, model=trap_model()).records
+            end = next(r for r in records if r.note and r.note.startswith("adaptation-complete"))
+            return [r.db for r in records if r.mode == "adapting"], end
+
+        adapting, end = first_phase(Constraint.true())
+        assert adapting == [".((...))."]
+        assert (end.db, end.note) == (".((...)).", "adaptation-complete:w0->w1")
+
+        adapting, end = first_phase(Constraint.of_strategy("forbid-key", key=".((...))."))
+        assert ".((...))." not in adapting
+        assert (end.db, end.note) == ("(.(...).)", "adaptation-complete:w0->w1")
 
     def test_true_state_pingpong_terminates(self):
         # two mutually-reachable unconstrained states at a terminal

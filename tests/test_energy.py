@@ -110,7 +110,7 @@ def test_decompose_equals_stack_walk_along_derivations(min_h, bases, data):
         matches = enumerate_matches(s, g)
         if not matches:
             break
-        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)))
+        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)).added)
 
 
 class TestNussinov:
@@ -238,7 +238,7 @@ def assert_moves_score_exactly(s: SecondaryStructure, matches, models=MODELS) ->
             scorer.single(m.added[0]) if len(m.added) == 1 else scorer.double(*m.added)
             for m in matches
         ]
-        assert scores == [observable(_apply_unchecked(s, m), model) for m in matches]
+        assert scores == [observable(_apply_unchecked(s, m.added), model) for m in matches]
 
 
 class TestSuccessorObservables:
@@ -281,7 +281,7 @@ def test_successor_observables_along_derivations(min_h, bases, data):
         assert_moves_score_exactly(s, matches)
         if not matches:
             break
-        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)))
+        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)).added)
 
 
 def random_derivation(bases: str, min_h: int, data):
@@ -294,7 +294,7 @@ def random_derivation(bases: str, min_h: int, data):
         yield s, matches
         if not matches:
             return
-        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)))
+        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)).added)
 
 
 TABLES = [rounding_sensitive_parameters(), short_table_parameters()]
@@ -365,11 +365,12 @@ def assert_double_bounds_hold(s: SecondaryStructure, matches) -> None:
     for model in BOUND_MODELS:
         scorer = model.move_scorer(s)
         for m in doubles:
-            assert scorer.double_bound(m.added[0]) <= observable(_apply_unchecked(s, m), model)
+            target = _apply_unchecked(s, m.added)
+            assert scorer.double_bound(m.added[0]) <= observable(target, model)
     nussinov = NussinovModel()
     scorer = nussinov.move_scorer(s)
     for m in doubles:
-        assert scorer.double_bound(m.added[0]) == observable(_apply_unchecked(s, m), nussinov)
+        assert scorer.double_bound(m.added[0]) == observable(_apply_unchecked(s, m.added), nussinov)
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
@@ -405,7 +406,7 @@ def full_level(s, matches, model, threshold, floor):
     """The least observable above ``floor`` and at most ``threshold`` among
     the built successors of ``s``, and the added pairs of each move scoring
     it; the unpruned reference of ``_phi0_level``."""
-    scores = {m.added: observable(_apply_unchecked(s, m), model) for m in matches}
+    scores = {m.added: observable(_apply_unchecked(s, m.added), model) for m in matches}
     scores = {
         added: e for added, e in scores.items()
         if e <= threshold and (floor is None or floor < e)

@@ -16,7 +16,12 @@ successor before building it and before JSON was written without ``json``'s
 encoder. The exports of random non-GC strands (n = 14 to 16, both energy
 models, minimum hairpin 1 and 3, two of them with multi-branch states) were
 recorded before the build scanned each distinct loop once and merged the
-loops' moves; the merged order decides how new states are numbered.
+loops' moves; the merged order decides how new states are numbered. The
+loop-table fold of the first 150 bases and the backtracking fold of the
+first 80 were recorded before forward moves came from one rule-ordered
+generator that lists the hairpins before it classifies any other move; the
+backtracking fold's adaptation phases take forward children past the
+hairpins and inverse children too.
 """
 
 import contextlib
@@ -60,7 +65,8 @@ FOLD_DIGESTS = {
     ),
 }
 
-# the first 40, 60, 80 and 100 of ``"".join(rng.choice("ACGU") ...)`` with rng = random.Random(1)
+# the first 40, 60, 80, 100 and 150 of ``"".join(rng.choice("ACGU") ...)``
+# with rng = random.Random(1)
 SEEDED = {
     40: "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUA",
     60: "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUACGAGUCGGUUAUCUUCGGAU",
@@ -68,6 +74,10 @@ SEEDED = {
     100: (
         "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUACGAGUCGGUUAUCUUCGGAUACUGUAUAGUCCCACCUGGU"
         "GAUCCUAUGCUUGUGAGUAC"
+    ),
+    150: (
+        "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUACGAGUCGGUUAUCUUCGGAUACUGUAUAGUCCCACCUGGU"
+        "GAUCCUAUGCUUGUGAGUACCCAGAAAAUAGCGACGGACCGCGGUGUUAAGUGUCGAGCUACAUCACUUC"
     ),
 }
 
@@ -81,6 +91,8 @@ LARGE_FOLDS = (
      "c9402e21eb5accb44325cde7853f2ef15f9b68995c4d6c3d571c4167251883fe"),
     ("loop-table", 100, ["--energy", "loop-table"],
      "d423a0060bf6b9b0da7daf4e59883a9e40860bd45e7772e329f098969419195c"),
+    ("loop-table", 150, ["--energy", "loop-table"],
+     "9033ce69985c4e629788a953dc695ce0ee3ddd97cf5f968ffe2e6b91b3cc4a1e"),
     ("nussinov", 40, ["--energy", "nussinov"],
      "6aad0a9c32ab1a26cecdef131103bc261bbed04e56c25747328aa147231ba0c3"),
     ("nussinov", 60, ["--energy", "nussinov"],
@@ -88,6 +100,9 @@ LARGE_FOLDS = (
     ("loop-table-inverse", 40,
      ["--energy", "loop-table", "--allow-inverse", "--max-steps", "60"],
      "ca1f3a6969190e1ae263173148f37e0cda242bd89162f0c58bf6d4929a60593f"),
+    ("loop-table-inverse", 80,
+     ["--energy", "loop-table", "--allow-inverse", "--max-steps", "80"],
+     "ba2293a52574312cc3f82b4e83f14459513e131564fccca8948b43dfc8a6c666"),
 )
 
 ENUMERATE_DIGEST = "ecb98f545e1402619c90a46c5508dbd4a7c234e102755c85f1d9afaeca02b37c"

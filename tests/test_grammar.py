@@ -21,8 +21,8 @@ from grafold.grammar import (
     Match,
     RuleId,
     _loop_sites,
-    _merged,
-    _site_moves,
+    _rule_moves,
+    _sites,
     apply_match,
     derive,
     enumerate_inverse_matches,
@@ -39,6 +39,7 @@ from grafold.structure import (
     parse_dot_bracket,
     validate_structure,
 )
+import grafold.grammar
 from oracles import brute_force_matches
 
 
@@ -432,31 +433,49 @@ def test_enumeration_equals_brute_force_along_derivations(grammar, bases, data):
 @settings(max_examples=40, deadline=None)
 def test_loop_moves_merge_to_the_matches_along_derivations(grammar, bases, data):
     # each loop's moves, classified on their own, join unpaired positions of
-    # that loop and come in (added, context) order per rule; merged, they are
-    # the structure's matches as (rule position, added, context)
+    # that loop and come in match order; sorted together as (rule position,
+    # added) like the folding-space build sorts them, they are the
+    # structure's matches without their context
     s = empty(bases)
     while True:
-        loops = loop_index(s).loops
         per_loop = []
-        for loop in loops:
-            buckets = [[] for _ in ALL_RULES]
-            for at, added, context in _site_moves(
-                bases, _loop_sites(bases, grammar.min_hairpin_unpaired, loop)
-            ):
-                assert set(added[0]) <= set(loop.free)
-                buckets[at].append((added, context))
-            assert all(moves == sorted(moves) for moves in buckets)
-            per_loop.append(buckets)
-        merged = [
-            (at, added, context)
-            for at, moves in enumerate(_merged(per_loop))
-            for added, context in moves
-        ]
+        for loop in loop_index(s).loops:
+            moves = list(_rule_moves(bases, _loop_sites(bases, grammar.min_hairpin_unpaired, loop)))
+            assert all(set(added[0]) <= set(loop.free) for _, added, _ in moves)
+            assert moves == sorted(moves)
+            per_loop.append([(at, added) for at, added, _ in moves])
+        merged = sorted([move for moves in per_loop for move in moves])
         matches = enumerate_matches(s, grammar)
-        assert merged == [(ALL_RULES.index(m.rule), m.added, m.context) for m in matches]
+        assert merged == [(ALL_RULES.index(m.rule), m.added) for m in matches]
         if not matches:
             break
         s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)
+
+
+@pytest.mark.parametrize("db", ["..........", "((....))..........", "(((...)))............"])
+def test_hairpins_taken_without_classifying_the_other_moves(monkeypatch, db):
+    # the hairpins are read straight off the sites; the pass that walks the
+    # inner pairs of the doubles starts only when a reader asks past them
+    s = parse_dot_bracket(PrimarySequence("GGGAAACCCUUGGGAAACCCA"[: len(db)]), db)
+    sites = _sites(s, G3, loop_index(s))
+    hairpins = sum(1 for site in sites if not site[1])
+    walked = []
+    inner_pairs = grafold.grammar._inner_pairs
+
+    def walk(bases, site):
+        walked.append(site)
+        return inner_pairs(bases, site)
+
+    monkeypatch.setattr(grafold.grammar, "_inner_pairs", walk)
+    moves = _rule_moves(s.sequence.bases, sites)
+    taken = [next(moves) for _ in range(hairpins)]
+    assert hairpins and [at for at, _, _ in taken] == [0] * hairpins
+    assert walked == []
+    taken += moves
+    assert walked
+    assert taken == [
+        (ALL_RULES.index(m.rule), m.added, m.context) for m in enumerate_matches(s, G3)
+    ]
 
 
 @pytest.mark.parametrize("grammar", [G1, G3], ids=["min1", "min3"])

@@ -221,4 +221,4 @@ def test_key_with_pairs_along_derivations(min_h, bases, data):
             assert key_with_pairs(s.key, m.added) == built.key
         if not matches:
             break
-        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)))
+        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)).added)

@@ -733,16 +733,18 @@ class TestStrategies:
                 "w0",
             )
 
-        def first_phase(psi):
+        def phase(psi):
+            """The adapting keys and the resume record of the run's one
+            adaptation phase (w1 has no transitions)."""
             records = run(machine_with_psi(psi), seq_gggaaaccc, model=trap_model()).records
             end = next(r for r in records if r.note and r.note.startswith("adaptation-complete"))
             return [r.db for r in records if r.mode == "adapting"], end
 
-        adapting, end = first_phase(Constraint.true())
+        adapting, end = phase(Constraint.true())
         assert adapting == [".((...))."]
         assert (end.db, end.note) == (".((...)).", "adaptation-complete:w0->w1")
 
-        adapting, end = first_phase(Constraint.of_strategy("forbid-key", key=".((...))."))
+        adapting, end = phase(Constraint.of_strategy("forbid-key", key=".((...))."))
         assert ".((...))." not in adapting
         assert (end.db, end.note) == ("(.(...).)", "adaptation-complete:w0->w1")
 

@@ -37,13 +37,15 @@ from .grammar import (
     Grammar,
     Match,
     _apply_unchecked,
+    _by_outer_pair,
     _first_match,
     _inner_pairs,
+    _inverse_moves,
+    _loop_sites,
+    _LoopMemo,
+    _matches,
     _rule_moves,
-    _sites,
     _stacked_pair,
-    enumerate_inverse_matches,
-    enumerate_matches,
 )
 from .structure import BasePair, PrimarySequence, SecondaryStructure, loop_index
 
@@ -370,6 +372,9 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
     """Escape strategy: accept when a strictly lower observable is reachable
     within ``depth`` forward steps; move one step toward the best such
     structure."""
+    unknown = sorted(set(ctx.params) - {"depth"})
+    if unknown:
+        raise MachineConfigError(f"unknown lookahead param(s) {unknown}: {ctx.params!r}")
     try:
         depth = int(ctx.params.get("depth", 2))
     except (TypeError, ValueError):
@@ -436,12 +441,13 @@ class _Moves:
     """The moves of one structure in a run, each worked out on first read
     from its one loop view: the outer pairs its forward moves add, its move
     scorer, its φ0 levels, its inverse (match, source) steps and, for
-    strategies, its built forward successors."""
+    strategies, its built forward successors. ``loop_sites`` is the run's
+    memo of each loop's :func:`~grafold.grammar._loop_sites`."""
 
-    def __init__(self, structure: SecondaryStructure, grammar: Grammar, model: EnergyModel):
+    def __init__(self, structure: SecondaryStructure, model: EnergyModel, loop_sites: _LoopMemo):
         self.structure = structure
-        self.grammar = grammar
         self.model = model
+        self.loop_sites = loop_sites
         self.view = loop_index(structure)
         # (score, tied added pairs in key order), by rising score; a level
         # with no pairs ends the list
@@ -449,7 +455,7 @@ class _Moves:
 
     @cached_property
     def sites(self) -> list[tuple]:
-        return _sites(self.structure, self.grammar, self.view)
+        return _by_outer_pair([self.loop_sites(loop) for loop in self.view.loops])
 
     @cached_property
     def scorer(self) -> MoveScorer:
@@ -457,14 +463,15 @@ class _Moves:
 
     @cached_property
     def inverse(self) -> list[tuple[Match, SecondaryStructure]]:
-        return enumerate_inverse_matches(self.structure, self.grammar, self.view)
+        # the run builds only valid structures, so they are not validated
+        return _inverse_moves(self.structure, self.view)
 
     @cached_property
     def successors(self) -> list[tuple[Match, SecondaryStructure]]:
         structure = self.structure
         return [
             (m, _apply_unchecked(structure, m.added))
-            for m in enumerate_matches(structure, self.grammar, self.sites)
+            for m in _matches(structure.sequence.bases, self.sites)
         ]
 
     def forward(self) -> Iterator[tuple[str, SecondaryStructure]]:
@@ -482,7 +489,7 @@ def _phi0_level(
     ``threshold`` among the forward moves of ``entry.structure``, with the
     added pairs of every move scoring it (none when no move qualifies).
 
-    Branch and bound over the outer pairs of :func:`_sites`: the bar starts at
+    Branch and bound over the outer pairs of ``entry.sites``: the bar starts at
     ``threshold`` and drops to the best score found. Each outer pair's single
     and stacked double are scored; its bulge and internal doubles only when
     their bound (:meth:`MoveScorer.double_bound`) does not exceed the bar.
@@ -582,6 +589,8 @@ class Controller:
         # run-scoped memos, keyed by dot-bracket key
         self._move_memo: dict[str, _Moves] = {}
         self._energy_memo: dict[str, float] = {}
+        # each distinct loop's sites, made for the strand of the first entry
+        self._loop_sites: _LoopMemo | None = None
         self.state: RunState | None = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -628,7 +637,13 @@ class Controller:
         key = structure.key
         entry = self._move_memo.get(key)
         if entry is None:
-            entry = self._move_memo[key] = _Moves(structure, self.grammar, self.model)
+            loop_sites = self._loop_sites
+            if loop_sites is None:
+                bases, min_h = structure.sequence.bases, self.grammar.min_hairpin_unpaired
+                loop_sites = self._loop_sites = _LoopMemo(
+                    lambda loop: _loop_sites(bases, min_h, loop)
+                )
+            entry = self._move_memo[key] = _Moves(structure, self.model, loop_sites)
         return entry
 
     def _phi0(self, structure: SecondaryStructure) -> tuple[Match, SecondaryStructure] | None:
@@ -642,10 +657,9 @@ class Controller:
         unvisited wins, with the first match, in rule order, that adds its
         pairs; when every tied target is visited (only inverse moves lead
         back), the next level is searched above that score."""
-        sequence, pairs = structure.sequence, structure.pairs
         for low, tied in self._levels(self._moves(structure)):
             for added in tied:
-                target = SecondaryStructure(sequence, pairs | frozenset(added))
+                target = _apply_unchecked(structure, added)
                 if target.key not in self._visited:
                     self._energy_memo[target.key] = low
                     return _first_match(self._moves(target).view, added), target
@@ -865,6 +879,7 @@ class Controller:
         s0 = SecondaryStructure(seq)
         self._move_memo = {}
         self._energy_memo = {}
+        self._loop_sites = None
         self.state = RunState(self.machine.initial, s0, self._observable(s0))
         self._records = []
         self._visited = {s0.key}

@@ -282,7 +282,8 @@ class MoveScorer:
 
     def _built(self, added: tuple[BasePair, ...]) -> float:
         s = self.s
-        return observable(SecondaryStructure(s.sequence, s.pairs | frozenset(added)), self.model)
+        successor = SecondaryStructure._unchecked(s.sequence, s.pairs | frozenset(added))
+        return observable(successor, self.model)
 
 
 @dataclass(frozen=True)

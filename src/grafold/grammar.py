@@ -37,7 +37,7 @@ minimum hairpin size:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -322,6 +322,23 @@ def _loop_sites(bases: str, min_hairpin: int, region: LoopRegion) -> list[tuple]
     return sites
 
 
+class _LoopMemo(dict):
+    """``make(loop)`` of each loop, worked out on its first lookup and kept
+    under the loop's (closing pair, branches), which name it within one
+    strand. A move changes one loop, so structures share most loops."""
+
+    def __init__(self, make: Callable[[LoopRegion], list]):
+        super().__init__()
+        self.make = make
+
+    def __call__(self, loop: LoopRegion) -> list:
+        key = (loop.closing, tuple(loop.branches))
+        value = self.get(key)
+        if value is None:
+            value = self[key] = self.make(loop)
+        return value
+
+
 def _inner_pairs(bases: str, site: tuple) -> list[BasePair]:
     """The inner pairs (c, d) of the Rule-1 doubles on the outer pair of a
     :func:`_loop_sites` site, by (c, d): c in the unpaired run after a, d in
@@ -346,14 +363,22 @@ def _stacked_pair(bases: str, site: tuple) -> BasePair | None:
     return None
 
 
+def _by_outer_pair(per_loop: list[list[tuple]]) -> list[tuple]:
+    """The :func:`_loop_sites` lists of the loops of one structure merged by
+    outer pair: the order in which :func:`_rule_moves` lists each rule's
+    moves in (added, context) order. Two loops never add the same outer
+    pair. A lone nonempty list is returned as it is."""
+    fed = [sites for sites in per_loop if sites]
+    if len(fed) == 1:
+        return fed[0]
+    return sorted([site for sites in fed for site in sites], key=itemgetter(0))
+
+
 def _sites(s: SecondaryStructure, g: Grammar, view: LoopIndex) -> list[tuple]:
     """The :func:`_loop_sites` of every loop of ``view`` (the loop view of
-    ``s``), by outer pair: the order in which :func:`_rule_moves` lists each
-    rule's moves in (added, context) order."""
+    ``s``), by outer pair (:func:`_by_outer_pair`)."""
     bases, min_h = s.sequence.bases, g.min_hairpin_unpaired
-    sites = [site for loop in view.loops for site in _loop_sites(bases, min_h, loop)]
-    sites.sort(key=itemgetter(0))
-    return sites
+    return _by_outer_pair([_loop_sites(bases, min_h, loop) for loop in view.loops])
 
 
 def _rule_moves(bases: str, sites: list[tuple]) -> Iterator[tuple[int, tuple, tuple]]:
@@ -392,9 +417,15 @@ def _rule_moves(bases: str, sites: list[tuple]) -> Iterator[tuple[int, tuple, tu
             yield at, added, context
 
 
-def enumerate_matches(
-    s: SecondaryStructure, g: Grammar, sites: list[tuple] | None = None
-) -> list[Match]:
+def _matches(bases: str, sites: list[tuple]) -> list[Match]:
+    """The :func:`_rule_moves` on ``sites`` as matches."""
+    return [
+        _unchecked_match(ALL_RULES[at], added, context)
+        for at, added, context in _rule_moves(bases, sites)
+    ]
+
+
+def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
     """Every match of every grammar rule on ``s``, in deterministic order.
 
     The moves are read off the outer pairs of the loops of ``s``, by outer
@@ -405,17 +436,11 @@ def enumerate_matches(
     Args:
         s: A valid structure.
         g: Grammar parameters.
-        sites: ``_sites(s, g, loop_index(s))``, when the caller has them.
 
     Returns:
         Sorted list of matches; empty when ``s`` is terminal.
     """
-    if sites is None:
-        sites = _sites(s, g, loop_index(s))
-    return [
-        _unchecked_match(ALL_RULES[at], added, context)
-        for at, added, context in _rule_moves(s.sequence.bases, sites)
-    ]
+    return _matches(s.sequence.bases, _sites(s, g, loop_index(s)))
 
 
 _LoopsByPair = tuple[dict[BasePair, LoopRegion], dict[BasePair, LoopRegion]]
@@ -434,7 +459,8 @@ def _loops_by_pair(view: LoopIndex) -> _LoopsByPair:
 def _matches_yielding(loops_by_pair: _LoopsByPair, added: tuple[BasePair, ...]) -> list[Match]:
     """The matches that add exactly ``added`` and yield the valid structure
     ``t`` whose :func:`_loops_by_pair` is given (``added`` is sorted and
-    taken from the pairs of ``t``).
+    taken from the pairs of ``t``), built unchecked: their pairs are sorted
+    ``BasePair`` tuples of the rule's arity by construction.
 
     A single pair is classified twice: inward by the loop it closes (a
     hairpin with no branch, Rule-2 on its one branch, a multi-branch loop on
@@ -450,18 +476,19 @@ def _matches_yielding(loops_by_pair: _LoopsByPair, added: tuple[BasePair, ...]) 
         inner = added[1]
         if kids != (inner,):
             return []
-        return [Match(_RULE1_BY_GAPS[(inner.i - a > 1, b - inner.j > 1)], added)]
+        return [_unchecked_match(_RULE1_BY_GAPS[(inner.i - a > 1, b - inner.j > 1)], added)]
     if not kids:
-        out = [Match(HAIRPIN_1, added)]
+        out = [_unchecked_match(HAIRPIN_1, added)]
     elif len(kids) == 1:
         c, d = kids[0]
-        out = [Match(_RULE2_BY_GAPS[(c - a > 1, b - d > 1)], added, kids)]
+        out = [_unchecked_match(_RULE2_BY_GAPS[(c - a > 1, b - d > 1)], added, kids)]
     else:
-        out = [Match(MULTI_1 if len(kids) == 2 else MULTI_2, added, kids)]
+        out = [_unchecked_match(MULTI_1 if len(kids) == 2 else MULTI_2, added, kids)]
     parent = branch_of[outer]
     if parent.closing is not None and len(parent.branches) == 1:
         p, q = parent.closing
-        out.append(Match(_RULE2_BY_GAPS[(a - p > 1, q - b > 1)], added, (parent.closing,)))
+        rule = _RULE2_BY_GAPS[(a - p > 1, q - b > 1)]
+        out.append(_unchecked_match(rule, added, (parent.closing,)))
     return out
 
 
@@ -503,15 +530,14 @@ def gluing_check(s: SecondaryStructure, m: Match, g: Grammar) -> bool:
 
 
 def enumerate_inverse_matches(
-    s: SecondaryStructure, g: Grammar, view: LoopIndex | None = None
+    s: SecondaryStructure, g: Grammar
 ) -> list[tuple[Match, SecondaryStructure]]:
     """Rule applications that could have produced ``s``, with their sources.
 
     Each entry is a (match, predecessor) pair such that applying the match to
     the predecessor yields ``s`` exactly, sorted by match. The applications
     are read off the loops of ``s``: each pair was added alone, or together
-    with the only branch of its loop. Used for backtracking moves; ``view``
-    is ``loop_index(s)``, when the caller has it.
+    with the only branch of its loop. Used for backtracking moves.
 
     Raises:
         StructureError: ``s`` is not valid under ``g``.
@@ -519,7 +545,15 @@ def enumerate_inverse_matches(
     report = validate_structure(s, g.min_hairpin_unpaired)
     if not report.ok:
         raise StructureError(f"invalid structure: {report.describe()}", report.violations)
-    loops_by_pair = _loops_by_pair(loop_index(s) if view is None else view)
+    return _inverse_moves(s, loop_index(s))
+
+
+def _inverse_moves(
+    s: SecondaryStructure, view: LoopIndex
+) -> list[tuple[Match, SecondaryStructure]]:
+    """:func:`enumerate_inverse_matches` on a structure known to be valid,
+    such as one the engine built, with its loop view."""
+    loops_by_pair = _loops_by_pair(view)
     closed_by = loops_by_pair[0]
     out: list[tuple[Match, SecondaryStructure]] = []
     for pair in s.sorted_pairs:
@@ -537,8 +571,8 @@ def enumerate_inverse_matches(
 
 def _apply_unchecked(s: SecondaryStructure, added: tuple[BasePair, ...]) -> SecondaryStructure:
     """``s`` with the pairs a move adds, for moves known to pass gluing
-    (enumeration output)."""
-    return SecondaryStructure(s.sequence, s.pairs | frozenset(added))
+    (enumeration output), whose pairs are ``BasePair(i < j)``."""
+    return SecondaryStructure._unchecked(s.sequence, s.pairs | frozenset(added))
 
 
 def apply_match(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure:

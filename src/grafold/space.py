@@ -26,6 +26,7 @@ from .grammar import (
     RuleId,
     _apply_unchecked,
     _loop_sites,
+    _LoopMemo,
     _rule_moves,
     enumerate_matches,
 )
@@ -154,8 +155,12 @@ def build_lts(
     # the limit that turned a key away: it turns the key away on every
     # later match too, as the observable is fixed and states are never dropped
     turned_away: dict[str, str] = {}
-    # a loop's (closing pair, branches) -> its (rule position, added) moves
-    loop_moves: dict[tuple, list[tuple[int, tuple]]] = {}
+    # each distinct loop's (rule position, added) moves
+    loop_moves = _LoopMemo(
+        lambda loop: [
+            (at, added) for at, added, _ in _rule_moves(bases, _loop_sites(bases, min_h, loop))
+        ]
+    )
     queue: deque[int] = deque([0])
 
     while queue:
@@ -164,24 +169,13 @@ def build_lts(
             break
         src = queue.popleft()
         source = states[src]
-        fed = []
-        for loop in loop_index(source.structure).loops:
-            loop_id = (loop.closing, tuple(loop.branches))
-            moves = loop_moves.get(loop_id)
-            if moves is None:
-                moves = loop_moves[loop_id] = [
-                    (at, added)
-                    for at, added, _ in _rule_moves(bases, _loop_sites(bases, min_h, loop))
-                ]
-            if moves:
-                fed.append(moves)
+        fed = [moves for moves in map(loop_moves, loop_index(source.structure).loops) if moves]
         if not fed:
             terminal.add(src)
             continue
         if limits.max_depth is not None and depths[src] >= limits.max_depth:
             truncated = "max_depth"
             continue
-        pairs = source.structure.pairs
         moves = fed[0] if len(fed) == 1 else sorted([m for ms in fed for m in ms])
         for at, added in moves:
             key = key_with_pairs(source.key, added)
@@ -189,7 +183,7 @@ def build_lts(
             if tgt is None:  # an indexed target passed the ceiling when it was added
                 reason = turned_away.get(key)
                 if reason is None:
-                    target = SecondaryStructure(seq, pairs | frozenset(added))
+                    target = _apply_unchecked(source.structure, added)
                     e = observable(target, em)
                     if limits.energy_ceiling is not None and e > limits.energy_ceiling:
                         reason = "energy_ceiling"

@@ -157,6 +157,15 @@ class SecondaryStructure:
         normalized = frozenset(BasePair(min(i, j), max(i, j)) for i, j in pairs)
         object.__setattr__(self, "pairs", normalized)
 
+    @classmethod
+    def _unchecked(cls, sequence: PrimarySequence, pairs: frozenset[BasePair]):
+        """A structure built without ``__post_init__``: for the engine's own
+        builds, whose ``pairs`` is already a frozenset of ``BasePair(i < j)``."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "sequence", sequence)
+        object.__setattr__(s, "pairs", pairs)
+        return s
+
     @property
     def n(self) -> int:
         return len(self.sequence)
@@ -180,7 +189,8 @@ class SecondaryStructure:
         return emit_dot_bracket(self)
 
     def without(self, pairs: Iterable[BasePair]) -> "SecondaryStructure":
-        return SecondaryStructure(self.sequence, self.pairs - frozenset(pairs))
+        # a subset of normalized pairs is normalized
+        return SecondaryStructure._unchecked(self.sequence, self.pairs - frozenset(pairs))
 
 
 @dataclass(slots=True)

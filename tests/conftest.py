@@ -1,8 +1,11 @@
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable
+from unittest import mock
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -15,6 +18,7 @@ from grafold.controller import (
     register_strategy,
 )
 from grafold.energy import EnergyModel
+from grafold.grammar import Grammar, _apply_unchecked, enumerate_matches
 from grafold.structure import PrimarySequence, SecondaryStructure
 
 
@@ -67,6 +71,42 @@ def psi_machine() -> AdaptiveMachine:
         "w1", Constraint.of_strategy("lookahead", depth=1), (("w0", Constraint.true()),)
     )
     return AdaptiveMachine((w0, w1), "w0")
+
+
+@contextmanager
+def counting_builds():
+    """Yields (public, unchecked): every structure built in the block through
+    the normalizing constructor, and every one built through
+    ``SecondaryStructure._unchecked``, in build order."""
+    public: list[SecondaryStructure] = []
+    unchecked: list[SecondaryStructure] = []
+    post_init, build = SecondaryStructure.__post_init__, SecondaryStructure._unchecked.__func__
+
+    def counting_post_init(s):
+        public.append(s)
+        post_init(s)
+
+    def counting_unchecked(cls, sequence, pairs):
+        s = build(cls, sequence, pairs)
+        unchecked.append(s)
+        return s
+
+    with mock.patch.object(SecondaryStructure, "__post_init__", counting_post_init), \
+            mock.patch.object(SecondaryStructure, "_unchecked", classmethod(counting_unchecked)):
+        yield public, unchecked
+
+
+def random_derivation(bases: str, min_h: int, data):
+    """Each structure of a random derivation from the unfolded strand down to
+    a terminal structure, with its matches."""
+    g = Grammar(min_hairpin_unpaired=min_h)
+    s = SecondaryStructure(PrimarySequence(bases))
+    while True:
+        matches = enumerate_matches(s, g)
+        yield s, matches
+        if not matches:
+            return
+        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)).added)
 
 
 # Fixture families, sized so exhaustive oracles stay fast.

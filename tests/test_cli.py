@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+import grafold.controller
 from grafold.cli import build_parser, main
+from grafold.controller import StrategyDecision
 from grafold.space import validate_lts_json
 
 
@@ -13,6 +15,21 @@ def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strategy_machine(tmp_path, strategy, params):
+    """A machine file: greedy w0, adapting into w1 under ``strategy``."""
+    machine = {
+        "initial": "w0",
+        "states": [
+            {"id": "w0", "constraint": "phi0"},
+            {"id": "w1", "constraint": {"strategy": strategy, "params": params}},
+        ],
+        "transitions": [{"from": "w0", "to": "w1"}, {"from": "w1", "to": "w0"}],
+    }
+    path = tmp_path / "machine.json"
+    path.write_text(json.dumps(machine))
+    return path
 
 
 class TestFold:
@@ -88,26 +105,33 @@ class TestFold:
         code, _, err = run_cli(["fold", "--seq", "GAAAC", "--s-machine", str(path)], capsys)
         assert code == 2 and err.startswith("error: ")
 
-    def test_strategy_param_called_name(self, tmp_path, capsys):
-        # "name" is an ordinary strategy param, which lookahead ignores
-        outputs = []
-        for params in ({"depth": 2}, {"depth": 2, "name": 1}):
-            machine = {
-                "initial": "w0",
-                "states": [
-                    {"id": "w0", "constraint": "phi0"},
-                    {"id": "w1", "constraint": {"strategy": "lookahead", "params": params}},
-                ],
-                "transitions": [{"from": "w0", "to": "w1"}, {"from": "w1", "to": "w0"}],
-            }
-            path = tmp_path / "machine.json"
-            path.write_text(json.dumps(machine))
-            code, out, _ = run_cli(
-                ["fold", "--seq", "GGGAAACCC", "--s-machine", str(path)], capsys
-            )
-            assert code == 0
-            outputs.append(out)
-        assert outputs[0] == outputs[1]
+    def test_strategy_param_called_name(self, tmp_path, capsys, monkeypatch):
+        # "name" is an ordinary strategy param: it reaches the strategy and
+        # does not collide with the strategy's own name
+        seen = []
+
+        def read_params(ctx):
+            seen.append(ctx.params)
+            return StrategyDecision(satisfied=False)
+
+        monkeypatch.setitem(grafold.controller._STRATEGIES, "read-params", read_params)
+        path = strategy_machine(tmp_path, "read-params", {"name": 1, "depth": 2})
+        code, _, _ = run_cli(["fold", "--seq", "GGGAAACCC", "--s-machine", str(path)], capsys)
+        assert code == 0
+        assert seen and all(params == {"name": 1, "depth": 2} for params in seen)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"depth": 2, "detph": 3}, "unknown lookahead param(s) ['detph']"),
+            ({"depth": "two"}, "lookahead depth must be an integer"),
+        ],
+        ids=["misspelled-key", "non-integer-depth"],
+    )
+    def test_bad_lookahead_params(self, tmp_path, capsys, params, message):
+        path = strategy_machine(tmp_path, "lookahead", params)
+        code, _, err = run_cli(["fold", "--seq", "GGGAAACCC", "--s-machine", str(path)], capsys)
+        assert code == 2 and err.startswith("error: ") and message in err
 
 
 class TestEnumerate:

@@ -22,16 +22,30 @@ from grafold.controller import (
     run,
 )
 from grafold.energy import LoopTableModel, NussinovModel, example_parameters, observable
-from grafold.grammar import Grammar, apply_match, enumerate_inverse_matches, enumerate_matches
+from grafold.grammar import (
+    Grammar,
+    _sites,
+    apply_match,
+    enumerate_inverse_matches,
+    enumerate_matches,
+)
 from grafold.space import successors
 from grafold.structure import (
     PrimarySequence,
     SecondaryStructure,
+    loop_index,
     parse_dot_bracket,
     validate_structure,
 )
 import grafold.controller
-from conftest import EXAMPLE_MACHINE, ScriptedModel, psi_machine, trap_model
+from conftest import (
+    EXAMPLE_MACHINE,
+    ScriptedModel,
+    counting_builds,
+    psi_machine,
+    random_derivation,
+    trap_model,
+)
 from oracles import EagerController, phi0_select
 
 G3 = Grammar()
@@ -476,27 +490,23 @@ class TestLazyAdaptation:
         # the trap's first phase starts at its one-pair minimum and resumes
         # at a forward child of it, so a lazy search never needs the
         # origin's inverse moves; the eager search enumerates them anyway.
-        # Both build their forward children through _apply_unchecked, the lazy
-        # search in _Moves.forward and the eager one in _Moves.successors, so
+        # The run builds every structure but the unfolded one through the
+        # unchecked constructor: forward children (lazily in _Moves.forward,
+        # eagerly in _Moves.successors), φ0 targets and inverse sources, so
         # a count of 0 means a build escaped the count
-        built: list[str] = []
         inverse_of: list[str] = []
-        apply, inverse = grafold.controller._apply_unchecked, enumerate_inverse_matches
+        inverse = grafold.controller._inverse_moves
 
-        def counting_apply(structure, added):
-            built.append(structure.key)
-            return apply(structure, added)
-
-        def counting_inverse(structure, *args):
+        def counting_inverse(structure, view):
             inverse_of.append(structure.key)
-            return inverse(structure, *args)
+            return inverse(structure, view)
 
-        monkeypatch.setattr(grafold.controller, "_apply_unchecked", counting_apply)
-        monkeypatch.setattr(grafold.controller, "enumerate_inverse_matches", counting_inverse)
+        monkeypatch.setattr(grafold.controller, "_inverse_moves", counting_inverse)
 
         def first_phase(cls):
-            """(built count, trace, first phase's origin, the records it
-            added, the structures whose inverse moves it enumerated)"""
+            """(unchecked build count, trace, first phase's origin, the
+            records it added, the structures whose inverse moves it
+            enumerated)"""
             phases = []
 
             class Probe(cls):
@@ -507,13 +517,14 @@ class TestLazyAdaptation:
                     phases.append((origin, self._records[records:], inverse_of[calls:]))
                     return outcome
 
-            built.clear()
-            trace = Probe(
-                grammar=Grammar(allow_inverse=True),
-                model=trap_model(),
-                limits=RunLimits(max_steps=40),
-            ).run(seq_gggaaaccc)
-            return (len(built), trace, *phases[0])
+            with counting_builds() as (public, unchecked):
+                trace = Probe(
+                    grammar=Grammar(allow_inverse=True),
+                    model=trap_model(),
+                    limits=RunLimits(max_steps=40),
+                ).run(seq_gggaaaccc)
+            assert len(public) == 1
+            return (len(unchecked), trace, *phases[0])
 
         lazy_built, lazy, origin, added, lazy_calls = first_phase(Controller)
         eager_built, eager, _, _, eager_calls = first_phase(EagerController)
@@ -590,6 +601,63 @@ def test_signature_order_is_key_order_along_derivations(min_h, bases, data):
         by_signature = sorted(key_of, key=_signature)
         assert by_signature == sorted(key_of, key=key_of.__getitem__)
         s = apply_match(s, data.draw(st.sampled_from(matches)), g)
+
+
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_run_memo_moves_equal_fresh_ones_along_derivations(min_h, bases, data):
+    # one controller serves the whole derivation, so later structures read
+    # loops memoized for earlier ones: the merged sites equal a fresh scan
+    # of every loop, in the same order, and the inverse moves, read without
+    # validation, equal the public validating enumeration
+    g = Grammar(min_hairpin_unpaired=min_h, allow_inverse=True)
+    controller = Controller(grammar=g, model=NUSSINOV)
+    for s, _ in random_derivation(bases, min_h, data):
+        entry = controller._moves(s)
+        assert entry.sites == _sites(s, g, loop_index(s))
+        outer = [site[0] for site in entry.sites]
+        assert outer == sorted(set(outer))
+        assert entry.inverse == enumerate_inverse_matches(s, g)
+
+
+@pytest.mark.parametrize(
+    "bases, min_h", [("GCGCGCGCGCGCGC", 3), ("CGAUUCAAAUGACG", 1)], ids=["gc-14", "multi"]
+)
+def test_each_distinct_loop_scanned_once_per_run(monkeypatch, bases, min_h):
+    # a run scans a loop, named by its closing pair and branches, the first
+    # time a structure whose sites it reads holds it, and never again in
+    # that run
+    scanned = []
+    loop_sites = grafold.controller._loop_sites
+
+    def counting_loop_sites(bases, min_hairpin, region):
+        scanned.append((region.closing, tuple(region.branches)))
+        return loop_sites(bases, min_hairpin, region)
+
+    monkeypatch.setattr(grafold.controller, "_loop_sites", counting_loop_sites)
+    seq = PrimarySequence(bases)
+    controller = Controller(
+        grammar=Grammar(min_hairpin_unpaired=min_h, allow_inverse=True),
+        model=MODELS["loop-table"],
+        limits=RunLimits(max_steps=40),
+    )
+    trace = controller.run(seq)
+    per_run = len(scanned)
+    read = [entry for entry in controller._move_memo.values() if "sites" in vars(entry)]
+    loops = [(loop.closing, tuple(loop.branches)) for entry in read for loop in entry.view.loops]
+    # the memoized sites of every structure the run read them for equal a
+    # fresh scan, merged by outer pair
+    for entry in read:
+        assert entry.sites == _sites(entry.structure, controller.grammar, entry.view)
+        outer = [site[0] for site in entry.sites]
+        assert outer == sorted(set(outer))
+    assert controller.run(seq).to_jsonl() == trace.to_jsonl()
+    assert len(set(scanned[:per_run])) == per_run
+    assert set(scanned[:per_run]) == set(loops)
+    assert len(loops) > 2 * per_run
+    # the memo lives for one run: the second run scans the same loops
+    assert scanned[per_run:] == scanned[:per_run]
 
 
 class TestStrategies:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafold.controller import RunLimits, _Moves, _phi0_level, run
+from grafold.controller import Controller, RunLimits, _phi0_level, run
 from grafold.energy import (
     ExternalEvaluationError,
     ExternalEvaluator,
@@ -31,6 +31,7 @@ from grafold.structure import (
     SecondaryStructure,
     parse_dot_bracket,
 )
+from conftest import random_derivation
 from oracles import all_valid_structures, stack_walk_loops, table_loop_term
 
 
@@ -284,19 +285,6 @@ def test_successor_observables_along_derivations(min_h, bases, data):
         s = _apply_unchecked(s, data.draw(st.sampled_from(matches)).added)
 
 
-def random_derivation(bases: str, min_h: int, data):
-    """Each structure of a random derivation from the unfolded strand down to
-    a terminal structure, with its matches."""
-    g = Grammar(min_hairpin_unpaired=min_h)
-    s = SecondaryStructure(PrimarySequence(bases))
-    while True:
-        matches = enumerate_matches(s, g)
-        yield s, matches
-        if not matches:
-            return
-        s = _apply_unchecked(s, data.draw(st.sampled_from(matches)).added)
-
-
 TABLES = [rounding_sensitive_parameters(), short_table_parameters()]
 
 
@@ -424,7 +412,7 @@ def test_bounded_level_equals_full_scoring_along_derivations(min_h, bases, data)
     g = Grammar(min_hairpin_unpaired=min_h)
     for s, matches in random_derivation(bases, min_h, data):
         for model in [NussinovModel(), *BOUND_MODELS]:
-            entry = _Moves(s, g, model)
+            entry = Controller(grammar=g, model=model)._moves(s)
             threshold = observable(s, model)
             floor = None
             for _ in range(2):

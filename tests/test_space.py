@@ -26,7 +26,7 @@ from grafold.space import (
     validate_lts_json,
 )
 from grafold.structure import PrimarySequence, SecondaryStructure, loop_index, validate_structure
-from conftest import COMPLETENESS_SEQUENCES, SOUNDNESS_SEQUENCES, ScriptedModel
+from conftest import COMPLETENESS_SEQUENCES, SOUNDNESS_SEQUENCES, ScriptedModel, counting_builds
 from oracles import all_valid_structures, built_lts, json_export, nussinov_max_pairs
 
 MODEL = NussinovModel()
@@ -169,24 +169,21 @@ def test_json_energies_written_as_json_writes_them(seq_gaaac, energy):
 
 def test_each_new_state_built_once(seq_gggaaaccc):
     # a match whose target key is already indexed builds nothing: one
-    # structure per state and one key (the start state's) for the whole build
-    built, keyed = [], []
-    post_init = SecondaryStructure.__post_init__
+    # structure per state and one key (the start state's) for the whole build.
+    # Only the start state goes through the normalizing constructor
+    keyed = []
     emit = grafold.structure.emit_dot_bracket
-
-    def counting_post_init(s):
-        built.append(s)
-        post_init(s)
 
     def counting_emit(s):
         keyed.append(s)
         return emit(s)
 
-    with mock.patch.object(SecondaryStructure, "__post_init__", counting_post_init), \
+    with counting_builds() as (public, unchecked), \
             mock.patch.object(grafold.structure, "emit_dot_bracket", counting_emit):
         lts = build_lts(seq_gggaaaccc, G3, MODEL)
     assert len(lts.transitions) > len(lts.states) == 20
-    assert len(built) == len(lts.states)
+    assert len(public) == 1
+    assert len(public) + len(unchecked) == len(lts.states)
     assert len(keyed) == 1
 
 
@@ -201,17 +198,12 @@ def test_each_new_state_built_once(seq_gggaaaccc):
 def test_each_turned_away_target_built_once(bases, model, limits, built_count):
     # a target that a limit turned away is remembered for the build: later
     # matches onto it neither build nor score it again
-    built = []
-    post_init = SecondaryStructure.__post_init__
-
-    def counting_post_init(s):
-        built.append(s)
-        post_init(s)
-
     seq = PrimarySequence(bases)
-    with mock.patch.object(SecondaryStructure, "__post_init__", counting_post_init):
+    with counting_builds() as (public, unchecked):
         lts = build_lts(seq, G3, MODELS[model], limits)
+    built = public + unchecked
     assert lts.truncated_by is not None
+    assert len(public) == 1
     assert len(built) == len(set(built)) == built_count
     assert lts == built_lts(seq, G3, MODELS[model], limits)
 

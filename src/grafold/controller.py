@@ -47,7 +47,13 @@ from .grammar import (
     _rule_moves,
     _stacked_pair,
 )
-from .structure import BasePair, PrimarySequence, SecondaryStructure, loop_index
+from .structure import (
+    BasePair,
+    PrimarySequence,
+    SecondaryStructure,
+    key_with_pairs,
+    loop_index,
+)
 
 __all__ = [
     "Constraint",
@@ -437,10 +443,14 @@ class AdaptationOutcome:
     reason: str | None = None
 
 
+#: The φ0 choice of a structure whose moves have not been searched yet.
+_UNSEARCHED = object()
+
+
 class _Moves:
     """The moves of one structure in a run, each worked out on first read
     from its one loop view: the outer pairs its forward moves add, its move
-    scorer, its φ0 levels, its inverse (match, source) steps and, for
+    scorer, its φ0 choice, its inverse (match, source) steps and, for
     strategies, its built forward successors. ``loop_sites`` is the run's
     memo of each loop's :func:`~grafold.grammar._loop_sites`."""
 
@@ -449,9 +459,8 @@ class _Moves:
         self.model = model
         self.loop_sites = loop_sites
         self.view = loop_index(structure)
-        # (score, tied added pairs in key order), by rising score; a level
-        # with no pairs ends the list
-        self.levels: list[tuple[float, list[tuple[BasePair, ...]]]] = []
+        # the last :func:`_phi0_move` result, or _UNSEARCHED
+        self.phi0: object = _UNSEARCHED
 
     @cached_property
     def sites(self) -> list[tuple]:
@@ -482,28 +491,36 @@ class _Moves:
             yield ALL_RULES[at].label, _apply_unchecked(structure, added)
 
 
-def _phi0_level(
-    entry: _Moves, threshold: float, floor: float | None
-) -> tuple[float, list[tuple[BasePair, ...]]]:
-    """The least score above ``floor`` (None: no floor) and at most
-    ``threshold`` among the forward moves of ``entry.structure``, with the
-    added pairs of every move scoring it (none when no move qualifies).
+def _phi0_move(
+    entry: _Moves, threshold: float, visited: set[str]
+) -> tuple[float, str, tuple[BasePair, ...]] | None:
+    """The forward move of ``entry.structure`` with the least (score, target
+    key) among those scoring at most ``threshold`` whose target key is not
+    in ``visited``, as (score, target key, added pairs); None when no move
+    qualifies.
 
-    Branch and bound over the outer pairs of ``entry.sites``: the bar starts at
-    ``threshold`` and drops to the best score found. Each outer pair's single
-    and stacked double are scored; its bulge and internal doubles only when
-    their bound (:meth:`MoveScorer.double_bound`) does not exceed the bar.
-    Every skipped move scores above the bar, so the result is exact.
+    One pass over ``entry.sites``, by outer pair (a, b). A target's key is
+    the source's key with brackets at the added ends, and ``'('`` sorts
+    before ``'.'``, so of two moves tied on score the one with the lesser a
+    has the lesser key: a tie whose a lies right of the best move's loses
+    without being keyed. Each outer pair's single and stacked double are
+    scored; its bulge and internal doubles only when their bound
+    (:meth:`MoveScorer.double_bound`) is below the best score, or equal to
+    it at the best move's a. Every skipped move loses, so the result is exact.
     """
-    bases, scorer = entry.structure.sequence.bases, entry.scorer
-    low, tied = threshold, []
+    structure, scorer = entry.structure, entry.scorer
+    bases, source_key = structure.sequence.bases, structure.key
+    low, best_key, best_added = threshold, None, ()
+
+    def ties(a: int) -> bool:
+        return best_key is None or a == best_added[0][0]
 
     def offer(score: float, added: tuple[BasePair, ...]) -> None:
-        nonlocal low, tied
-        if score <= low and (floor is None or floor < score):
-            if score < low:
-                low, tied = score, []
-            tied.append(added)
+        nonlocal low, best_key, best_added
+        if score < low or score == low and ties(added[0][0]):
+            key = key_with_pairs(source_key, added)
+            if key not in visited and (score < low or best_key is None or key < best_key):
+                low, best_key, best_added = score, key, added
 
     for site in entry.sites:
         outer = site[0]
@@ -511,19 +528,12 @@ def _phi0_level(
         stacked = _stacked_pair(bases, site)
         if stacked is not None:
             offer(scorer.double(outer, stacked), (outer, stacked))
-        if scorer.double_bound(outer) <= low:
+        bound = scorer.double_bound(outer)
+        if bound < low or bound == low and ties(outer[0]):
             for inner in _inner_pairs(bases, site):
                 if inner != stacked:
                     offer(scorer.double(outer, inner), (outer, inner))
-    return low, tied
-
-
-def _signature(added: tuple[BasePair, ...]) -> list[tuple[int, str]]:
-    """The order key of a move among the moves of one structure, equal to
-    the order of their dot-bracket keys: the keys differ only at the added
-    ends, where ``'('`` and ``')'`` sort before ``'.'``. The pairs a move
-    adds nest, so no move's ends are a prefix of another's."""
-    return sorted([(i, "(") for i, _ in added] + [(j, ")") for _, j in added])
+    return None if best_key is None else (low, best_key, best_added)
 
 
 class _LazySuccessors(Sequence):
@@ -651,35 +661,20 @@ class Controller:
         the one of minimal observable, ties broken on the smallest key, if it
         does not exceed the observable of ``structure``; None otherwise.
 
-        It is read off the structure's φ0 levels, each found by
-        :func:`_phi0_level` and kept for the run: the least score and the
-        moves tied at it, in key order. The first tied move whose target is
-        unvisited wins, with the first match, in rule order, that adds its
-        pairs; when every tied target is visited (only inverse moves lead
-        back), the next level is searched above that score."""
-        for low, tied in self._levels(self._moves(structure)):
-            for added in tied:
-                target = _apply_unchecked(structure, added)
-                if target.key not in self._visited:
-                    self._energy_memo[target.key] = low
-                    return _first_match(self._moves(target).view, added), target
-        return None
-
-    def _levels(self, entry: _Moves):
-        """The φ0 levels of ``entry``, each searched on first read."""
-        levels = entry.levels
-        index = 0
-        while True:
-            if index == len(levels):
-                floor = levels[-1][0] if levels else None
-                low, tied = _phi0_level(entry, self._observable(entry.structure), floor)
-                tied.sort(key=_signature)
-                levels.append((low, tied))
-            low, tied = levels[index]
-            if not tied:
-                return
-            yield low, tied
-            index += 1
+        It is the structure's kept :func:`_phi0_move`, with the first match,
+        in rule order, that adds its pairs. The visited set only grows, so a
+        kept choice stands until its own target is visited; only then is the
+        search run again."""
+        entry = self._moves(structure)
+        choice = entry.phi0
+        if choice is _UNSEARCHED or choice is not None and choice[1] in self._visited:
+            choice = entry.phi0 = _phi0_move(entry, self._observable(structure), self._visited)
+        if choice is None:
+            return None
+        low, key, added = choice
+        self._energy_memo[key] = low
+        target = _apply_unchecked(structure, added)
+        return _first_match(self._moves(target).view, added), target
 
     def _check(
         self, constraint: Constraint, structure: SecondaryStructure, s_state: str

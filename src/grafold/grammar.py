@@ -163,16 +163,7 @@ class DerivationError(ValueError):
 
 
 def _normalized(pairs) -> tuple[BasePair, ...]:
-    """``pairs`` as a sorted tuple of ``BasePair(i, j)`` with ``i < j``; a
-    tuple already in that form is returned as it is."""
-    if type(pairs) is tuple:
-        prev = (-1, -1)
-        for pair in pairs:
-            if type(pair) is not BasePair or pair[0] >= pair[1] or pair <= prev:
-                break
-            prev = pair
-        else:
-            return pairs
+    """``pairs`` as a sorted tuple of ``BasePair(i, j)`` with ``i < j``."""
     return tuple(sorted(BasePair(min(i, j), max(i, j)) for i, j in pairs))
 
 
@@ -193,10 +184,8 @@ class Match:
 
     def __post_init__(self) -> None:
         added, context = _normalized(self.added), _normalized(self.context)
-        if added is not self.added:
-            object.__setattr__(self, "added", added)
-        if context is not self.context:
-            object.__setattr__(self, "context", context)
+        object.__setattr__(self, "added", added)
+        object.__setattr__(self, "context", context)
         kind, variant = self.rule.loop_kind, self.rule.variant
         if kind is LoopKind.MULTI:
             want_added, ctx_ok = 1, (len(context) == 2 if variant == 1 else len(context) >= 3)

@@ -142,19 +142,16 @@ class SecondaryStructure:
     """A sequence plus a set of base pairs. Immutable and hashable.
 
     Pairs are normalized to a frozenset of ``BasePair(i, j)`` with ``i < j``
-    on construction; a set already in that form is kept as it is. Validity is
-    not enforced here; use :func:`validate_structure` (violations are data, so
-    deliberately broken structures can be built for testing).
+    on construction. Validity is not enforced here; use
+    :func:`validate_structure` (violations are data, so deliberately broken
+    structures can be built for testing).
     """
 
     sequence: PrimarySequence
     pairs: frozenset[BasePair] = frozenset()
 
     def __post_init__(self) -> None:
-        pairs = self.pairs
-        if type(pairs) is frozenset and all(type(p) is BasePair and p.i < p.j for p in pairs):
-            return
-        normalized = frozenset(BasePair(min(i, j), max(i, j)) for i, j in pairs)
+        normalized = frozenset(BasePair(min(i, j), max(i, j)) for i, j in self.pairs)
         object.__setattr__(self, "pairs", normalized)
 
     @classmethod

@@ -17,7 +17,6 @@ from grafold.controller import (
     StrategyDecision,
     UnknownStrategyError,
     _get_strategy,
-    _signature,
     register_strategy,
     run,
 )
@@ -260,6 +259,30 @@ class TestSteadyStep:
         controller = Controller(model=NUSSINOV)
         controller.run(seq_gggaaaccc)  # ends exhausted at a terminal structure
         assert controller.steady_step() is False
+
+    def test_true_state_takes_first_unvisited_forward_move(self, seq_gggaaaccc):
+        # phi0 fails at the trap, which still has forward moves; the
+        # adaptation phase resumes there in the "true" state w1, whose
+        # steady moves then take the first unvisited successor, in match
+        # order, until a terminal structure
+        w0 = MachineState("w0", Constraint.phi0(), (("w1", Constraint.true()),))
+        w1 = MachineState("w1", Constraint.true())
+        trace = run(AdaptiveMachine((w0, w1), "w0"), seq_gggaaaccc, model=trap_model())
+        resumed = next(k for k, r in enumerate(trace.records) if r.s_state == "w1")
+        assert trace.records[resumed].db == "..(...).."
+        moves = trace.records[resumed + 1:]
+        assert moves and all(r.s_state == "w1" and r.mode == "steady" for r in moves)
+        for k, record in enumerate(moves, start=resumed + 1):
+            visited = {r.db for r in trace.records[:k]}
+            source = parse_dot_bracket(seq_gggaaaccc, trace.records[k - 1].db)
+            want = next(
+                (m.rule.label, t.key)
+                for m, t in successors(source, G3)
+                if t.key not in visited
+            )
+            assert (record.move, record.db) == want
+        assert not successors(parse_dot_bracket(seq_gggaaaccc, moves[-1].db), G3)
+        assert trace.summary.termination == "no-adaptation-targets"
 
 
 class TestAdaptationScenario:
@@ -554,53 +577,65 @@ class TestScoredSelection:
         ids=["nussinov-inverse", "loop-table-inverse", "loop-table", "scripted-inverse"],
     )
     def test_same_choice_as_phi0_select(self, bases, grammar, model):
-        compared = visited_ties = 0
-
-        class Checked(Controller):
-            def _phi0(self, structure):
-                nonlocal compared, visited_ties
-                succs = successors(structure, self.grammar)
-                fresh = [(m, t) for m, t in succs if t.key not in self._visited]
-                want = phi0_select(structure, fresh, self.model)
-                got = super()._phi0(structure)
-                assert got == want
-                compared += 1
-                if succs:
-                    scores = [observable(t, self.model) for _, t in succs]
-                    low = min(scores)
-                    visited_ties += any(
-                        t.key in self._visited and e == low
-                        for (_, t), e in zip(succs, scores)
-                    )
-                return got
-
-        trace = Checked(grammar=grammar, model=model, limits=RunLimits(max_steps=40)).run(
-            PrimarySequence(bases)
-        )
+        trace, compared, visited_ties, _ = checked_run(bases, grammar, model, max_steps=40)
         assert compared > len(trace.records) // 2
         # inverse moves lead back to visited structures, some tied at the
         # minimal score; forward-only runs never meet a visited successor
         assert (visited_ties > 0) is grammar.allow_inverse
 
+    def test_kept_choice_searched_again_once_its_target_is_visited(self, monkeypatch):
+        # a structure keeps its phi0 choice while the choice's target is
+        # unvisited; inverse moves lead back to structures whose choice was
+        # visited since, and each such check searches again
+        searched = []
+        phi0_move = grafold.controller._phi0_move
 
-@pytest.mark.parametrize("min_h", [1, 3])
-@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
-@settings(max_examples=40, deadline=None)
-def test_signature_order_is_key_order_along_derivations(min_h, bases, data):
-    # phi0 orders the moves tied at the least score by their added-pairs
-    # signature instead of building them. Under Nussinov every double ties
-    # with every double; a loop table can tie singles with doubles, so the
-    # orders must agree over all the moves of a structure
-    g = Grammar(min_hairpin_unpaired=min_h)
-    s = SecondaryStructure(PrimarySequence(bases))
-    while True:
-        matches = enumerate_matches(s, g)
-        if not matches:
-            break
-        key_of = {m.added: apply_match(s, m, g).key for m in matches}
-        by_signature = sorted(key_of, key=_signature)
-        assert by_signature == sorted(key_of, key=key_of.__getitem__)
-        s = apply_match(s, data.draw(st.sampled_from(matches)), g)
+        def counting_phi0_move(entry, threshold, visited):
+            searched.append(entry.structure.key)
+            return phi0_move(entry, threshold, visited)
+
+        monkeypatch.setattr(grafold.controller, "_phi0_move", counting_phi0_move)
+        *_, checked = checked_run(SEEDED_40, Grammar(allow_inverse=True), MODELS["loop-table"], 60)
+        assert len(searched) - len(set(searched)) > 0
+        assert set(searched) == set(checked)
+        assert len(checked) > len(searched)
+
+
+#: The first 40 of ``"".join(rng.choice("ACGU") ...)`` with rng = random.Random(1).
+SEEDED_40 = "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUA"
+
+
+def checked_run(bases, grammar, model, max_steps):
+    """A run whose every phi0 choice is checked against phi0_select over the
+    built, visited-filtered successors: its trace, the number of choices
+    compared, how many of them had a visited successor tied at the least
+    score, and the key of each structure checked."""
+    compared = visited_ties = 0
+    checked = []
+
+    class Checked(Controller):
+        def _phi0(self, structure):
+            nonlocal compared, visited_ties
+            succs = successors(structure, self.grammar)
+            fresh = [(m, t) for m, t in succs if t.key not in self._visited]
+            want = phi0_select(structure, fresh, self.model)
+            got = super()._phi0(structure)
+            assert got == want
+            compared += 1
+            checked.append(structure.key)
+            if succs:
+                scores = [observable(t, self.model) for _, t in succs]
+                low = min(scores)
+                visited_ties += any(
+                    t.key in self._visited and e == low
+                    for (_, t), e in zip(succs, scores)
+                )
+            return got
+
+    trace = Checked(grammar=grammar, model=model, limits=RunLimits(max_steps=max_steps)).run(
+        PrimarySequence(bases)
+    )
+    return trace, compared, visited_ties, checked
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
@@ -701,6 +736,13 @@ class TestStrategies:
         assert sorted(expanded) == sorted(t.key for _, t in ctx.successors)
         # the controller evaluates the same constraint from its run memos
         assert check(Constraint.of_strategy("lookahead", depth=2), trap, model) == plain
+        # a depth below 1 looks at no step, so nothing lower is reachable
+        scored.clear()
+        expanded.clear()
+        shallow = replace(ctx, score=score, successors_of=successors_of, params={"depth": 0})
+        assert lookahead(shallow) == StrategyDecision(satisfied=False)
+        assert scored == expanded == []
+        assert not check(Constraint.of_strategy("lookahead", depth=0), trap, model).satisfied
 
     def test_lookahead_rejects_non_integer_depth(self, seq_gggaaaccc):
         machine = AdaptiveMachine.from_config(

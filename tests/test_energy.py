@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafold.controller import Controller, RunLimits, _phi0_level, run
+from grafold.controller import Controller, RunLimits, _phi0_move, run
 from grafold.energy import (
     ExternalEvaluationError,
     ExternalEvaluator,
@@ -390,36 +390,41 @@ def test_double_bound_along_derivations(min_h, bases, data):
         assert_double_bounds_hold(s, matches)
 
 
-def full_level(s, matches, model, threshold, floor):
-    """The least observable above ``floor`` and at most ``threshold`` among
-    the built successors of ``s``, and the added pairs of each move scoring
-    it; the unpruned reference of ``_phi0_level``."""
-    scores = {m.added: observable(_apply_unchecked(s, m.added), model) for m in matches}
-    scores = {
-        added: e for added, e in scores.items()
-        if e <= threshold and (floor is None or floor < e)
-    }
-    low = min(scores.values(), default=threshold)
-    return low, {added for added, e in scores.items() if e == low}
+def full_choice(s, matches, model, visited):
+    """The least (observable, key) among the built successors of ``s`` that
+    are not in ``visited`` and score at most its observable, with the added
+    pairs of a move building it, or None; the unpruned reference of
+    ``_phi0_move``."""
+    threshold = observable(s, model)
+    scored = []
+    for m in matches:
+        target = _apply_unchecked(s, m.added)
+        score = observable(target, model)
+        if score <= threshold and target.key not in visited:
+            scored.append((score, target.key, m.added))
+    return min(scored, default=None)
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
 @given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
-@settings(max_examples=30, deadline=None)
-def test_bounded_level_equals_full_scoring_along_derivations(min_h, bases, data):
-    # the first two phi0 levels: the pruned search finds the same least
-    # score and the same tied moves as scoring every built successor
+@settings(max_examples=60, deadline=None)
+def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
+    # the pruned one-pass search finds the same least (score, key) move as
+    # scoring every built successor, whichever successors are visited; the
+    # drawn visited set holds the unfiltered winner about half the time, so
+    # the search must also pass over visited moves tied with its result
     g = Grammar(min_hairpin_unpaired=min_h)
     for s, matches in random_derivation(bases, min_h, data):
+        keys = sorted({_apply_unchecked(s, m.added).key for m in matches})
         for model in [NussinovModel(), *BOUND_MODELS]:
+            visited = data.draw(st.sets(st.sampled_from(keys))) if keys else set()
+            winner = full_choice(s, matches, model, set())
+            if winner is not None and data.draw(st.booleans()):
+                visited.add(winner[1])
             entry = Controller(grammar=g, model=model)._moves(s)
-            threshold = observable(s, model)
-            floor = None
-            for _ in range(2):
-                low, tied = _phi0_level(entry, threshold, floor)
-                assert (low, set(tied)) == full_level(s, matches, model, threshold, floor)
-                assert len(tied) == len(set(tied))
-                floor = low
+            got = _phi0_move(entry, observable(s, model), visited)
+            want = full_choice(s, matches, model, visited)
+            assert got == want
 
 
 class TestParameterLoading:

@@ -21,7 +21,10 @@ loop-table fold of the first 150 bases and the backtracking fold of the
 first 80 were recorded before forward moves came from one rule-ordered
 generator that lists the hairpins before it classifies any other move; the
 backtracking fold's adaptation phases take forward children past the
-hairpins and inverse children too.
+hairpins and inverse children too. The Nussinov fold of the first 150 bases
+and the Nussinov backtracking fold of the first 80 were recorded before φ0
+chose its move in one pass as the least (score, key) unvisited move; under
+Nussinov every double ties, and the backtracking fold meets visited targets.
 """
 
 import contextlib
@@ -97,6 +100,11 @@ LARGE_FOLDS = (
      "6aad0a9c32ab1a26cecdef131103bc261bbed04e56c25747328aa147231ba0c3"),
     ("nussinov", 60, ["--energy", "nussinov"],
      "2a249c727593f33aaa797abfd01a4cd4e6eea5d4462c5f978daf3773f85dbd89"),
+    ("nussinov", 150, ["--energy", "nussinov"],
+     "c67d3d9a828ac1c1512fa7bc08fe9f3fd52170ef41ba587b1e86733557d6f424"),
+    ("nussinov-inverse", 80,
+     ["--energy", "nussinov", "--allow-inverse", "--max-steps", "80"],
+     "ccdc5d8672282f9cd98a678f24dfac2fe203f634c8ffbc7cbb6ad2083727d98b"),
     ("loop-table-inverse", 40,
      ["--energy", "loop-table", "--allow-inverse", "--max-steps", "60"],
      "ca1f3a6969190e1ae263173148f37e0cda242bd89162f0c58bf6d4929a60593f"),

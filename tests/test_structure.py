@@ -67,10 +67,6 @@ class TestSecondaryStructure:
             assert type(s.pairs) is frozenset
             assert all(type(p) is BasePair and p.i < p.j for p in s.pairs)
 
-    def test_normal_pairs_kept_as_given(self):
-        pairs = frozenset({BasePair(0, 6), BasePair(1, 5)})
-        assert SecondaryStructure(PrimarySequence("GGAAACC"), pairs).pairs is pairs
-
 
 class TestAdmissiblePairs:
     @pytest.mark.parametrize(

@@ -673,7 +673,7 @@ class Controller:
             return None
         low, key, added = choice
         self._energy_memo[key] = low
-        target = _apply_unchecked(structure, added)
+        target = _apply_unchecked(structure, added, key)
         return _first_match(self._moves(target).view, added), target
 
     def _check(

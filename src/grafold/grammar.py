@@ -558,10 +558,13 @@ def _inverse_moves(
     return out
 
 
-def _apply_unchecked(s: SecondaryStructure, added: tuple[BasePair, ...]) -> SecondaryStructure:
+def _apply_unchecked(
+    s: SecondaryStructure, added: tuple[BasePair, ...], key: str | None = None
+) -> SecondaryStructure:
     """``s`` with the pairs a move adds, for moves known to pass gluing
-    (enumeration output), whose pairs are ``BasePair(i < j)``."""
-    return SecondaryStructure._unchecked(s.sequence, s.pairs | frozenset(added))
+    (enumeration output), whose pairs are ``BasePair(i < j)``; ``key`` is
+    the result's key when the caller already holds it."""
+    return SecondaryStructure._unchecked(s.sequence, s.pairs | frozenset(added), key)
 
 
 def apply_match(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure:

@@ -30,7 +30,7 @@ from .grammar import (
     _rule_moves,
     enumerate_matches,
 )
-from .structure import PrimarySequence, SecondaryStructure, key_with_pairs, loop_index
+from .structure import PrimarySequence, SecondaryStructure, key_with_pairs, loop_index, split_loop
 
 __all__ = [
     "ExploreLimits",
@@ -130,16 +130,16 @@ def build_lts(
 
     States are deduplicated by dot-bracket key and annotated with their
     observable. Each distinct loop is scanned once per build and keeps its
-    moves as (rule position, added pairs) in match order: a move changes one
-    loop of its source and adds one or two, so a state shares most of its
-    loops with the state it was reached from. A state's moves are its loops'
-    moves sorted together: two loops never add the same outer pair, so the
-    sort keeps match order, and parallel matches stay equal, adjacent
-    entries. Each move's target key is read off its source's key
-    (:func:`key_with_pairs`), so a target is built and scored only when its
-    key is new, and a target that a limit turned away is not built again.
-    When a limit triggers, the result is marked via ``truncated_by`` instead
-    of failing.
+    moves as (rule position, added pairs) in match order. A move changes one
+    loop, so a new state's loops are its source's with that loop swapped
+    for :func:`split_loop`'s result, looked up in the loop memo. A state's
+    moves are its loops' moves sorted together: two loops never add the
+    same outer pair, so the sort keeps match order, and parallel matches
+    stay equal, adjacent entries. Each move's target key is read off its
+    source's key (:func:`key_with_pairs`), so a target is built, with that
+    key, and scored only when its key is new, and a target that a limit
+    turned away is not built again. When a limit triggers, the result is
+    marked via ``truncated_by`` instead of failing.
     """
     limits = limits or ExploreLimits()
     start = time.monotonic()
@@ -148,42 +148,49 @@ def build_lts(
     states = [LTSState(0, s0.key, s0, observable(s0, em))]
     index: dict[str, int] = {s0.key: 0}
     depths = [0]
-    # (source, target, rule position in ALL_RULES) -> parallel matches
-    edges: dict[tuple[int, int, int], int] = {}
+    # sources are expanded in index order, so each source's transitions,
+    # sorted by (target, rule), extend the ones made so far in sorted order
+    transitions: list[LTSTransition] = []
     terminal: set[int] = set()
     truncated: str | None = None
     # the limit that turned a key away: it turns the key away on every
     # later match too, as the observable is fixed and states are never dropped
     turned_away: dict[str, str] = {}
-    # each distinct loop's (rule position, added) moves
-    loop_moves = _LoopMemo(
-        lambda loop: [
+    # each distinct loop as (region, its (rule position, added) moves)
+    loop_memo = _LoopMemo(
+        lambda loop: (loop, [
             (at, added) for at, added, _ in _rule_moves(bases, _loop_sites(bases, min_h, loop))
-        ]
+        ])
     )
-    queue: deque[int] = deque([0])
+
+    def fed(regions):
+        return tuple([entry for entry in map(loop_memo, regions) if entry[1]])
+
+    # each queued state with the memo entries of its loops that have moves
+    queue = deque([(0, fed(loop_index(s0).loops))])
 
     while queue:
         if limits.max_seconds is not None and time.monotonic() - start > limits.max_seconds:
             truncated = "max_seconds"
             break
-        src = queue.popleft()
-        source = states[src]
-        fed = [moves for moves in map(loop_moves, loop_index(source.structure).loops) if moves]
-        if not fed:
+        src, loops = queue.popleft()
+        if not loops:
             terminal.add(src)
             continue
         if limits.max_depth is not None and depths[src] >= limits.max_depth:
             truncated = "max_depth"
             continue
-        moves = fed[0] if len(fed) == 1 else sorted([m for ms in fed for m in ms])
+        source = states[src]
+        moves = loops[0][1] if len(loops) == 1 else sorted([m for _, ms in loops for m in ms])
+        # (target, rule position in ALL_RULES) -> parallel matches
+        edges: dict[tuple[int, int], int] = {}
         for at, added in moves:
             key = key_with_pairs(source.key, added)
             tgt = index.get(key)
             if tgt is None:  # an indexed target passed the ceiling when it was added
                 reason = turned_away.get(key)
                 if reason is None:
-                    target = _apply_unchecked(source.structure, added)
+                    target = _apply_unchecked(source.structure, added, key)
                     e = observable(target, em)
                     if limits.energy_ceiling is not None and e > limits.energy_ceiling:
                         reason = "energy_ceiling"
@@ -196,24 +203,23 @@ def build_lts(
                 states.append(LTSState(tgt, key, target, e))
                 index[key] = tgt
                 depths.append(depths[src] + 1)
-                queue.append(tgt)
-            edge = (src, tgt, at)
+                k = [added[0].i in region.free for region, _ in loops].index(True)
+                split = fed(split_loop(loops[k][0], added))
+                queue.append((tgt, loops[:k] + split + loops[k + 1 :]))
+            edge = (tgt, at)
             edges[edge] = edges.get(edge, 0) + 1
+        transitions += [
+            LTSTransition(src, tgt, ALL_RULES[at], count)
+            for (tgt, at), count in sorted(edges.items())
+        ]
 
-    # the loops' moves are read no more: dropped before the transitions are
-    # made, where the build's memory peaks
-    loop_moves.clear()
-    transitions = tuple(
-        LTSTransition(src, tgt, ALL_RULES[at], count)
-        for (src, tgt, at), count in sorted(edges.items())
-    )
     return LTS(
         sequence=seq,
         min_hairpin=g.min_hairpin_unpaired,
         allow_inverse=g.allow_inverse,
         energy_mode=em.mode,
         states=tuple(states),
-        transitions=transitions,
+        transitions=tuple(transitions),
         depths=tuple(depths),
         terminal=frozenset(terminal),
         truncated_by=truncated,

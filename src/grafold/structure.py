@@ -8,6 +8,7 @@ family suffices because only pseudoknot-free structures are supported).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,6 +34,7 @@ __all__ = [
     "emit_dot_bracket",
     "key_with_pairs",
     "loop_index",
+    "split_loop",
 ]
 
 BASES = frozenset("ACGU")
@@ -155,12 +157,17 @@ class SecondaryStructure:
         object.__setattr__(self, "pairs", normalized)
 
     @classmethod
-    def _unchecked(cls, sequence: PrimarySequence, pairs: frozenset[BasePair]):
+    def _unchecked(
+        cls, sequence: PrimarySequence, pairs: frozenset[BasePair], key: str | None = None
+    ):
         """A structure built without ``__post_init__``: for the engine's own
-        builds, whose ``pairs`` is already a frozenset of ``BasePair(i < j)``."""
+        builds, whose ``pairs`` is already a frozenset of ``BasePair(i < j)``.
+        A ``key`` the caller already holds fills the cached :attr:`key`."""
         s = object.__new__(cls)
         object.__setattr__(s, "sequence", sequence)
         object.__setattr__(s, "pairs", pairs)
+        if key is not None:
+            object.__setattr__(s, "key", key)
         return s
 
     @property
@@ -239,6 +246,30 @@ def loop_index(s: SecondaryStructure) -> LoopIndex:
         else:
             open_loops.pop()
     return LoopIndex(loops, owner, slot)
+
+
+def split_loop(region: LoopRegion, added: tuple[BasePair, ...]) -> list[LoopRegion]:
+    """The loops that replace ``region`` when a forward move adds ``added``
+    inside it: ``region`` with the outer pair in place of the branches it
+    encloses, then the loop each added pair closes, outer first, each cut
+    from slices of ``region``'s lists."""
+    free, before, branches = region.free, region.before, region.branches
+    outer, last = added[0], added[-1]
+    x, y = bisect_left(free, outer.i), bisect_left(free, outer.j)
+    left, right = before[x], before[y]
+    rest = [k + 1 + left - right for k in before[y + 1 :]]
+    loops = [LoopRegion(
+        region.closing, free[:x] + free[y + 1 :], before[:x] + rest,
+        branches[:left] + [outer] + branches[right:],
+    )]
+    if len(added) == 2:
+        c, d = bisect_left(free, last.i, x, y), bisect_left(free, last.j, x, y)
+        ring = [0] * (c - x - 1) + [1] * (y - d - 1)
+        loops.append(LoopRegion(outer, free[x + 1 : c] + free[d + 1 : y], ring, [last]))
+        x, y = c, d
+    inside = [k - left for k in before[x + 1 : y]]
+    loops.append(LoopRegion(last, free[x + 1 : y], inside, branches[left:right]))
+    return loops
 
 
 @dataclass(frozen=True)

@@ -86,8 +86,8 @@ def counting_builds():
         public.append(s)
         post_init(s)
 
-    def counting_unchecked(cls, sequence, pairs):
-        s = build(cls, sequence, pairs)
+    def counting_unchecked(cls, sequence, pairs, key=None):
+        s = build(cls, sequence, pairs, key)
         unchecked.append(s)
         return s
 

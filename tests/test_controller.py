@@ -605,6 +605,42 @@ class TestScoredSelection:
 SEEDED_40 = "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUA"
 
 
+def test_phi0_targets_built_with_the_key_phi0_move_wrote(monkeypatch):
+    # a phi0 target, in a steady step or an adaptation check, is built with
+    # the key _phi0_move wrote for it: each such key is the target's
+    # dot-bracket, and the fold writes one key fewer per target than the same
+    # fold whose targets are built without one
+    build = SecondaryStructure._unchecked.__func__
+    emit = grafold.structure.emit_dot_bracket
+
+    def fold(keep_keys: bool):
+        given, emitted = [], []
+
+        def unchecked(cls, sequence, pairs, key=None):
+            s = build(cls, sequence, pairs, key if keep_keys else None)
+            if key is not None:
+                given.append((s, key))
+            return s
+
+        def counting_emit(s):
+            emitted.append(s)
+            return emit(s)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SecondaryStructure, "_unchecked", classmethod(unchecked))
+            patch.setattr(grafold.structure, "emit_dot_bracket", counting_emit)
+            trace = Controller(model=MODELS["loop-table"]).run(PrimarySequence(SEEDED_40))
+        return trace, given, len(emitted)
+
+    trace, given, emitted = fold(keep_keys=True)
+    plain, plain_given, plain_emitted = fold(keep_keys=False)
+    assert trace.to_jsonl() == plain.to_jsonl()
+    steady_moves = sum(r.mode == "steady" and r.move is not None for r in trace.records)
+    assert len(given) == len(plain_given) > steady_moves > 0
+    assert all(key == emit(s) for s, key in given)
+    assert emitted == plain_emitted - len(given)
+
+
 def checked_run(bases, grammar, model, max_steps):
     """A run whose every phi0 choice is checked against phi0_select over the
     built, visited-filtered successors: its trace, the number of choices

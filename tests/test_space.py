@@ -208,6 +208,46 @@ def test_each_turned_away_target_built_once(bases, model, limits, built_count):
     assert lts == built_lts(seq, G3, MODELS[model], limits)
 
 
+@pytest.mark.parametrize(
+    "bases, model, limits",
+    [
+        ("GCGCGCGCGCGCGC", "loop-table", ExploreLimits(energy_ceiling=3.0)),
+        ("GCGCGCGCGCGCGCGCGC", "nussinov", ExploreLimits(max_states=100)),
+        ("CGAUUCAAAUGACG", "nussinov", None),
+    ],
+    ids=["energy-ceiling", "max-states", "unlimited"],
+)
+def test_loops_carried_from_the_parent(bases, model, limits):
+    # the build works out one loop view, the start state's; every other
+    # state's loops come from one split of the loops of the state it was
+    # reached from, made only for a target the build keeps, so a target
+    # that a limit turned away carries no loops
+    seq = PrimarySequence(bases)
+    with mock.patch.object(space, "loop_index", wraps=loop_index) as views, \
+            mock.patch.object(space, "split_loop", wraps=grafold.structure.split_loop) as splits:
+        lts = build_lts(seq, G3, MODELS[model], limits)
+    assert [c.args for c in views.call_args_list] == [(lts.states[0].structure,)]
+    assert splits.call_count == len(lts.states) - 1
+    assert (lts.truncated_by is None) is (limits is None)
+    assert lts == built_lts(seq, G3, MODELS[model], limits)
+
+
+def test_targets_built_with_the_key_read_off_their_source(seq_gggaaaccc):
+    # a model that reads keys finds each target's key already there: the
+    # build writes one key, the start state's
+    keyed = []
+    emit = grafold.structure.emit_dot_bracket
+
+    def counting_emit(s):
+        keyed.append(s)
+        return emit(s)
+
+    with mock.patch.object(grafold.structure, "emit_dot_bracket", counting_emit):
+        lts = build_lts(seq_gggaaaccc, G3, ScriptedModel())
+    assert len(keyed) == 1
+    assert all(st.structure.key == st.key == emit(st.structure) for st in lts.states)
+
+
 def _loop_ids(structure: SecondaryStructure) -> list[tuple]:
     return [(loop.closing, tuple(loop.branches)) for loop in loop_index(structure).loops]
 

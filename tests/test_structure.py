@@ -12,11 +12,14 @@ from grafold.structure import (
     emit_dot_bracket,
     is_admissible_pair,
     key_with_pairs,
+    loop_index,
     pairs_cross,
     parse_dot_bracket,
     parse_sequence,
+    split_loop,
     validate_structure,
 )
+from conftest import random_derivation
 from oracles import all_valid_structures
 
 
@@ -218,3 +221,60 @@ def test_key_with_pairs_along_derivations(min_h, bases, data):
         if not matches:
             break
         s = _apply_unchecked(s, data.draw(st.sampled_from(matches)).added)
+
+
+def _loops_by_closing(loops) -> dict:
+    by_closing = {loop.closing: (loop.free, loop.before, loop.branches) for loop in loops}
+    assert len(by_closing) == len(loops)
+    return by_closing
+
+
+def _assert_split_equals_child_view(s: SecondaryStructure, added) -> None:
+    # the source's loops with the one holding the new outer pair swapped for
+    # split_loop's result are the child's loops, list for list; the source's
+    # view is left as it was
+    loops = loop_index(s).loops
+    (k,) = [k for k, loop in enumerate(loops) if added[0].i in loop.free]
+    split = loops[:k] + split_loop(loops[k], added) + loops[k + 1 :]
+    child = _apply_unchecked(s, added)
+    assert _loops_by_closing(split) == _loops_by_closing(loop_index(child).loops)
+    assert loops == loop_index(s).loops
+
+
+GC24 = PrimarySequence("GC" * 12)
+
+
+@pytest.mark.parametrize(
+    "pairs, added, rule",
+    [
+        # a hairpin in the exterior loop, between two branches
+        ([(0, 5), (18, 23)], [(7, 16)], "Hairpin-Rule-1"),
+        # a new pair in the exterior loop that encloses three branches
+        ([(2, 7), (8, 13), (14, 19)], [(1, 22)], "Multi-branched-loop-Rule-2"),
+        # a new pair that encloses two of its loop's three branches
+        ([(0, 23), (2, 7), (8, 13), (16, 21)], [(1, 14)], "Multi-branched-loop-Rule-1"),
+        # Rule-1 doubles beside a branch of a closed loop
+        ([(0, 23), (16, 21)], [(2, 13), (3, 12)], "Helix-Rule-1"),
+        ([(0, 23), (16, 21)], [(2, 13), (3, 10)], "Bulge-r-Rule-1"),
+        ([(0, 23), (16, 21)], [(2, 13), (5, 12)], "Bulge-l-Rule-1"),
+        ([(0, 23), (16, 21)], [(2, 13), (4, 11)], "Internal-loop-Rule-1"),
+        # a double whose inner pair encloses a branch, right of another branch
+        ([(0, 5), (10, 15)], [(7, 20), (8, 17)], "Bulge-r-Rule-1"),
+    ],
+    ids=["exterior", "multi-3", "multi-2", "stacked", "bulge-r", "bulge-l", "internal",
+         "double-over-branch"],
+)
+def test_split_loop_fixtures(pairs, added, rule):
+    s = SecondaryStructure(GC24, frozenset(BasePair(*p) for p in pairs))
+    added = tuple(BasePair(*p) for p in added)
+    assert rule in [m.rule.label for m in enumerate_matches(s, Grammar()) if m.added == added]
+    _assert_split_equals_child_view(s, added)
+
+
+@pytest.mark.parametrize("min_h", [1, 3], ids=["min1", "min3"])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=16), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_split_loop_along_derivations(min_h, bases, data):
+    for s, matches in random_derivation(bases, min_h, data):
+        for m in matches:
+            _assert_split_equals_child_view(s, m.added)

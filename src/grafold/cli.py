@@ -133,9 +133,8 @@ def cmd_fold(args: argparse.Namespace) -> int:
     sequence = _load_sequence(args.seq)
     grammar = _build_grammar(args)
     model = _build_model(args)
-    limits = RunLimits(
-        max_steps=args.max_steps,
-        max_adaptation_depth=args.max_adaptation_depth,
+    limits = _from_flags(
+        RunLimits, max_steps=args.max_steps, max_adaptation_depth=args.max_adaptation_depth,
         max_adaptation_states=args.max_adaptation_states,
     )
     trace = Controller(machine, grammar, model, limits).run(sequence)

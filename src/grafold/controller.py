@@ -252,6 +252,12 @@ class RunLimits:
     max_adaptation_depth: int | None = None
     max_adaptation_states: int | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("max_steps", "max_adaptation_depth", "max_adaptation_states"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
+
 
 @dataclass(frozen=True)
 class RunState:
@@ -449,7 +455,7 @@ _UNSEARCHED = object()
 
 class _Moves:
     """The moves of one structure in a run, each worked out on first read
-    from its one loop view: the outer pairs its forward moves add, its move
+    from its loops: the outer pairs its forward moves add, its move
     scorer, its φ0 choice, its inverse (match, source) steps and, for
     strategies, its built forward successors. ``loop_sites`` is the run's
     memo of each loop's :func:`~grafold.grammar._loop_sites`."""
@@ -458,22 +464,22 @@ class _Moves:
         self.structure = structure
         self.model = model
         self.loop_sites = loop_sites
-        self.view = loop_index(structure)
+        self.loops = loop_index(structure)
         # the last :func:`_phi0_move` result, or _UNSEARCHED
         self.phi0: object = _UNSEARCHED
 
     @cached_property
     def sites(self) -> list[tuple]:
-        return _by_outer_pair([self.loop_sites(loop) for loop in self.view.loops])
+        return _by_outer_pair([self.loop_sites(loop) for loop in self.loops])
 
     @cached_property
     def scorer(self) -> MoveScorer:
-        return self.model.move_scorer(self.structure, self.view)
+        return self.model.move_scorer(self.structure, self.loops)
 
     @cached_property
     def inverse(self) -> list[tuple[Match, SecondaryStructure]]:
         # the run builds only valid structures, so they are not validated
-        return _inverse_moves(self.structure, self.view)
+        return _inverse_moves(self.structure, self.loops)
 
     @cached_property
     def successors(self) -> list[tuple[Match, SecondaryStructure]]:
@@ -523,16 +529,16 @@ def _phi0_move(
                 low, best_key, best_added = score, key, added
 
     for site in entry.sites:
-        outer = site[0]
-        offer(scorer.single(outer), (outer,))
+        outer, region = site[0], site[2]
+        offer(scorer.single(outer, region), (outer,))
         stacked = _stacked_pair(bases, site)
         if stacked is not None:
-            offer(scorer.double(outer, stacked), (outer, stacked))
-        bound = scorer.double_bound(outer)
+            offer(scorer.double(outer, stacked, region), (outer, stacked))
+        bound = scorer.double_bound(outer, region)
         if bound < low or bound == low and ties(outer[0]):
             for inner in _inner_pairs(bases, site):
                 if inner != stacked:
-                    offer(scorer.double(outer, inner), (outer, inner))
+                    offer(scorer.double(outer, inner, region), (outer, inner))
     return None if best_key is None else (low, best_key, best_added)
 
 
@@ -674,7 +680,7 @@ class Controller:
         low, key, added = choice
         self._energy_memo[key] = low
         target = _apply_unchecked(structure, added, key)
-        return _first_match(self._moves(target).view, added), target
+        return _first_match(self._moves(target).loops, added), target
 
     def _check(
         self, constraint: Constraint, structure: SecondaryStructure, s_state: str

@@ -32,7 +32,6 @@ from typing import ClassVar, Mapping
 
 from .structure import (
     BasePair,
-    LoopIndex,
     LoopRegion,
     PrimarySequence,
     SecondaryStructure,
@@ -127,7 +126,7 @@ def decompose_loops(s: SecondaryStructure) -> tuple[Loop, ...]:
     branches -> multibranch. Closed loops come first (by closing pair), the
     exterior loop last.
     """
-    regions = loop_index(s).loops
+    regions = loop_index(s)
     loops = [
         Loop(
             _loop_class(r.closing, len(r.branches), r.branches[0] if r.branches else None),
@@ -222,7 +221,7 @@ def _term(
 
 
 def _terms(params: LoopTableParams, bases: str, regions: list[LoopRegion]) -> list[float]:
-    """The loop-table terms of the loops of a loop view (:func:`loop_index`)
+    """The loop-table terms of the loops of a structure (:func:`loop_index`)
     in :func:`decompose_loops` order: :func:`loop_energy_term` of each."""
     terms = []
     for r in regions[1:]:
@@ -234,6 +233,10 @@ def _terms(params: LoopTableParams, bases: str, regions: list[LoopRegion]) -> li
     return terms
 
 
+#: The loops of a structure, as :func:`loop_index` lists them.
+_Loops = list[LoopRegion]
+
+
 class EnergyModel:
     """Interface: ``energy(structure) -> kcal/mol``."""
 
@@ -242,8 +245,8 @@ class EnergyModel:
     def energy(self, s: SecondaryStructure) -> float:
         raise NotImplementedError
 
-    def move_scorer(self, s: SecondaryStructure, view: LoopIndex | None = None) -> "MoveScorer":
-        """The scorer of the forward moves of ``s``; ``view`` is
+    def move_scorer(self, s: SecondaryStructure, loops: _Loops | None = None) -> "MoveScorer":
+        """The scorer of the forward moves of ``s``; ``loops`` is
         ``loop_index(s)``, when the caller has it."""
         return MoveScorer(self, s)
 
@@ -252,7 +255,9 @@ class MoveScorer:
     """The observables of the forward moves of one structure ``s``.
 
     A move adds an outer pair, alone or with one inner pair nested inside it
-    (a Rule-1 double). :meth:`single` and :meth:`double` return exactly the
+    (a Rule-1 double), in one loop of ``s``: the ``region`` each method is
+    handed, or a loop of another structure with the same closing pair and
+    branches. :meth:`single` and :meth:`double` return exactly the
     value :func:`observable` gives for the built successor, and
     :meth:`observable` exactly that of ``s``. :meth:`double_bound` is a lower
     bound on :meth:`double` over every inner pair that is not stacked on the
@@ -271,13 +276,13 @@ class MoveScorer:
     def observable(self) -> float:
         return observable(self.s, self.model)
 
-    def single(self, outer: BasePair) -> float:
+    def single(self, outer: BasePair, region: LoopRegion) -> float:
         return self._built((outer,))
 
-    def double(self, outer: BasePair, inner: BasePair) -> float:
+    def double(self, outer: BasePair, inner: BasePair, region: LoopRegion) -> float:
         return self._built((outer, inner))
 
-    def double_bound(self, outer: BasePair) -> float:
+    def double_bound(self, outer: BasePair, region: LoopRegion) -> float:
         return -math.inf
 
     def _built(self, added: tuple[BasePair, ...]) -> float:
@@ -295,7 +300,7 @@ class NussinovModel(EnergyModel):
     def energy(self, s: SecondaryStructure) -> float:
         return float(-len(s.pairs))
 
-    def move_scorer(self, s: SecondaryStructure, view: LoopIndex | None = None) -> "MoveScorer":
+    def move_scorer(self, s: SecondaryStructure, loops: _Loops | None = None) -> "MoveScorer":
         return _NussinovScorer(self, s)
 
 
@@ -309,13 +314,13 @@ class _NussinovScorer(MoveScorer):
         self._single = float(-(pairs + 1))
         self._double = float(-(pairs + 2))
 
-    def single(self, outer: BasePair) -> float:
+    def single(self, outer: BasePair, region: LoopRegion) -> float:
         return self._single
 
-    def double(self, outer: BasePair, inner: BasePair) -> float:
+    def double(self, outer: BasePair, inner: BasePair, region: LoopRegion) -> float:
         return self._double
 
-    def double_bound(self, outer: BasePair) -> float:
+    def double_bound(self, outer: BasePair, region: LoopRegion) -> float:
         return self._double
 
 
@@ -332,12 +337,12 @@ class LoopTableModel(EnergyModel):
         on every Python (``sum`` compensates from 3.12 on) and lets the move
         scorer reuse a folded prefix."""
         total = 0.0
-        for term in _terms(self.params, s.sequence.bases, loop_index(s).loops):
+        for term in _terms(self.params, s.sequence.bases, loop_index(s)):
             total += term
         return total
 
-    def move_scorer(self, s: SecondaryStructure, view: LoopIndex | None = None) -> "MoveScorer":
-        return _LoopTableScorer(self, s, loop_index(s) if view is None else view)
+    def move_scorer(self, s: SecondaryStructure, loops: _Loops | None = None) -> "MoveScorer":
+        return _LoopTableScorer(self, s, loop_index(s) if loops is None else loops)
 
     @functools.cached_property
     def _least_terms(self) -> tuple[float, float, float]:
@@ -371,12 +376,12 @@ class _LoopTableScorer(MoveScorer):
     addition is monotone in each operand, so the bound never exceeds the
     score of such a double."""
 
-    def __init__(self, model: LoopTableModel, s: SecondaryStructure, view: LoopIndex):
+    def __init__(self, model: LoopTableModel, s: SecondaryStructure, loops: _Loops):
         super().__init__(model, s)
         seq, params = s.sequence, model.params
-        self.params, self.bases, self.view = params, seq.bases, view
+        self.params, self.bases = params, seq.bases
         self._least_terms = model._least_terms
-        self.terms = _terms(params, seq.bases, view.loops)
+        self.terms = _terms(params, seq.bases, loops)
         self._outer: BasePair | None = None
         self._context: tuple = ()
 
@@ -388,30 +393,27 @@ class _LoopTableScorer(MoveScorer):
             total += term
         return total
 
-    def _split(self, outer: BasePair) -> tuple:
+    def _split(self, outer: BasePair, region: LoopRegion) -> tuple:
         """The folded head and the tail of the successor's terms around the
-        new loops, and L's branches and unpaired positions inside ``outer``:
-        the branch count, the leftmost and rightmost branch, the unpaired
-        count."""
+        new loops, and L's (``region``'s) branches and unpaired positions
+        inside ``outer``: the branch count, the leftmost and rightmost
+        branch, the unpaired count. All are found by bisection."""
         if outer == self._outer:
             return self._context
-        a, b = outer
-        regions, owner, slot = self.view
-        k = owner[a]
-        region = regions[k]
-        lo, hi = slot[a], slot[b]
-        left = region.before[lo]
-        kids = region.before[hi] - left
-        first_kid = region.branches[left] if kids else None
-        last_kid = region.branches[left + kids - 1] if kids else None
+        free, before, branches = region.free, region.before, region.branches
+        lo, hi = bisect_left(free, outer.i), bisect_left(free, outer.j)
+        left = before[lo]
+        kids = before[hi] - left
+        first_kid = branches[left] if kids else None
+        last_kid = branches[left + kids - 1] if kids else None
         at = bisect_left(self.s.sorted_pairs, outer)
         head_terms = self.terms[:at]
-        if k:  # L's closing pair sorts before outer; the exterior term stays 0.0
-            n_branches = len(region.branches) - kids + 1
-            unpaired = len(region.free) - (hi - lo + 1)
-            closing = region.closing
+        closing = region.closing
+        if closing is not None:  # it sorts before outer; the exterior term stays 0.0
+            n_branches = len(branches) - kids + 1
+            unpaired = len(free) - (hi - lo + 1)
             kind = _loop_class(closing, n_branches, outer)
-            head_terms[k - 1] = _term(
+            head_terms[bisect_left(self.s.sorted_pairs, closing, 0, at)] = _term(
                 self.params, self.bases, kind, closing, n_branches, outer, unpaired
             )
         head = 0.0
@@ -421,16 +423,16 @@ class _LoopTableScorer(MoveScorer):
         self._context = (head, self.terms[at:], kids, first_kid, last_kid, hi - lo - 1)
         return self._context
 
-    def single(self, outer: BasePair) -> float:
-        total, tail, kids, first_kid, _, inside = self._split(outer)
+    def single(self, outer: BasePair, region: LoopRegion) -> float:
+        total, tail, kids, first_kid, _, inside = self._split(outer, region)
         kind = _loop_class(outer, kids, first_kid)
         total += _term(self.params, self.bases, kind, outer, kids, first_kid, inside)
         for term in tail:
             total += term
         return total
 
-    def double(self, outer: BasePair, inner: BasePair) -> float:
-        total, tail, kids, first_kid, _, inside = self._split(outer)
+    def double(self, outer: BasePair, inner: BasePair, region: LoopRegion) -> float:
+        total, tail, kids, first_kid, _, inside = self._split(outer, region)
         params, bases = self.params, self.bases
         gaps = (inner.i - outer.i - 1) + (outer.j - inner.j - 1)
         kind = _loop_class(outer, 1, inner)
@@ -441,8 +443,8 @@ class _LoopTableScorer(MoveScorer):
             total += term
         return total
 
-    def double_bound(self, outer: BasePair) -> float:
-        total, tail, kids, first_kid, last_kid, inside = self._split(outer)
+    def double_bound(self, outer: BasePair, region: LoopRegion) -> float:
+        total, tail, kids, first_kid, last_kid, inside = self._split(outer, region)
         least_outer, least_hairpin, least_one_branch = self._least_terms
         total += least_outer
         if not kids:

@@ -15,7 +15,7 @@ gives the hairpin, inward Rule-2 and multi-branch rules; the loop it is a
 branch of gives outward Rule-2 when the pair is that loop's only branch; and
 two added pairs are a Rule-1 double when the inner one is the only branch of
 the outer one. Gluing checks and inverse moves are both decided this way,
-from the loop view (:func:`~grafold.structure.loop_index`) of the result.
+from the loops (:func:`~grafold.structure.loop_index`) of the result.
 Forward enumeration reads the loops of the source instead, so the two stay
 independent algorithms that tests compare.
 
@@ -47,7 +47,6 @@ from .structure import (
     BASES,
     DEFAULT_MIN_HAIRPIN,
     BasePair,
-    LoopIndex,
     LoopRegion,
     SecondaryStructure,
     StructureError,
@@ -269,13 +268,12 @@ def _loop_sites(bases: str, min_hairpin: int, region: LoopRegion) -> list[tuple]
     Every rule adds its pairs inside one loop: a new pair (a, b) joins two
     admissible unpaired positions of the loop, its children are the loop's
     branches between them, and its parent is the loop's closing pair when no
-    branch lies outside them. Each site is a tuple ``(pair, kids, outward,
-    c_hi, d_lo, min_span)``: the new pair, its children, the closing pair
-    when the new pair would be the loop's only branch (else None), and the
-    ranges :func:`_inner_pairs` reads. The sites of a structure are those
-    of its loops (:func:`~grafold.structure.loop_index`).
+    branch lies outside them. Each site is a tuple ``(pair, kids, region,
+    c_hi, d_lo, min_span)``: the new pair, its children, the loop it is
+    added in, and the ranges :func:`_inner_pairs` reads. The sites of a
+    structure are those of its loops (:func:`~grafold.structure.loop_index`).
     """
-    free, before, branches, closing = region.free, region.before, region.branches, region.closing
+    free, before, branches = region.free, region.before, region.branches
     size = len(free)
     # run_end[k] / run_start[k]: the last / first position of the run of
     # consecutive unpaired positions through free[k]
@@ -287,7 +285,6 @@ def _loop_sites(bases: str, min_hairpin: int, region: LoopRegion) -> list[tuple]
     for k in range(1, size):
         if free[k - 1] == free[k] - 1:
             run_start[k] = run_start[k - 1]
-    all_branches = len(branches)
     sites = []
     for x in range(size):
         a = free[x]
@@ -300,12 +297,8 @@ def _loop_sites(bases: str, min_hairpin: int, region: LoopRegion) -> list[tuple]
             kids = tuple(branches[left : before[y]])
             if not kids and b - a - 1 < min_hairpin:
                 continue
-            outward = (
-                closing if closing is not None and left == 0 and before[y] == all_branches
-                else None
-            )
             sites.append((
-                BasePair(a, b), kids, outward, min(a_end, b - 1), max(run_start[y], a + 1),
+                BasePair(a, b), kids, region, min(a_end, b - 1), max(run_start[y], a + 1),
                 2 if kids else min_hairpin + 1,
             ))
     return sites
@@ -363,11 +356,11 @@ def _by_outer_pair(per_loop: list[list[tuple]]) -> list[tuple]:
     return sorted([site for sites in fed for site in sites], key=itemgetter(0))
 
 
-def _sites(s: SecondaryStructure, g: Grammar, view: LoopIndex) -> list[tuple]:
-    """The :func:`_loop_sites` of every loop of ``view`` (the loop view of
+def _sites(s: SecondaryStructure, g: Grammar, loops: list[LoopRegion]) -> list[tuple]:
+    """The :func:`_loop_sites` of every loop of ``loops`` (the loops of
     ``s``), by outer pair (:func:`_by_outer_pair`)."""
     bases, min_h = s.sequence.bases, g.min_hairpin_unpaired
-    return _by_outer_pair([_loop_sites(bases, min_h, loop) for loop in view.loops])
+    return _by_outer_pair([_loop_sites(bases, min_h, loop) for loop in loops])
 
 
 def _rule_moves(bases: str, sites: list[tuple]) -> Iterator[tuple[int, tuple, tuple]]:
@@ -379,19 +372,21 @@ def _rule_moves(bases: str, sites: list[tuple]) -> Iterator[tuple[int, tuple, tu
     Only when a reader asks for more does one pass over the sites classify
     the rest, by rule: each site's outward and inward single-pair moves and
     the Rule-1 doubles across the runs of unpaired positions next to its
-    ends.
+    ends. The outward move exists when the new pair would be the only
+    branch of its loop's closing pair.
     """
     for site in sites:
         if not site[1]:
             yield 0, (site[0],), ()  # ALL_RULES[0] is HAIRPIN_1
     buckets: list[list[tuple]] = [[] for _ in ALL_RULES]
     for site in sites:
-        pair, kids, outward, c_hi, d_lo, _ = site
+        pair, kids, region, c_hi, d_lo, _ = site
         a, b = pair
         added = (pair,)
-        if outward is not None:
-            p, q = outward
-            buckets[_RULE2_AT[(a - p > 1, q - b > 1)]].append((added, (outward,)))
+        closing = region.closing
+        if closing is not None and len(kids) == len(region.branches):
+            p, q = closing
+            buckets[_RULE2_AT[(a - p > 1, q - b > 1)]].append((added, (closing,)))
         if len(kids) == 1:
             c, d = kids[0]
             buckets[_RULE2_AT[(c - a > 1, b - d > 1)]].append((added, kids))
@@ -435,11 +430,10 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
 _LoopsByPair = tuple[dict[BasePair, LoopRegion], dict[BasePair, LoopRegion]]
 
 
-def _loops_by_pair(view: LoopIndex) -> _LoopsByPair:
-    """For each pair of the valid structure ``t`` whose loop view is given:
-    the loop it closes, and the loop it is a branch of (the exterior loop for
-    a top-level pair)."""
-    loops = view.loops
+def _loops_by_pair(loops: list[LoopRegion]) -> _LoopsByPair:
+    """For each pair of the valid structure ``t`` whose loops are given: the
+    loop it closes, and the loop it is a branch of (the exterior loop for a
+    top-level pair)."""
     closed_by = {loop.closing: loop for loop in loops[1:]}
     branch_of = {pair: loop for loop in loops for pair in loop.branches}
     return closed_by, branch_of
@@ -481,11 +475,11 @@ def _matches_yielding(loops_by_pair: _LoopsByPair, added: tuple[BasePair, ...]) 
     return out
 
 
-def _first_match(view: LoopIndex, added: tuple[BasePair, ...]) -> Match:
+def _first_match(loops: list[LoopRegion], added: tuple[BasePair, ...]) -> Match:
     """The first, in rule order, of the matches that add ``added`` and yield
-    the valid structure whose loop view is given: the one
+    the valid structure whose loops are given: the one
     :func:`enumerate_matches` lists first among them."""
-    return min(_matches_yielding(_loops_by_pair(view), added), key=lambda m: m.sort_key)
+    return min(_matches_yielding(_loops_by_pair(loops), added), key=lambda m: m.sort_key)
 
 
 def _glued(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure | None:
@@ -538,11 +532,11 @@ def enumerate_inverse_matches(
 
 
 def _inverse_moves(
-    s: SecondaryStructure, view: LoopIndex
+    s: SecondaryStructure, loops: list[LoopRegion]
 ) -> list[tuple[Match, SecondaryStructure]]:
     """:func:`enumerate_inverse_matches` on a structure known to be valid,
-    such as one the engine built, with its loop view."""
-    loops_by_pair = _loops_by_pair(view)
+    such as one the engine built, with its loops."""
+    loops_by_pair = _loops_by_pair(loops)
     closed_by = loops_by_pair[0]
     out: list[tuple[Match, SecondaryStructure]] = []
     for pair in s.sorted_pairs:

@@ -76,8 +76,10 @@ class ExploreLimits:
     def __post_init__(self) -> None:
         for name in ("max_states", "max_depth", "max_seconds"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:  # nan included
                 raise ValueError(f"{name} must be positive, got {value}")
+        if self.energy_ceiling is not None and math.isnan(self.energy_ceiling):
+            raise ValueError("energy_ceiling must be a number, got nan")
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,7 @@ def build_lts(
         return tuple([entry for entry in map(loop_memo, regions) if entry[1]])
 
     # each queued state with the memo entries of its loops that have moves
-    queue = deque([(0, fed(loop_index(s0).loops))])
+    queue = deque([(0, fed(loop_index(s0)))])
 
     while queue:
         if limits.max_seconds is not None and time.monotonic() - start > limits.max_seconds:

@@ -18,7 +18,6 @@ __all__ = [
     "BASES",
     "DEFAULT_MIN_HAIRPIN",
     "BasePair",
-    "LoopIndex",
     "LoopRegion",
     "PrimarySequence",
     "SecondaryStructure",
@@ -209,43 +208,28 @@ class LoopRegion:
     branches: list[BasePair] = field(default_factory=list)
 
 
-class LoopIndex(NamedTuple):
-    """The loops of a structure and, per position, where it is unpaired.
-
-    ``loops[0]`` is the exterior loop; ``loops[k]`` for k >= 1 is closed by
-    the k-th pair in sorted order. ``owner[pos]`` is the index of the loop in
-    which ``pos`` is unpaired (-1 for a paired position) and ``slot[pos]`` its
-    index in that loop's ``free`` list.
-    """
-
-    loops: list[LoopRegion]
-    owner: list[int]
-    slot: list[int]
-
-
-def loop_index(s: SecondaryStructure) -> LoopIndex:
-    """The loop view of a valid structure, from one left-to-right pass."""
+def loop_index(s: SecondaryStructure) -> list[LoopRegion]:
+    """The loops of a valid structure, from one left-to-right pass:
+    ``loops[0]`` is the exterior loop, and ``loops[k]`` for k >= 1 is closed
+    by the k-th pair in sorted order."""
     partner = s.partner
     loops = [LoopRegion(None)]
-    open_loops = [0]
-    owner = [-1] * s.n
-    slot = [-1] * s.n
+    open_loops = [loops[0]]
     for pos in range(s.n):
         mate = partner.get(pos)
-        k = open_loops[-1]
-        loop = loops[k]
+        loop = open_loops[-1]
         if mate is None:
-            owner[pos], slot[pos] = k, len(loop.free)
             loop.free.append(pos)
             loop.before.append(len(loop.branches))
         elif mate > pos:
             pair = BasePair(pos, mate)
             loop.branches.append(pair)
-            open_loops.append(len(loops))
-            loops.append(LoopRegion(pair))
+            inner = LoopRegion(pair)
+            open_loops.append(inner)
+            loops.append(inner)
         else:
             open_loops.pop()
-    return LoopIndex(loops, owner, slot)
+    return loops
 
 
 def split_loop(region: LoopRegion, added: tuple[BasePair, ...]) -> list[LoopRegion]:

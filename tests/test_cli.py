@@ -400,13 +400,25 @@ class TestExitCodes:
              "max_depth must be positive, got -1"),
             (["enumerate", "--seq", "GGGAAACCC", "--max-seconds", "0"],
              "max_seconds must be positive, got 0.0"),
+            (["enumerate", "--seq", "GGGAAACCC", "--max-seconds", "nan"],
+             "max_seconds must be positive, got nan"),
+            (["enumerate", "--seq", "GGGAAACCC", "--energy-ceiling", "nan"],
+             "energy_ceiling must be a number, got nan"),
+            (["fold", "--seq", "GGGAAACCC", "--max-steps", "-1"],
+             "max_steps must be >= 0, got -1"),
+            (["fold", "--seq", "GGGAAACCC", "--max-adaptation-depth", "-2"],
+             "max_adaptation_depth must be >= 0, got -2"),
+            (["fold", "--seq", "GGGAAACCC", "--max-adaptation-states", "-1"],
+             "max_adaptation_states must be >= 0, got -1"),
             (["eval", "--seq", "GAAAC", "--db", "(...)", "--energy", "external",
               "--external-cmd", "stub 'unclosed"], "cannot parse external command"),
             (["eval", "--seq", "GAAAC", "--db", "(...)", "--energy", "external",
               "--external-cmd", " "], "names no program"),
         ],
         ids=["fold-min-hairpin", "enumerate-min-hairpin", "max-states", "max-depth",
-             "max-seconds", "unparsable-external-cmd", "empty-external-cmd"],
+             "max-seconds", "max-seconds-nan", "energy-ceiling-nan", "max-steps",
+             "max-adaptation-depth", "max-adaptation-states", "unparsable-external-cmd",
+             "empty-external-cmd"],
     )
     def test_flag_out_of_range_exits_2(self, capsys, argv, message):
         code, out, err = run_cli(argv, capsys)

@@ -716,11 +716,11 @@ def test_each_distinct_loop_scanned_once_per_run(monkeypatch, bases, min_h):
     trace = controller.run(seq)
     per_run = len(scanned)
     read = [entry for entry in controller._move_memo.values() if "sites" in vars(entry)]
-    loops = [(loop.closing, tuple(loop.branches)) for entry in read for loop in entry.view.loops]
+    loops = [(loop.closing, tuple(loop.branches)) for entry in read for loop in entry.loops]
     # the memoized sites of every structure the run read them for equal a
     # fresh scan, merged by outer pair
     for entry in read:
-        assert entry.sites == _sites(entry.structure, controller.grammar, entry.view)
+        assert entry.sites == _sites(entry.structure, controller.grammar, entry.loops)
         outer = [site[0] for site in entry.sites]
         assert outer == sorted(set(outer))
     assert controller.run(seq).to_jsonl() == trace.to_jsonl()

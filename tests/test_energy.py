@@ -29,6 +29,7 @@ from grafold.structure import (
     BasePair,
     PrimarySequence,
     SecondaryStructure,
+    loop_index,
     parse_dot_bracket,
 )
 from conftest import random_derivation
@@ -230,13 +231,22 @@ def test_length_terms_equal_the_formula(kind):
                 assert loop_energy_term(loop, seq, params) == want
 
 
+def region_of(s: SecondaryStructure, outer: BasePair):
+    """The loop of ``s`` a move with outer pair ``outer`` adds its pairs in:
+    the one whose unpaired positions hold ``outer.i``."""
+    (region,) = [loop for loop in loop_index(s) if outer.i in loop.free]
+    return region
+
+
 def assert_moves_score_exactly(s: SecondaryStructure, matches, models=MODELS) -> None:
     # float ==, not approx: the loop-local sum must be the full sum, bit for bit
     for model in models:
         scorer = model.move_scorer(s)
         assert scorer.observable() == observable(s, model)
         scores = [
-            scorer.single(m.added[0]) if len(m.added) == 1 else scorer.double(*m.added)
+            (scorer.single if len(m.added) == 1 else scorer.double)(
+                *m.added, region_of(s, m.added[0])
+            )
             for m in matches
         ]
         assert scores == [observable(_apply_unchecked(s, m.added), model) for m in matches]
@@ -246,7 +256,9 @@ class TestSuccessorObservables:
     # each fixture covers loops a move can create or split: the exterior
     # loop, multibranch loops of two and three branches, Rule-1 doubles that
     # make a stack, a bulge and an internal loop, and Rule-2 moves with the
-    # closing pair (or an enclosed branch) as context
+    # closing pair (or an enclosed branch) as context, and a hairpin right of
+    # a nested branch, so that the split loop's term is not the one sorted
+    # just before the new pair
     @pytest.mark.parametrize(
         "bases,db,rules",
         [
@@ -262,6 +274,7 @@ class TestSuccessorObservables:
               "Helix-Rule-2", "Bulge-r-Rule-2", "Bulge-l-Rule-2", "Internal-loop-Rule-2"}),
             ("GGGGAAACCCC", "(..(...)..)",
              {"Helix-Rule-1", "Helix-Rule-2", "Bulge-r-Rule-2", "Internal-loop-Rule-2"}),
+            ("GAGGAAACCAGAAACAAC", "(.((...))........)", {"Hairpin-Rule-1"}),
         ],
     )
     def test_fixtures(self, bases, db, rules):
@@ -354,11 +367,13 @@ def assert_double_bounds_hold(s: SecondaryStructure, matches) -> None:
         scorer = model.move_scorer(s)
         for m in doubles:
             target = _apply_unchecked(s, m.added)
-            assert scorer.double_bound(m.added[0]) <= observable(target, model)
+            bound = scorer.double_bound(m.added[0], region_of(s, m.added[0]))
+            assert bound <= observable(target, model)
     nussinov = NussinovModel()
     scorer = nussinov.move_scorer(s)
     for m in doubles:
-        assert scorer.double_bound(m.added[0]) == observable(_apply_unchecked(s, m.added), nussinov)
+        bound = scorer.double_bound(m.added[0], region_of(s, m.added[0]))
+        assert bound == observable(_apply_unchecked(s, m.added), nussinov)
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
@@ -412,16 +427,20 @@ def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
     # the pruned one-pass search finds the same least (score, key) move as
     # scoring every built successor, whichever successors are visited; the
     # drawn visited set holds the unfiltered winner about half the time, so
-    # the search must also pass over visited moves tied with its result
+    # the search must also pass over visited moves tied with its result. One
+    # controller per model serves the whole derivation, so later structures
+    # are scored through sites, and their loops, memoized for earlier ones
     g = Grammar(min_hairpin_unpaired=min_h)
+    controllers = [Controller(grammar=g, model=m) for m in [NussinovModel(), *BOUND_MODELS]]
     for s, matches in random_derivation(bases, min_h, data):
         keys = sorted({_apply_unchecked(s, m.added).key for m in matches})
-        for model in [NussinovModel(), *BOUND_MODELS]:
+        for controller in controllers:
+            model = controller.model
             visited = data.draw(st.sets(st.sampled_from(keys))) if keys else set()
             winner = full_choice(s, matches, model, set())
             if winner is not None and data.draw(st.booleans()):
                 visited.add(winner[1])
-            entry = Controller(grammar=g, model=model)._moves(s)
+            entry = controller._moves(s)
             got = _phi0_move(entry, observable(s, model), visited)
             want = full_choice(s, matches, model, visited)
             assert got == want

@@ -439,7 +439,7 @@ def test_loop_moves_merge_to_the_matches_along_derivations(grammar, bases, data)
     s = empty(bases)
     while True:
         per_loop = []
-        for loop in loop_index(s).loops:
+        for loop in loop_index(s):
             moves = list(_rule_moves(bases, _loop_sites(bases, grammar.min_hairpin_unpaired, loop)))
             assert all(set(added[0]) <= set(loop.free) for _, added, _ in moves)
             assert moves == sorted(moves)

@@ -249,7 +249,7 @@ def test_targets_built_with_the_key_read_off_their_source(seq_gggaaaccc):
 
 
 def _loop_ids(structure: SecondaryStructure) -> list[tuple]:
-    return [(loop.closing, tuple(loop.branches)) for loop in loop_index(structure).loops]
+    return [(loop.closing, tuple(loop.branches)) for loop in loop_index(structure)]
 
 
 @pytest.mark.parametrize(

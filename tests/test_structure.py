@@ -233,12 +233,12 @@ def _assert_split_equals_child_view(s: SecondaryStructure, added) -> None:
     # the source's loops with the one holding the new outer pair swapped for
     # split_loop's result are the child's loops, list for list; the source's
     # view is left as it was
-    loops = loop_index(s).loops
+    loops = loop_index(s)
     (k,) = [k for k, loop in enumerate(loops) if added[0].i in loop.free]
     split = loops[:k] + split_loop(loops[k], added) + loops[k + 1 :]
     child = _apply_unchecked(s, added)
-    assert _loops_by_closing(split) == _loops_by_closing(loop_index(child).loops)
-    assert loops == loop_index(s).loops
+    assert _loops_by_closing(split) == _loops_by_closing(loop_index(child))
+    assert loops == loop_index(s)
 
 
 GC24 = PrimarySequence("GC" * 12)

@@ -40,7 +40,6 @@ from .energy import (
     ExternalEvaluationError,
     ExternalEvaluator,
     ExternalModel,
-    Loop,
     LoopClass,
     LoopTableModel,
     LoopTableParams,

@@ -32,10 +32,10 @@ from .energy import (
     LoopTableModel,
     NussinovModel,
     ParameterError,
+    _terms,
     decompose_loops,
     example_parameters,
     load_parameters,
-    loop_energy_term,
     observable,
 )
 from .grammar import ALL_RULES, RULE_DESCRIPTIONS, Grammar, LoopKind
@@ -126,6 +126,10 @@ def _energy_str(value: float) -> str:
     return "+inf" if math.isinf(value) else str(value)
 
 
+#: The terminations of a fold run cut short by one of its limits.
+_LIMIT_TERMINATIONS = ("max-steps", "adaptation-depth-limit", "adaptation-state-limit")
+
+
 def cmd_fold(args: argparse.Namespace) -> int:
     machine = (
         AdaptiveMachine.from_file(args.s_machine) if args.s_machine else AdaptiveMachine.default()
@@ -140,11 +144,13 @@ def cmd_fold(args: argparse.Namespace) -> int:
     trace = Controller(machine, grammar, model, limits).run(sequence)
     if args.trace_out:
         Path(args.trace_out).write_text(trace.to_jsonl())
-    best = trace.summary.best_energy
-    if math.isinf(best):
-        print(f"{trace.summary.final_db}  +inf (no fold possible)")
+    summary = trace.summary
+    if not math.isinf(summary.best_energy):
+        print(f"{summary.final_db}  {summary.best_energy}")
+    elif summary.termination in _LIMIT_TERMINATIONS:
+        print(f"{summary.final_db}  +inf (stopped by {summary.termination})")
     else:
-        print(f"{trace.summary.final_db}  {best}")
+        print(f"{summary.final_db}  +inf (no fold possible)")
     return EXIT_OK
 
 
@@ -172,21 +178,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = _build_model(args)
     structure = parse_dot_bracket(seq, args.db, min_hairpin_unpaired=args.min_hairpin)
     loops = decompose_loops(structure)
-    terms: list[float | None] = []
-    for loop in loops:
-        if model.mode == "loop-table":
-            terms.append(loop_energy_term(loop, seq, model.params))
-        elif model.mode == "nussinov":
-            terms.append(-1.0 if loop.closing is not None else 0.0)
-        else:
-            terms.append(None)
+    regions = [region for _, region in loops]
+    if model.mode == "loop-table":  # _terms reads the exterior loop first
+        terms = _terms(model.params, seq.bases, regions[-1:] + regions[:-1])
+    elif model.mode == "nussinov":
+        terms = [-1.0 if region.closing is not None else 0.0 for region in regions]
+    else:
+        terms = [None] * len(loops)
     total = observable(structure, model)
-    for loop, term in zip(loops, terms):
-        closing = f"({loop.closing.i},{loop.closing.j})" if loop.closing else "-"
+    for (kind, region), term in zip(loops, terms):
+        closing = f"({region.closing.i},{region.closing.j})" if region.closing else "-"
         term_str = "-" if term is None else str(term)
         print(
-            f"{loop.kind.value:<12} closing={closing:<10} "
-            f"branches={len(loop.branches)} unpaired={loop.unpaired} energy={term_str}"
+            f"{kind.value:<12} closing={closing:<10} "
+            f"branches={len(region.branches)} unpaired={len(region.free)} energy={term_str}"
         )
     print(f"total {_energy_str(total)}")
     return EXIT_OK

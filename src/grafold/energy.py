@@ -27,6 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 from typing import ClassVar, Mapping
 
@@ -41,7 +42,6 @@ from .structure import (
 
 __all__ = [
     "LoopClass",
-    "Loop",
     "LoopTableParams",
     "EnergyModel",
     "MoveScorer",
@@ -52,7 +52,6 @@ __all__ = [
     "ExternalEvaluationError",
     "ParameterError",
     "decompose_loops",
-    "loop_energy_term",
     "observable",
     "parse_parameters",
     "load_parameters",
@@ -90,23 +89,6 @@ _HAIRPIN, _STACK, _BULGE, _INTERNAL, _MULTI = (
 )
 
 
-@dataclass(frozen=True)
-class Loop:
-    """One loop of a decomposition.
-
-    Attributes:
-        kind: Loop class.
-        closing: The pair closing this loop; None for the exterior loop.
-        branches: Directly enclosed pairs (left to right).
-        unpaired: Count of unpaired positions belonging to this loop.
-    """
-
-    kind: LoopClass
-    closing: BasePair | None
-    branches: tuple[BasePair, ...]
-    unpaired: int
-
-
 def _loop_class(closing: BasePair, n_branches: int, first: BasePair | None) -> LoopClass:
     """The class of the loop closed by ``closing`` with ``n_branches``
     branches, the leftmost being ``first``."""
@@ -117,28 +99,22 @@ def _loop_class(closing: BasePair, n_branches: int, first: BasePair | None) -> L
     return _MULTI if n_branches else _HAIRPIN
 
 
-def decompose_loops(s: SecondaryStructure) -> tuple[Loop, ...]:
-    """Partition a valid structure into its loops.
+def decompose_loops(s: SecondaryStructure) -> list[tuple[LoopClass, LoopRegion]]:
+    """Partition a valid structure into its loops, each with its class.
 
     Each pair (i,j) closes the loop classified by its direct interior:
     no branches -> hairpin; one flush branch -> stack; one branch with a gap
     on one side -> bulge; gaps on both sides -> internal; two or more
     branches -> multibranch. Closed loops come first (by closing pair), the
-    exterior loop last.
+    exterior loop last; each is a :func:`loop_index` region.
     """
-    regions = loop_index(s)
+    exterior, *closed = loop_index(s)
     loops = [
-        Loop(
-            _loop_class(r.closing, len(r.branches), r.branches[0] if r.branches else None),
-            r.closing,
-            tuple(r.branches),
-            len(r.free),
-        )
-        for r in regions[1:]
+        (_loop_class(r.closing, len(r.branches), r.branches[0] if r.branches else None), r)
+        for r in closed
     ]
-    exterior = regions[0]
-    loops.append(Loop(LoopClass.EXTERIOR, None, tuple(exterior.branches), len(exterior.free)))
-    return tuple(loops)
+    loops.append((LoopClass.EXTERIOR, exterior))
+    return loops
 
 
 @dataclass(frozen=True)
@@ -181,16 +157,6 @@ def _extrapolated_term(
     return term
 
 
-def loop_energy_term(loop: Loop, seq: PrimarySequence, params: LoopTableParams) -> float:
-    """The loop-table contribution of a single loop."""
-    if loop.closing is None:  # the exterior loop
-        return 0.0
-    first = loop.branches[0] if loop.branches else None
-    return _term(
-        params, seq.bases, loop.kind, loop.closing, len(loop.branches), first, loop.unpaired
-    )
-
-
 def _term(
     params: LoopTableParams,
     bases: str,
@@ -222,7 +188,7 @@ def _term(
 
 def _terms(params: LoopTableParams, bases: str, regions: list[LoopRegion]) -> list[float]:
     """The loop-table terms of the loops of a structure (:func:`loop_index`)
-    in :func:`decompose_loops` order: :func:`loop_energy_term` of each."""
+    in :func:`decompose_loops` order, the exterior loop's 0.0 last."""
     terms = []
     for r in regions[1:]:
         branches = r.branches
@@ -363,9 +329,10 @@ class _LoopTableScorer(MoveScorer):
     L's term replaced and the new loops' terms inserted at the sorted place
     of their closing pairs, and :meth:`LoopTableModel.energy` folds them in
     that order. The part of the fold before the new loops depends on the
-    outer new pair only, so it is folded once per outer pair (the context of
-    the last outer pair asked about is kept); each move then adds its new
-    loops' terms and the terms after them.
+    outer new pair only: it starts from the fold of the parent's terms before
+    L's, kept once per scorer, and is finished once per outer pair (the
+    context of the last outer pair asked about is kept); each move then adds
+    its new loops' terms and the terms after them.
 
     The bound of a bulge or internal double folds the same way with the new
     loops' terms replaced by their least values: the outer new loop's by the
@@ -382,16 +349,13 @@ class _LoopTableScorer(MoveScorer):
         self.params, self.bases = params, seq.bases
         self._least_terms = model._least_terms
         self.terms = _terms(params, seq.bases, loops)
+        # heads[k]: the left fold of terms[:k]
+        self.heads = list(accumulate(self.terms, initial=0.0))
         self._outer: BasePair | None = None
         self._context: tuple = ()
 
     def observable(self) -> float:
-        if not self.s.pairs:
-            return math.inf
-        total = 0.0
-        for term in self.terms:
-            total += term
-        return total
+        return self.heads[-1] if self.s.pairs else math.inf
 
     def _split(self, outer: BasePair, region: LoopRegion) -> tuple:
         """The folded head and the tail of the successor's terms around the
@@ -406,21 +370,22 @@ class _LoopTableScorer(MoveScorer):
         kids = before[hi] - left
         first_kid = branches[left] if kids else None
         last_kid = branches[left + kids - 1] if kids else None
-        at = bisect_left(self.s.sorted_pairs, outer)
-        head_terms = self.terms[:at]
+        terms, at = self.terms, bisect_left(self.s.sorted_pairs, outer)
         closing = region.closing
-        if closing is not None:  # it sorts before outer; the exterior term stays 0.0
+        if closing is None:  # the exterior term stays 0.0
+            head = self.heads[at]
+        else:  # L's term sorts before outer: refold from it
             n_branches = len(branches) - kids + 1
             unpaired = len(free) - (hi - lo + 1)
             kind = _loop_class(closing, n_branches, outer)
-            head_terms[bisect_left(self.s.sorted_pairs, closing, 0, at)] = _term(
+            idx = bisect_left(self.s.sorted_pairs, closing, 0, at)
+            head = self.heads[idx] + _term(
                 self.params, self.bases, kind, closing, n_branches, outer, unpaired
             )
-        head = 0.0
-        for term in head_terms:
-            head += term
+            for term in terms[idx + 1 : at]:
+                head += term
         self._outer = outer
-        self._context = (head, self.terms[at:], kids, first_kid, last_kid, hi - lo - 1)
+        self._context = (head, terms[at:], kids, first_kid, last_kid, hi - lo - 1)
         return self._context
 
     def single(self, outer: BasePair, region: LoopRegion) -> float:

@@ -19,11 +19,12 @@ import json
 import math
 import time
 from collections import deque
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 from grafold.controller import AdaptationOutcome, Controller, _path
-from grafold.energy import EnergyModel, Loop, LoopClass, LoopTableParams, observable
+from grafold.energy import EnergyModel, LoopClass, LoopTableParams, observable
 from grafold.grammar import ALL_RULES, Grammar, LoopKind, Match, RuleId, gluing_check
 from grafold.space import LTS, ExploreLimits, LTSState, LTSTransition, successors
 from grafold.structure import (
@@ -113,6 +114,23 @@ def brute_force_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
                         found.append(m)
     found.sort(key=lambda m: m.sort_key)
     return found
+
+
+@dataclass(frozen=True)
+class Loop:
+    """One loop of the stack-walk decomposition.
+
+    Attributes:
+        kind: Loop class.
+        closing: The pair closing this loop; None for the exterior loop.
+        branches: Directly enclosed pairs (left to right).
+        unpaired: Count of unpaired positions belonging to this loop.
+    """
+
+    kind: LoopClass
+    closing: BasePair | None
+    branches: tuple[BasePair, ...]
+    unpaired: int
 
 
 def stack_walk_loops(s: SecondaryStructure) -> tuple[Loop, ...]:

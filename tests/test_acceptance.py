@@ -181,10 +181,10 @@ def test_criterion_6_loop_partition():
             seq = PrimarySequence(bases)
             for pair_set in all_valid_structures(seq, 1):
                 s = SecondaryStructure(seq, pair_set)
-                loops = decompose_loops(s)
-                unpaired = sum(l.unpaired for l in loops)
+                regions = [region for _, region in decompose_loops(s)]
+                unpaired = sum(len(r.free) for r in regions)
                 assert unpaired + 2 * len(s.pairs) == len(seq), s.key
-                closings = [l.closing for l in loops if l.closing is not None]
+                closings = [r.closing for r in regions if r.closing is not None]
                 assert sorted(closings) == sorted(s.pairs), s.key
                 structures += 1
         return f"{structures} structures partitioned exactly"

@@ -43,6 +43,23 @@ class TestFold:
         assert code == 0
         assert out == "....  +inf (no fold possible)\n"
 
+    @pytest.mark.parametrize(
+        "flags, termination",
+        [
+            (["--max-steps", "0"], "max-steps"),
+            (["--max-adaptation-depth", "0"], "adaptation-depth-limit"),
+            (["--max-adaptation-states", "0"], "adaptation-state-limit"),
+        ],
+    )
+    def test_limit_before_any_fold_is_named(self, capsys, flags, termination):
+        # a limit that ends the run while the strand is still unfolded is
+        # named, not reported as "no fold possible": GGGAAACCC folds without
+        # the step limit; on AAAA the adaptation search stops at its origin
+        seq = "GGGAAACCC" if termination == "max-steps" else "AAAA"
+        code, out, _ = run_cli(["fold", "--seq", seq, *flags], capsys)
+        assert code == 0
+        assert out == f"{'.' * len(seq)}  +inf (stopped by {termination})\n"
+
     def test_inverse_moves_find_the_optimum(self, capsys):
         code, out, _ = run_cli(["fold", "--seq", "GGGAAACCC", "--allow-inverse"], capsys)
         assert code == 0
@@ -193,6 +210,77 @@ class TestEval:
         assert code == 0
         assert out.strip().endswith("total -2.0")
         assert "hairpin" in out and "stack" in out
+
+    # (sequence, structure, extra flags, the exact stdout); "{stub}" in the
+    # flags stands for a command that prints -7.25
+    PINNED = [
+        ("GGGAAACCC", "(((...)))", [],
+         "stack        closing=(0,8)      branches=1 unpaired=0 energy=-1.0\n"
+         "stack        closing=(1,7)      branches=1 unpaired=0 energy=-1.0\n"
+         "hairpin      closing=(2,6)      branches=0 unpaired=3 energy=-1.0\n"
+         "exterior     closing=-          branches=1 unpaired=0 energy=0.0\n"
+         "total -3.0\n"),
+        ("GGGAAACCC", "(((...)))", ["--energy", "loop-table"],
+         "stack        closing=(0,8)      branches=1 unpaired=0 energy=-3.0\n"
+         "stack        closing=(1,7)      branches=1 unpaired=0 energy=-3.0\n"
+         "hairpin      closing=(2,6)      branches=0 unpaired=3 energy=4.0\n"
+         "exterior     closing=-          branches=1 unpaired=0 energy=0.0\n"
+         "total -2.0\n"),
+        ("GGAACAGAACC", "((..).(..))", ["--energy", "loop-table", "--min-hairpin", "1"],
+         "multibranch  closing=(0,10)     branches=2 unpaired=1 energy=3.9\n"
+         "hairpin      closing=(1,4)      branches=0 unpaired=2 energy=4.5\n"
+         "hairpin      closing=(6,9)      branches=0 unpaired=2 energy=4.5\n"
+         "exterior     closing=-          branches=1 unpaired=0 energy=0.0\n"
+         "total 12.9\n"),
+        ("GGAACAGAACC", "((..).(..))", ["--min-hairpin", "1"],
+         "multibranch  closing=(0,10)     branches=2 unpaired=1 energy=-1.0\n"
+         "hairpin      closing=(1,4)      branches=0 unpaired=2 energy=-1.0\n"
+         "hairpin      closing=(6,9)      branches=0 unpaired=2 energy=-1.0\n"
+         "exterior     closing=-          branches=1 unpaired=0 energy=0.0\n"
+         "total -3.0\n"),
+        ("GGGAAACCC", "((....).)", ["--energy", "loop-table"],
+         "bulge        closing=(0,8)      branches=1 unpaired=1 energy=3.0\n"
+         "hairpin      closing=(1,6)      branches=0 unpaired=4 energy=4.2\n"
+         "exterior     closing=-          branches=1 unpaired=0 energy=0.0\n"
+         "total 7.2\n"),
+        ("GGGAAACCC", "(.(...).)", ["--energy", "loop-table"],
+         "internal     closing=(0,8)      branches=1 unpaired=2 energy=2.0\n"
+         "hairpin      closing=(2,6)      branches=0 unpaired=3 energy=4.0\n"
+         "exterior     closing=-          branches=1 unpaired=0 energy=0.0\n"
+         "total 6.0\n"),
+        ("GGGAAACCC", "..(...)..", ["--energy", "loop-table"],
+         "hairpin      closing=(2,6)      branches=0 unpaired=3 energy=4.0\n"
+         "exterior     closing=-          branches=1 unpaired=4 energy=0.0\n"
+         "total 4.0\n"),
+        ("GGGAAACCC", ".........", ["--energy", "loop-table"],
+         "exterior     closing=-          branches=0 unpaired=9 energy=0.0\n"
+         "total +inf\n"),
+        ("GGGAAACCC", ".........", [],
+         "exterior     closing=-          branches=0 unpaired=9 energy=0.0\n"
+         "total +inf\n"),
+        ("G" + "A" * 35 + "C", "(" + "." * 35 + ")", ["--energy", "loop-table"],
+         "hairpin      closing=(0,36)     branches=0 unpaired=35 energy=9.566174432853785\n"
+         "exterior     closing=-          branches=1 unpaired=0 energy=0.0\n"
+         "total 9.566174432853785\n"),
+        ("GGGAAACCC", "(((...)))", ["--energy", "external", "--external-cmd", "{stub}"],
+         "stack        closing=(0,8)      branches=1 unpaired=0 energy=-\n"
+         "stack        closing=(1,7)      branches=1 unpaired=0 energy=-\n"
+         "hairpin      closing=(2,6)      branches=0 unpaired=3 energy=-\n"
+         "exterior     closing=-          branches=1 unpaired=0 energy=-\n"
+         "total -7.25\n"),
+    ]
+
+    @pytest.mark.parametrize(
+        "bases, db, flags, printed",
+        PINNED,
+        ids=[f"{db}-{'-'.join(flags[:2]) or 'nussinov'}" for _, db, flags, _ in PINNED],
+    )
+    def test_stdout_byte_for_byte(self, tmp_path, capsys, bases, db, flags, printed):
+        stub = tmp_path / "stub.py"
+        stub.write_text("print(-7.25)\n")
+        flags = [f.replace("{stub}", f"{sys.executable} {stub}") for f in flags]
+        code, out, err = run_cli(["eval", "--seq", bases, "--db", db, *flags], capsys)
+        assert (code, out, err) == (0, printed, "")
 
     def test_invalid_structure_reports_violations(self, capsys):
         # too-small hairpin: exit 2 and the violation list on stderr

@@ -836,7 +836,11 @@ class Controller:
                     self._resume(origin, target_id, node, _path(node, parent))
                     return AdaptationOutcome(True)
             if max_depth is not None and depth >= max_depth:
-                limit_hit = limit_hit or "adaptation-depth-limit"
+                # the limit ends the phase only if it kept the search from a
+                # move: a structure has a forward move exactly when it has a
+                # site, and an inverse one exactly when it has a pair
+                if self._moves(node).sites or self.grammar.allow_inverse and node.pairs:
+                    limit_hit = "adaptation-depth-limit"
             else:
                 frontier.append((depth + 1, node, self._children(node)))
             node = None

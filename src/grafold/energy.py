@@ -36,7 +36,6 @@ from .structure import (
     LoopRegion,
     PrimarySequence,
     SecondaryStructure,
-    is_admissible_pair,
     loop_index,
 )
 
@@ -88,6 +87,10 @@ _HAIRPIN, _STACK, _BULGE, _INTERNAL, _MULTI = (
     LoopClass.MULTI,
 )
 
+#: The structural minimum length of each length table.
+_FIRST_LENGTH = {_HAIRPIN: 1, _BULGE: 1, _INTERNAL: 2}
+_MULTIBRANCH_KEYS = ("offset", "per_branch", "per_unpaired")
+
 
 def _loop_class(closing: BasePair, n_branches: int, first: BasePair | None) -> LoopClass:
     """The class of the loop closed by ``closing`` with ``n_branches``
@@ -119,12 +122,13 @@ def decompose_loops(s: SecondaryStructure) -> list[tuple[LoopClass, LoopRegion]]
 
 @dataclass(frozen=True)
 class LoopTableParams:
-    """Additive loop-energy parameters (kcal/mol).
+    """Additive loop-energy parameters (kcal/mol), checked on construction.
 
-    ``stack`` is keyed by (outer pair type, inner pair type); the length
-    tables are contiguous dicts starting at the structural minimum (hairpin
-    and bulge at 1, internal at 2). Lengths past a table's end extrapolate
-    logarithmically.
+    ``stack`` holds all 36 admissible (outer pair type, inner pair type)
+    keys; the length tables are nonempty and contiguous from the structural
+    minimum (hairpin and bulge at 1, internal at 2); every number is finite.
+    Tables that break one of these rules raise :class:`ParameterError`.
+    Lengths past a table's end extrapolate logarithmically.
     """
 
     stack: Mapping[tuple[str, str], float]
@@ -134,27 +138,37 @@ class LoopTableParams:
     multibranch_offset: float
     multibranch_per_branch: float
     multibranch_per_unpaired: float
-    # (table label, length) -> the term past that table's end, once worked out
-    _extrapolated: dict[tuple[str, int], float] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
-
-def _extrapolated_term(
-    params: LoopTableParams, table: Mapping[int, float], length: int, label: str
-) -> float:
-    """The term of a ``length`` missing from ``table``, the ``label`` table
-    of ``params``: past its end, the last entry extrapolated
-    logarithmically, worked out once per parameter set and length."""
-    key = (label, length)
-    term = params._extrapolated.get(key)
-    if term is None:
-        longest = max(table)
-        if length < min(table):
-            raise ParameterError(f"{label} table has no entry for length {length}")
-        term = table[longest] + _EXTRAPOLATION_COEFF * math.log(length / longest)
-        params._extrapolated[key] = term
-    return term
+    def __post_init__(self) -> None:
+        for outer, inner in self.stack:
+            for ptype in (outer, inner):
+                if ptype not in PAIR_TYPES:
+                    raise ParameterError(
+                        f"[stack] {outer}/{inner}: {ptype!r} is not an admissible pair type"
+                    )
+        missing = [f"{o}/{i}" for o in PAIR_TYPES for i in PAIR_TYPES if (o, i) not in self.stack]
+        if missing:
+            raise ParameterError(f"[stack] missing {len(missing)} entries, e.g. {missing[0]!r}")
+        # (section, key, number), named as in a parameter file
+        numbers = [("stack", f"{o}/{i}", value) for (o, i), value in self.stack.items()]
+        for kind, start in _FIRST_LENGTH.items():
+            section = kind.value
+            table = getattr(self, section)
+            if not table:
+                raise ParameterError(f"[{section}] section is empty")
+            lengths = sorted(table)
+            if lengths != list(range(start, start + len(lengths))):
+                raise ParameterError(
+                    f"[{section}] lengths must be contiguous starting at {start}, got {lengths}"
+                )
+            numbers += [(section, length, value) for length, value in table.items()]
+        for key in _MULTIBRANCH_KEYS:
+            numbers.append(("multibranch", key, getattr(self, f"multibranch_{key}")))
+        # a nan or an infinity would make energies nan or infinite, and no
+        # longer monotone in each term
+        for section, key, value in numbers:
+            if not math.isfinite(value):
+                raise ParameterError(f"[{section}] {key}: non-finite number {str(value)!r}")
 
 
 def _term(
@@ -183,7 +197,15 @@ def _term(
     else:
         table = params.bulge if kind is _BULGE else params.internal
     term = table.get(unpaired)
-    return _extrapolated_term(params, table, unpaired, kind.value) if term is None else term
+    if term is not None:
+        return term
+    # the table is contiguous from its first length: past its end, its last
+    # entry extrapolated logarithmically
+    shortest = _FIRST_LENGTH[kind]
+    if unpaired < shortest:
+        raise ParameterError(f"{kind.value} table has no entry for length {unpaired}")
+    longest = shortest + len(table) - 1
+    return table[longest] + _EXTRAPOLATION_COEFF * math.log(unpaired / longest)
 
 
 def _terms(params: LoopTableParams, bases: str, regions: list[LoopRegion]) -> list[float]:
@@ -211,9 +233,9 @@ class EnergyModel:
     def energy(self, s: SecondaryStructure) -> float:
         raise NotImplementedError
 
-    def move_scorer(self, s: SecondaryStructure, loops: _Loops | None = None) -> "MoveScorer":
+    def move_scorer(self, s: SecondaryStructure, loops: _Loops) -> "MoveScorer":
         """The scorer of the forward moves of ``s``; ``loops`` is
-        ``loop_index(s)``, when the caller has it."""
+        ``loop_index(s)``."""
         return MoveScorer(self, s)
 
 
@@ -266,7 +288,7 @@ class NussinovModel(EnergyModel):
     def energy(self, s: SecondaryStructure) -> float:
         return float(-len(s.pairs))
 
-    def move_scorer(self, s: SecondaryStructure, loops: _Loops | None = None) -> "MoveScorer":
+    def move_scorer(self, s: SecondaryStructure, loops: _Loops) -> "MoveScorer":
         return _NussinovScorer(self, s)
 
 
@@ -307,8 +329,8 @@ class LoopTableModel(EnergyModel):
             total += term
         return total
 
-    def move_scorer(self, s: SecondaryStructure, loops: _Loops | None = None) -> "MoveScorer":
-        return _LoopTableScorer(self, s, loop_index(s) if loops is None else loops)
+    def move_scorer(self, s: SecondaryStructure, loops: _Loops) -> "MoveScorer":
+        return _LoopTableScorer(self, s, loops)
 
     @functools.cached_property
     def _least_terms(self) -> tuple[float, float, float]:
@@ -520,39 +542,13 @@ def observable(s: SecondaryStructure, model: EnergyModel) -> float:
 # ---------------------------------------------------------------------------
 
 _SECTIONS = ("stack", "hairpin", "bulge", "internal", "multibranch")
-_LENGTH_MINIMA = {"hairpin": 1, "bulge": 1, "internal": 2}
-_MULTIBRANCH_KEYS = ("offset", "per_branch", "per_unpaired")
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
-    """A finite number: a nan or an infinity would make energies nan or
-    infinite, and no longer monotone in each term."""
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise ParameterError(f"[{section}] {key}: malformed number {raw!r}")
-    if not math.isfinite(value):
-        raise ParameterError(f"[{section}] {key}: non-finite number {raw!r}")
-    return value
-
-
-def _parse_length_table(parser: configparser.ConfigParser, section: str) -> dict[int, float]:
-    table: dict[int, float] = {}
-    for key, raw in parser.items(section):
-        try:
-            length = int(key)
-        except ValueError:
-            raise ParameterError(f"[{section}] keys must be integer lengths, got {key!r}")
-        table[length] = _parse_float(section, key, raw)
-    if not table:
-        raise ParameterError(f"[{section}] section is empty")
-    start = _LENGTH_MINIMA[section]
-    lengths = sorted(table)
-    if lengths != list(range(start, start + len(lengths))):
-        raise ParameterError(
-            f"[{section}] lengths must be contiguous starting at {start}, got {lengths}"
-        )
-    return table
 
 
 def parse_parameters(text: str) -> LoopTableParams:
@@ -561,6 +557,8 @@ def parse_parameters(text: str) -> LoopTableParams:
     Required sections: [stack] with all 36 ordered pair-type combinations
     ("GC/CG = -3.0"), [hairpin], [bulge] and [internal] as contiguous
     length tables, and [multibranch] with offset, per_branch, per_unpaired.
+    The parser reads sections, keys and numbers; :class:`LoopTableParams`
+    checks the tables they make.
 
     Raises:
         ParameterError: missing section or entry, malformed or non-finite
@@ -585,18 +583,17 @@ def parse_parameters(text: str) -> LoopTableParams:
         parts = key.split("/")
         if len(parts) != 2 or not all(len(p) == 2 for p in parts):
             raise ParameterError(f"[stack] key must look like 'GC/CG', got {key!r}")
-        outer, inner = parts
-        for ptype in (outer, inner):
-            if ptype not in PAIR_TYPES or not is_admissible_pair(ptype[0], ptype[1]):
-                raise ParameterError(f"[stack] {key}: {ptype!r} is not an admissible pair type")
-        stack[(outer, inner)] = _parse_float("stack", key, raw)
-    missing = [f"{o}/{i}" for o in PAIR_TYPES for i in PAIR_TYPES if (o, i) not in stack]
-    if missing:
-        raise ParameterError(f"[stack] missing {len(missing)} entries, e.g. {missing[0]!r}")
+        stack[(parts[0], parts[1])] = _parse_float("stack", key, raw)
 
-    hairpin = _parse_length_table(parser, "hairpin")
-    bulge = _parse_length_table(parser, "bulge")
-    internal = _parse_length_table(parser, "internal")
+    tables: dict[str, dict[int, float]] = {}
+    for section in ("hairpin", "bulge", "internal"):
+        table = tables[section] = {}
+        for key, raw in parser.items(section):
+            try:
+                length = int(key)
+            except ValueError:
+                raise ParameterError(f"[{section}] keys must be integer lengths, got {key!r}")
+            table[length] = _parse_float(section, key, raw)
 
     multi = dict(parser.items("multibranch"))
     for key in _MULTIBRANCH_KEYS:
@@ -606,17 +603,11 @@ def parse_parameters(text: str) -> LoopTableParams:
     if unknown:
         raise ParameterError(f"[multibranch] unknown key(s) {sorted(unknown)}")
 
-    return LoopTableParams(
-        stack=stack,
-        hairpin=hairpin,
-        bulge=bulge,
-        internal=internal,
-        multibranch_offset=_parse_float("multibranch", "offset", multi["offset"]),
-        multibranch_per_branch=_parse_float("multibranch", "per_branch", multi["per_branch"]),
-        multibranch_per_unpaired=_parse_float(
-            "multibranch", "per_unpaired", multi["per_unpaired"]
-        ),
-    )
+    multibranch = {
+        f"multibranch_{key}": _parse_float("multibranch", key, multi[key])
+        for key in _MULTIBRANCH_KEYS
+    }
+    return LoopTableParams(stack=stack, **tables, **multibranch)
 
 
 def load_parameters(path: str | Path) -> LoopTableParams:

@@ -251,14 +251,16 @@ class EagerController(Controller):
                     self._resume(origin, target_id, node, _path(node, parent))
                     return AdaptationOutcome(True)
             max_depth = self.limits.max_adaptation_depth
-            if max_depth is not None and depth >= max_depth:
-                limit_hit = limit_hit or "adaptation-depth-limit"
-                continue
             moves = [(m.rule.label, target) for m, target in self._moves(node).successors]
             if self.grammar.allow_inverse:
                 moves.extend(
                     (f"inverse:{m.rule.label}", source) for m, source in self._moves(node).inverse
                 )
+            if max_depth is not None and depth >= max_depth:
+                # the limit ends the phase only if it kept the search from a move
+                if moves:
+                    limit_hit = "adaptation-depth-limit"
+                continue
             for label, child in moves:
                 if child.key in parent:
                     continue

@@ -47,18 +47,21 @@ class TestFold:
         "flags, termination",
         [
             (["--max-steps", "0"], "max-steps"),
-            (["--max-adaptation-depth", "0"], "adaptation-depth-limit"),
+            (["--max-adaptation-depth", "0"], "exhausted"),
             (["--max-adaptation-states", "0"], "adaptation-state-limit"),
         ],
     )
     def test_limit_before_any_fold_is_named(self, capsys, flags, termination):
         # a limit that ends the run while the strand is still unfolded is
         # named, not reported as "no fold possible": GGGAAACCC folds without
-        # the step limit; on AAAA the adaptation search stops at its origin
+        # the step limit; on AAAA the adaptation search stops at its origin,
+        # which has no move for a depth limit to cut off, so that run ends
+        # exhausted
         seq = "GGGAAACCC" if termination == "max-steps" else "AAAA"
         code, out, _ = run_cli(["fold", "--seq", seq, *flags], capsys)
         assert code == 0
-        assert out == f"{'.' * len(seq)}  +inf (stopped by {termination})\n"
+        ending = "no fold possible" if termination == "exhausted" else f"stopped by {termination}"
+        assert out == f"{'.' * len(seq)}  +inf ({ending})\n"
 
     def test_inverse_moves_find_the_optimum(self, capsys):
         code, out, _ = run_cli(["fold", "--seq", "GGGAAACCC", "--allow-inverse"], capsys)

@@ -323,6 +323,17 @@ class TestAdaptationScenario:
         assert trace.summary.final_db == "..(...).."
         assert trace.summary.best_energy == -2.0
 
+    @pytest.mark.parametrize("bases, final_db", [("AAAA", "...."), ("GGGAAACCC", "((....)).")])
+    def test_depth_limit_without_moves_ends_exhausted(self, bases, final_db):
+        # the adaptation search starts at a structure with no forward move,
+        # and inverse moves are off: a depth limit cuts no move off, so the
+        # run ends as it does without the limit
+        seq = PrimarySequence(bases)
+        limited = run(None, seq, limits=RunLimits(max_adaptation_depth=0))
+        assert limited.summary.termination == "exhausted"
+        assert limited.summary.final_db == final_db
+        assert limited.to_jsonl() == run(None, seq).to_jsonl()
+
 
 class TestRun:
     def test_gggaaaccc_nussinov(self, seq_gggaaaccc):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import sys
@@ -253,7 +254,7 @@ def region_of(s: SecondaryStructure, outer: BasePair):
 def assert_moves_score_exactly(s: SecondaryStructure, matches, models=MODELS) -> None:
     # float ==, not approx: the loop-local sum must be the full sum, bit for bit
     for model in models:
-        scorer = model.move_scorer(s)
+        scorer = model.move_scorer(s, loop_index(s))
         assert scorer.observable() == observable(s, model)
         scores = [
             (scorer.single if len(m.added) == 1 else scorer.double)(
@@ -379,13 +380,13 @@ def assert_double_bounds_hold(s: SecondaryStructure, matches) -> None:
     # observable on any table, and under Nussinov it is that observable
     doubles = [m for m in matches if len(m.added) == 2 and m.rule.label != "Helix-Rule-1"]
     for model in BOUND_MODELS:
-        scorer = model.move_scorer(s)
+        scorer = model.move_scorer(s, loop_index(s))
         for m in doubles:
             target = _apply_unchecked(s, m.added)
             bound = scorer.double_bound(m.added[0], region_of(s, m.added[0]))
             assert bound <= observable(target, model)
     nussinov = NussinovModel()
-    scorer = nussinov.move_scorer(s)
+    scorer = nussinov.move_scorer(s, loop_index(s))
     for m in doubles:
         bound = scorer.double_bound(m.added[0], region_of(s, m.added[0]))
         assert bound == observable(_apply_unchecked(s, m.added), nussinov)
@@ -459,6 +460,35 @@ def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
             got = _phi0_move(entry, observable(s, model), visited)
             want = full_choice(s, matches, model, visited)
             assert got == want
+
+
+def _without(table: dict, key) -> dict:
+    return {k: v for k, v in table.items() if k != key}
+
+
+# each table breaks one rule, and the type raises the parser's message
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda p: {"hairpin": _without(p.hairpin, 4)},
+         r"^\[hairpin\] lengths must be contiguous starting at 1"),
+        (lambda p: {"internal": {1: 0.5, **p.internal}},
+         r"^\[internal\] lengths must be contiguous starting at 2"),
+        (lambda p: {"bulge": {}}, r"^\[bulge\] section is empty"),
+        (lambda p: {"multibranch_per_unpaired": math.nan},
+         r"^\[multibranch\] per_unpaired: non-finite number 'nan'"),
+        (lambda p: {"stack": _without(p.stack, ("GU", "UG"))},
+         r"^\[stack\] missing 1 entries, e.g. 'GU/UG'"),
+        (lambda p: {"stack": {**p.stack, ("AA", "AU"): 0.0}},
+         r"^\[stack\] AA/AU: 'AA' is not an admissible pair type"),
+    ],
+    ids=["hairpin-hole", "internal-from-1", "empty-bulge", "nan-multibranch",
+         "missing-stack-entry", "inadmissible-stack-key"],
+)
+def test_tables_built_in_code_are_checked(change, message):
+    params = example_parameters()
+    with pytest.raises(ParameterError, match=message):
+        dataclasses.replace(params, **change(params))
 
 
 class TestParameterLoading:

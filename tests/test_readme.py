@@ -1,9 +1,11 @@
-"""The command examples of the README, run through ``cli.main``.
+"""The examples of the README, run as they are shown.
 
-Each ``$ grafold ...`` line of a ``text`` block in README.md is run, and what
-it prints must be the lines that follow it in the block. A ``> FILE``
-redirect sends standard output to a file in a temporary directory, so only
-standard error is printed; the file must hold a valid folding-space export.
+Each ``$ grafold ...`` line of a ``text`` block in README.md is run through
+``cli.main``, and what it prints must be the lines that follow it in the
+block. A ``> FILE`` redirect sends standard output to a file in a temporary
+directory, so only standard error is printed; the file must hold a valid
+folding-space export. The ``python`` block under "Library example" is run
+too, and each ``print`` must print its trailing ``# ...`` comment.
 """
 
 import contextlib
@@ -55,3 +57,15 @@ def test_readme_example_prints_what_it_shows(command, printed, tmp_path):
     if redirect is not None:
         redirect.write_text(stdout.getvalue())
         validate_lts_json(json.loads(redirect.read_text()))
+
+
+def test_readme_library_example_prints_its_comments():
+    (block,) = re.findall(
+        r"^## Library example\n\n```python\n(.*?)^```", README.read_text(), re.S | re.M
+    )
+    comments = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    assert len(comments) == block.count("print(") == 2
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        exec(compile(block, "README.md", "exec"), {})
+    assert stdout.getvalue() == "".join(f"{line}\n" for line in comments)

@@ -31,7 +31,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .energy import EnergyModel, MoveScorer, NussinovModel, observable
+from .energy import EnergyModel, NussinovModel
 from .grammar import (
     ALL_RULES,
     Grammar,
@@ -233,6 +233,11 @@ class AdaptiveMachine:
                 MachineState(sid, Constraint.from_config(raw["constraint"]),
                              tuple(outgoing.get(sid, ())))
             )
+        known = {st.id for st in states}
+        for source, [(target, _), *_] in outgoing.items():
+            if source not in known:
+                message = f"transition {source!r} -> {target!r} references unknown state"
+                raise MachineConfigError(message)
         return cls(tuple(states), initial)
 
     @classmethod
@@ -338,7 +343,7 @@ class StrategyContext:
     ``successors`` are the unvisited forward steps of ``structure`` in match
     order (the controller builds them on first read); ``successors_of``
     gives every forward step of any structure, and ``score`` its
-    observable, both from the run's memos.
+    observable, both from the run's record of each structure.
     """
 
     structure: SecondaryStructure
@@ -454,27 +459,26 @@ _UNSEARCHED = object()
 
 
 class _Moves:
-    """The moves of one structure in a run, each worked out on first read
-    from its loops: the outer pairs its forward moves add, its move
-    scorer, its φ0 choice, its inverse (match, source) steps and, for
-    strategies, its built forward successors. ``loop_sites`` is the run's
-    memo of each loop's :func:`~grafold.grammar._loop_sites`."""
+    """The run's one record of a structure. Its loops, its move scorer and
+    its observable are made with the record, and its φ0 choice is kept once
+    searched. The outer pairs its forward moves add, its inverse (match,
+    source) steps and, for strategies, its built forward successors are
+    worked out on first read: a structure that is only scored, such as the
+    last level a lookahead reaches, never reads them. ``loop_sites`` is the
+    run's memo of each loop's :func:`~grafold.grammar._loop_sites`."""
 
     def __init__(self, structure: SecondaryStructure, model: EnergyModel, loop_sites: _LoopMemo):
         self.structure = structure
-        self.model = model
         self.loop_sites = loop_sites
         self.loops = loop_index(structure)
+        self.scorer = model.move_scorer(structure, self.loops)
+        self.energy = self.scorer.observable()
         # the last :func:`_phi0_move` result, or _UNSEARCHED
         self.phi0: object = _UNSEARCHED
 
     @cached_property
     def sites(self) -> list[tuple]:
         return _by_outer_pair([self.loop_sites(loop) for loop in self.loops])
-
-    @cached_property
-    def scorer(self) -> MoveScorer:
-        return self.model.move_scorer(self.structure, self.loops)
 
     @cached_property
     def inverse(self) -> list[tuple[Match, SecondaryStructure]]:
@@ -602,9 +606,8 @@ class Controller:
         self._visited: set[str] = set()
         self._occupied_since_move: set[tuple[str, str]] = set()
         self._best: tuple[float, SecondaryStructure] | None = None
-        # run-scoped memos, keyed by dot-bracket key
+        # the run's record of each structure, keyed by dot-bracket key
         self._move_memo: dict[str, _Moves] = {}
-        self._energy_memo: dict[str, float] = {}
         # each distinct loop's sites, made for the strand of the first entry
         self._loop_sites: _LoopMemo | None = None
         self.state: RunState | None = None
@@ -637,19 +640,11 @@ class Controller:
                 self._best = cand
 
     def _observable(self, structure: SecondaryStructure) -> float:
-        """The observable of ``structure``, scored once per run, from its move
-        scorer when the structure has a move entry."""
-        key = structure.key
-        energy = self._energy_memo.get(key)
-        if energy is None:
-            entry = self._move_memo.get(key)
-            energy = self._energy_memo[key] = (
-                observable(structure, self.model) if entry is None else entry.scorer.observable()
-            )
-        return energy
+        """The observable of ``structure``, kept in its run record."""
+        return self._moves(structure).energy
 
     def _moves(self, structure: SecondaryStructure) -> _Moves:
-        """The run's move entry of ``structure``, made once per run."""
+        """The run's record of ``structure``, made once per run."""
         key = structure.key
         entry = self._move_memo.get(key)
         if entry is None:
@@ -674,11 +669,10 @@ class Controller:
         entry = self._moves(structure)
         choice = entry.phi0
         if choice is _UNSEARCHED or choice is not None and choice[1] in self._visited:
-            choice = entry.phi0 = _phi0_move(entry, self._observable(structure), self._visited)
+            choice = entry.phi0 = _phi0_move(entry, entry.energy, self._visited)
         if choice is None:
             return None
-        low, key, added = choice
-        self._energy_memo[key] = low
+        _, key, added = choice
         target = _apply_unchecked(structure, added, key)
         return _first_match(self._moves(target).loops, added), target
 
@@ -883,7 +877,6 @@ class Controller:
         """Alternate steady steps and adaptation phases until termination."""
         s0 = SecondaryStructure(seq)
         self._move_memo = {}
-        self._energy_memo = {}
         self._loop_sites = None
         self.state = RunState(self.machine.initial, s0, self._observable(s0))
         self._records = []

@@ -29,6 +29,7 @@ from enum import Enum
 from importlib import resources
 from itertools import accumulate
 from pathlib import Path
+from types import MappingProxyType
 from typing import ClassVar, Mapping
 
 from .structure import (
@@ -128,7 +129,8 @@ class LoopTableParams:
     keys; the length tables are nonempty and contiguous from the structural
     minimum (hairpin and bulge at 1, internal at 2); every number is finite.
     Tables that break one of these rules raise :class:`ParameterError`.
-    Lengths past a table's end extrapolate logarithmically.
+    Lengths past a table's end extrapolate logarithmically. The tables are
+    kept as read-only copies, so no caller can change them once checked.
     """
 
     stack: Mapping[tuple[str, str], float]
@@ -140,6 +142,8 @@ class LoopTableParams:
     multibranch_per_unpaired: float
 
     def __post_init__(self) -> None:
+        for name in ("stack", "hairpin", "bulge", "internal"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         for outer, inner in self.stack:
             for ptype in (outer, inner):
                 if ptype not in PAIR_TYPES:
@@ -386,10 +390,10 @@ class _LoopTableScorer(MoveScorer):
         branch, the unpaired count. All are found by bisection."""
         if outer == self._outer:
             return self._context
-        free, before, branches = region.free, region.before, region.branches
+        free, branches = region.free, region.branches
         lo, hi = bisect_left(free, outer.i), bisect_left(free, outer.j)
-        left = before[lo]
-        kids = before[hi] - left
+        left = bisect_left(branches, outer)
+        kids = bisect_left(branches, (outer.j,), left) - left
         first_kid = branches[left] if kids else None
         last_kid = branches[left + kids - 1] if kids else None
         terms, at = self.terms, bisect_left(self.s.sorted_pairs, outer)
@@ -618,7 +622,6 @@ def load_parameters(path: str | Path) -> LoopTableParams:
 @functools.cache
 def example_parameters() -> LoopTableParams:
     """The packaged demonstration table (deterministic, non-thermodynamic),
-    parsed once per process; every call returns the same tables, which must
-    not be changed."""
+    parsed once per process; every call returns the same read-only tables."""
     text = resources.files("grafold").joinpath("data/example_loop_params.ini").read_text()
     return parse_parameters(text)

@@ -37,6 +37,7 @@ minimum hairpin size:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
@@ -273,7 +274,9 @@ def _loop_sites(bases: str, min_hairpin: int, region: LoopRegion) -> list[tuple]
     added in, and the ranges :func:`_inner_pairs` reads. The sites of a
     structure are those of its loops (:func:`~grafold.structure.loop_index`).
     """
-    free, before, branches = region.free, region.before, region.branches
+    free, branches = region.free, region.branches
+    # before[k]: the branches left of free[k], counted once per distinct loop
+    before = [bisect_left(branches, (p,)) for p in free]
     size = len(free)
     # run_end[k] / run_start[k]: the last / first position of the run of
     # consecutive unpaired positions through free[k]

@@ -199,12 +199,11 @@ class SecondaryStructure:
 @dataclass(slots=True)
 class LoopRegion:
     """One loop of a structure: its closing pair (None for the exterior
-    loop), its unpaired positions and its branches, each left to right.
-    ``before[k]`` counts the branches left of ``free[k]``."""
+    loop), its unpaired positions and its branches, each left to right, so
+    ``bisect_left(branches, (p,))`` counts the branches left of ``p``."""
 
     closing: BasePair | None
     free: list[int] = field(default_factory=list)
-    before: list[int] = field(default_factory=list)
     branches: list[BasePair] = field(default_factory=list)
 
 
@@ -220,7 +219,6 @@ def loop_index(s: SecondaryStructure) -> list[LoopRegion]:
         loop = open_loops[-1]
         if mate is None:
             loop.free.append(pos)
-            loop.before.append(len(loop.branches))
         elif mate > pos:
             pair = BasePair(pos, mate)
             loop.branches.append(pair)
@@ -236,23 +234,20 @@ def split_loop(region: LoopRegion, added: tuple[BasePair, ...]) -> list[LoopRegi
     """The loops that replace ``region`` when a forward move adds ``added``
     inside it: ``region`` with the outer pair in place of the branches it
     encloses, then the loop each added pair closes, outer first, each cut
-    from slices of ``region``'s lists."""
-    free, before, branches = region.free, region.before, region.branches
+    from slices of ``region``'s two lists, at places found by bisection."""
+    free, branches = region.free, region.branches
     outer, last = added[0], added[-1]
     x, y = bisect_left(free, outer.i), bisect_left(free, outer.j)
-    left, right = before[x], before[y]
-    rest = [k + 1 + left - right for k in before[y + 1 :]]
+    left = bisect_left(branches, outer)
+    right = bisect_left(branches, (outer.j,), left)
     loops = [LoopRegion(
-        region.closing, free[:x] + free[y + 1 :], before[:x] + rest,
-        branches[:left] + [outer] + branches[right:],
+        region.closing, free[:x] + free[y + 1 :], branches[:left] + [outer] + branches[right:]
     )]
     if len(added) == 2:
         c, d = bisect_left(free, last.i, x, y), bisect_left(free, last.j, x, y)
-        ring = [0] * (c - x - 1) + [1] * (y - d - 1)
-        loops.append(LoopRegion(outer, free[x + 1 : c] + free[d + 1 : y], ring, [last]))
+        loops.append(LoopRegion(outer, free[x + 1 : c] + free[d + 1 : y], [last]))
         x, y = c, d
-    inside = [k - left for k in before[x + 1 : y]]
-    loops.append(LoopRegion(last, free[x + 1 : y], inside, branches[left:right]))
+    loops.append(LoopRegion(last, free[x + 1 : y], branches[left:right]))
     return loops
 
 

@@ -116,8 +116,10 @@ class TestFold:
         [
             {"initial": "w0", "states": [{"id": "w0", "constraint": "phi0"}], "transitions": 5},
             {"initial": "w0", "states": [{"id": ["w0"], "constraint": "phi0"}]},
+            {"initial": "w0", "states": [{"id": "w0", "constraint": "phi0"}],
+             "transitions": [{"from": "w9", "to": "w0"}]},
         ],
-        ids=["transitions-not-a-list", "state-id-not-a-string"],
+        ids=["transitions-not-a-list", "state-id-not-a-string", "transition-from-unknown-state"],
     )
     def test_malformed_machine_file(self, tmp_path, capsys, machine):
         path = tmp_path / "machine.json"

@@ -209,6 +209,14 @@ class TestMachineConfig:
                     "transitions": [{"from": "w0", "to": "ghost"}],
                 }
             )
+        with pytest.raises(MachineConfigError, match="'ghost' -> 'w0' references unknown state"):
+            AdaptiveMachine.from_config(
+                {
+                    "initial": "w0",
+                    "states": [{"id": "w0", "constraint": "phi0"}],
+                    "transitions": [{"from": "ghost", "to": "w0"}],
+                }
+            )
 
     def test_initial_state_must_be_greedy(self):
         machine = AdaptiveMachine(

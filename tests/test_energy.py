@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import shlex
 import sys
 
 import pytest
@@ -501,6 +502,17 @@ class TestParameterLoading:
         assert params.hairpin[3] == pytest.approx(4.0)
         assert min(params.bulge) == 1 and min(params.internal) == 2
 
+    def test_tables_are_read_only_copies(self):
+        # the packaged tables are shared by every caller, and a table
+        # changed after it was passed in leaves the parameters as checked
+        params = example_parameters()
+        with pytest.raises(TypeError):
+            params.hairpin[4] = params.hairpin[4]
+        hairpin = dict(params.hairpin)
+        built = dataclasses.replace(params, hairpin=hairpin)
+        hairpin.pop(4)
+        assert built == params and built.hairpin[4] == params.hairpin[4]
+
     def test_load_from_path(self, tmp_path):
         from importlib import resources
 
@@ -597,6 +609,15 @@ class TestExternal:
         with pytest.raises(ExternalEvaluationError) as exc:
             ExternalEvaluator(cmd).evaluate(s.sequence, s)
         assert exc.value.reason == "non-finite-output"
+
+    def test_timeout_is_not_cached(self):
+        cmd = f"{shlex.quote(sys.executable)} -c 'import time; time.sleep(30)'"
+        evaluator = ExternalEvaluator(cmd, timeout=0.2)
+        s = structure("GAAAC", "(...)")
+        for _ in range(2):
+            with pytest.raises(ExternalEvaluationError) as exc:
+                evaluator.evaluate(s.sequence, s)
+            assert exc.value.reason == "timeout"
 
     def test_command_not_found(self):
         s = structure("GAAAC", "(...)")

@@ -224,7 +224,7 @@ def test_key_with_pairs_along_derivations(min_h, bases, data):
 
 
 def _loops_by_closing(loops) -> dict:
-    by_closing = {loop.closing: (loop.free, loop.before, loop.branches) for loop in loops}
+    by_closing = {loop.closing: (loop.free, loop.branches) for loop in loops}
     assert len(by_closing) == len(loops)
     return by_closing
 

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Container, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -38,20 +38,22 @@ from .grammar import (
     Match,
     _apply_unchecked,
     _by_outer_pair,
-    _first_match,
     _inner_pairs,
-    _inverse_moves,
+    _inverse_steps,
     _loop_sites,
     _LoopMemo,
     _matches,
     _rule_moves,
+    _site_match,
     _stacked_pair,
 )
 from .structure import (
     BasePair,
     PrimarySequence,
     SecondaryStructure,
+    cached,
     key_with_pairs,
+    key_without_pairs,
     loop_index,
 )
 
@@ -457,12 +459,15 @@ class AdaptationOutcome:
 #: The φ0 choice of a structure whose moves have not been searched yet.
 _UNSEARCHED = object()
 
+#: The trace label of an inverse move of each rule, by rule position.
+_INVERSE_LABELS = tuple(f"inverse:{rule.label}" for rule in ALL_RULES)
+
 
 class _Moves:
     """The run's one record of a structure. Its loops, its move scorer and
-    its observable are made with the record, and its φ0 choice is kept once
-    searched. The outer pairs its forward moves add, its inverse (match,
-    source) steps and, for strategies, its built forward successors are
+    its observable are made with the record, and its φ0 choice, the match
+    and the built target, is kept once searched. The outer pairs its
+    forward moves add and, for strategies, its built forward successors are
     worked out on first read: a structure that is only scored, such as the
     last level a lookahead reaches, never reads them. ``loop_sites`` is the
     run's memo of each loop's :func:`~grafold.grammar._loop_sites`."""
@@ -473,19 +478,15 @@ class _Moves:
         self.loops = loop_index(structure)
         self.scorer = model.move_scorer(structure, self.loops)
         self.energy = self.scorer.observable()
-        # the last :func:`_phi0_move` result, or _UNSEARCHED
+        # the (match, target) of the last :func:`_phi0_move` result, None
+        # when it found no move, or _UNSEARCHED
         self.phi0: object = _UNSEARCHED
 
-    @cached_property
+    @cached
     def sites(self) -> list[tuple]:
         return _by_outer_pair([self.loop_sites(loop) for loop in self.loops])
 
-    @cached_property
-    def inverse(self) -> list[tuple[Match, SecondaryStructure]]:
-        # the run builds only valid structures, so they are not validated
-        return _inverse_moves(self.structure, self.loops)
-
-    @cached_property
+    @cached
     def successors(self) -> list[tuple[Match, SecondaryStructure]]:
         structure = self.structure
         return [
@@ -493,12 +494,17 @@ class _Moves:
             for m in _matches(structure.sequence.bases, self.sites)
         ]
 
-    def forward(self) -> Iterator[tuple[str, SecondaryStructure]]:
-        """The forward steps as (rule label, target), in match order, each
-        target built when it is taken."""
+    def forward(self, held: Container[str]) -> Iterator[tuple[str, SecondaryStructure]]:
+        """The forward steps to targets whose keys are not in ``held``, as
+        (rule label, target), in match order. Each target's key is read off
+        this structure's key, and the target is built, with it, only when
+        it is taken."""
         structure = self.structure
+        key = structure.key
         for at, added, _ in _rule_moves(structure.sequence.bases, self.sites):
-            yield ALL_RULES[at].label, _apply_unchecked(structure, added)
+            target_key = key_with_pairs(key, added)
+            if target_key not in held:
+                yield ALL_RULES[at].label, _apply_unchecked(structure, added, target_key)
 
 
 def _phi0_move(
@@ -662,19 +668,24 @@ class Controller:
         the one of minimal observable, ties broken on the smallest key, if it
         does not exceed the observable of ``structure``; None otherwise.
 
-        It is the structure's kept :func:`_phi0_move`, with the first match,
-        in rule order, that adds its pairs. The visited set only grows, so a
-        kept choice stands until its own target is visited; only then is the
-        search run again."""
+        It is the structure's :func:`_phi0_move`, with the first match, in
+        rule order, that adds its pairs, read off the site of its outer
+        pair, and the target built with the key the search wrote. The
+        visited set only grows, so the kept choice stands until its own
+        target is visited; only then is the search run again."""
         entry = self._moves(structure)
         choice = entry.phi0
-        if choice is _UNSEARCHED or choice is not None and choice[1] in self._visited:
-            choice = entry.phi0 = _phi0_move(entry, entry.energy, self._visited)
-        if choice is None:
-            return None
-        _, key, added = choice
-        target = _apply_unchecked(structure, added, key)
-        return _first_match(self._moves(target).loops, added), target
+        if choice is _UNSEARCHED or choice is not None and choice[1].key in self._visited:
+            move = _phi0_move(entry, entry.energy, self._visited)
+            choice = None
+            if move is not None:
+                _, key, added = move
+                sites = entry.sites
+                site = sites[bisect_left(sites, (added[0],))]
+                match = _site_match(structure.sequence.bases, site, added)
+                choice = (match, _apply_unchecked(structure, added, key))
+            entry.phi0 = choice
+        return choice
 
     def _check(
         self, constraint: Constraint, structure: SecondaryStructure, s_state: str
@@ -727,10 +738,8 @@ class Controller:
         decision = self._check(constraint, state.structure, state.s_state)
         target, move, note = decision.target, decision.move, decision.note
         if decision.satisfied and target is None and constraint.kind == UNCONSTRAINED:
-            for label, child in self._moves(state.structure).forward():
-                if child.key not in self._visited:
-                    target, move = child, label
-                    break
+            fresh = self._moves(state.structure).forward(self._visited)
+            move, target = next(fresh, (move, None))
         if not decision.satisfied or target is None:
             return False
         self._move_to(state.s_state, target, mode="steady", move=move, note=note)
@@ -767,15 +776,23 @@ class Controller:
             for psi in psis
         )
 
-    def _children(self, node: SecondaryStructure) -> Iterator[tuple[str, SecondaryStructure]]:
-        """The (move label, structure) steps out of ``node``, each built when
-        it is taken: the forward targets in match order, then, when the
-        grammar allows them, the inverse sources."""
+    def _children(
+        self, node: SecondaryStructure, held: Container[str]
+    ) -> Iterator[tuple[str, SecondaryStructure]]:
+        """The (move label, structure) steps out of ``node`` to structures
+        whose keys are not in ``held``, each built when it is taken: the
+        forward targets in match order, then, when the grammar allows them,
+        the inverse sources in match order, read and built as
+        :meth:`_Moves.forward` reads and builds its targets. The run builds
+        only valid structures, so they are not validated."""
         entry = self._moves(node)
-        yield from entry.forward()
+        yield from entry.forward(held)
         if self.grammar.allow_inverse:
-            for match, source in entry.inverse:
-                yield f"inverse:{match.rule.label}", source
+            key = node.key
+            for at, removed, _ in _inverse_steps(entry.loops):
+                source_key = key_without_pairs(key, removed)
+                if source_key not in held:
+                    yield _INVERSE_LABELS[at], node.without(removed, source_key)
 
     def adaptation_phase(self) -> AdaptationOutcome:
         """Search the folding space for a structure where some successor
@@ -789,10 +806,11 @@ class Controller:
         deterministic, so rerunning it could only repeat itself (livelock).
 
         The frontier holds one child iterator per expanded structure, so a
-        child is built, deduplicated and checked against ψ only when the
-        search takes it. Structures are taken in the order a fully expanded
-        BFS would queue them, and ``max_adaptation_states`` counts them, the
-        origin first.
+        child is built and checked against ψ only when the search takes it.
+        Its key is read off its parent's first, and a child whose key the
+        search already holds is not built. Structures are taken in the
+        order a fully expanded BFS would queue them, and
+        ``max_adaptation_states`` counts them, the origin first.
         """
         assert self.state is not None
         origin = self.state
@@ -836,12 +854,12 @@ class Controller:
                 if self._moves(node).sites or self.grammar.allow_inverse and node.pairs:
                     limit_hit = "adaptation-depth-limit"
             else:
-                frontier.append((depth + 1, node, self._children(node)))
+                frontier.append((depth + 1, node, self._children(node, parent)))
             node = None
             while frontier and node is None:
                 depth, expanded, children = frontier[0]
                 for label, child in children:
-                    if child.key not in parent and self._psi_holds(psis, child):
+                    if self._psi_holds(psis, child):
                         parent[child.key] = (expanded.key, label, child)
                         node = child
                         break

@@ -41,7 +41,6 @@ from bisect import bisect_left
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from operator import itemgetter
 
 from .structure import (
@@ -98,14 +97,10 @@ class RuleId:
             raise ValueError(f"variant must be 1 or 2, got {self.variant}")
         if self.loop_kind is LoopKind.HAIRPIN and self.variant != 1:
             raise ValueError("the hairpin loop has a single rule (variant 1)")
-
-    @cached_property
-    def label(self) -> str:
-        return f"{self.loop_kind.value}-Rule-{self.variant}"
-
-    @cached_property
-    def sort_key(self) -> tuple[int, int]:
-        return (_KIND_ORDER[self.loop_kind], self.variant)
+        # plain attributes beside the fields: equality and hashing read the
+        # fields only
+        object.__setattr__(self, "label", f"{self.loop_kind.value}-Rule-{self.variant}")
+        object.__setattr__(self, "sort_key", (_KIND_ORDER[self.loop_kind], self.variant))
 
 
 HAIRPIN_1 = RuleId(LoopKind.HAIRPIN, 1)
@@ -237,26 +232,13 @@ class Grammar:
             raise ValueError("min_hairpin_unpaired must be >= 1 (pairs join non-adjacent bases)")
 
 
-#: The Rule-2 (one added pair next to one existing pair) and Rule-1
-#: (two added pairs) rule of each gap shape, indexed by (left gap > 0,
-#: right gap > 0): both flush is a helix, one gap a bulge, two an internal loop.
-_RULE2_BY_GAPS = {
-    (False, False): HELIX_2,
-    (False, True): BULGE_R_2,
-    (True, False): BULGE_L_2,
-    (True, True): INTERNAL_2,
-}
-_RULE1_BY_GAPS = {
-    (False, False): HELIX_1,
-    (False, True): BULGE_R_1,
-    (True, False): BULGE_L_1,
-    (True, True): INTERNAL_1,
-}
-
-#: The positions in ``ALL_RULES`` of the rules of the tables above: the
-#: enumerator's bucket of each rule.
-_RULE2_AT = {gaps: ALL_RULES.index(rule) for gaps, rule in _RULE2_BY_GAPS.items()}
-_RULE1_AT = {gaps: ALL_RULES.index(rule) for gaps, rule in _RULE1_BY_GAPS.items()}
+#: The position in ``ALL_RULES`` (the enumerator's bucket) of the Rule-2
+#: (one added pair next to one existing pair) and the Rule-1 (two added
+#: pairs) rule of each gap shape, indexed by (left gap > 0, right gap > 0):
+#: both flush is a helix, one gap a bulge, two an internal loop.
+_GAPS = ((False, False), (False, True), (True, False), (True, True))
+_RULE2_AT = dict(zip(_GAPS, map(ALL_RULES.index, (HELIX_2, BULGE_R_2, BULGE_L_2, INTERNAL_2))))
+_RULE1_AT = dict(zip(_GAPS, map(ALL_RULES.index, (HELIX_1, BULGE_R_1, BULGE_L_1, INTERNAL_1))))
 _MULTI_AT = {False: ALL_RULES.index(MULTI_1), True: ALL_RULES.index(MULTI_2)}
 
 #: The bases each base may pair with (Watson-Crick plus G-U wobble).
@@ -404,6 +386,18 @@ def _rule_moves(bases: str, sites: list[tuple]) -> Iterator[tuple[int, tuple, tu
             yield at, added, context
 
 
+def _site_match(bases: str, site: tuple, added: tuple[BasePair, ...]) -> Match:
+    """The first, in rule order, of the forward moves on one
+    :func:`_loop_sites` site that add ``added``, as :func:`_rule_moves`
+    classifies them: the match :func:`enumerate_matches` lists first among
+    those that add ``added``."""
+    return next(
+        _unchecked_match(ALL_RULES[at], added, context)
+        for at, step, context in _rule_moves(bases, [site])
+        if step == added
+    )
+
+
 def _matches(bases: str, sites: list[tuple]) -> list[Match]:
     """The :func:`_rule_moves` on ``sites`` as matches."""
     return [
@@ -430,61 +424,6 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
     return _matches(s.sequence.bases, _sites(s, g, loop_index(s)))
 
 
-_LoopsByPair = tuple[dict[BasePair, LoopRegion], dict[BasePair, LoopRegion]]
-
-
-def _loops_by_pair(loops: list[LoopRegion]) -> _LoopsByPair:
-    """For each pair of the valid structure ``t`` whose loops are given: the
-    loop it closes, and the loop it is a branch of (the exterior loop for a
-    top-level pair)."""
-    closed_by = {loop.closing: loop for loop in loops[1:]}
-    branch_of = {pair: loop for loop in loops for pair in loop.branches}
-    return closed_by, branch_of
-
-
-def _matches_yielding(loops_by_pair: _LoopsByPair, added: tuple[BasePair, ...]) -> list[Match]:
-    """The matches that add exactly ``added`` and yield the valid structure
-    ``t`` whose :func:`_loops_by_pair` is given (``added`` is sorted and
-    taken from the pairs of ``t``), built unchecked: their pairs are sorted
-    ``BasePair`` tuples of the rule's arity by construction.
-
-    A single pair is classified twice: inward by the loop it closes (a
-    hairpin with no branch, Rule-2 on its one branch, a multi-branch loop on
-    two or more) and outward by the loop it is a branch of (Rule-2 on that
-    loop's closing pair when the pair is its only branch). Two pairs are a
-    Rule-1 double when the inner one is the only branch of the outer one.
-    """
-    closed_by, branch_of = loops_by_pair
-    outer = added[0]
-    a, b = outer
-    kids = tuple(closed_by[outer].branches)
-    if len(added) == 2:
-        inner = added[1]
-        if kids != (inner,):
-            return []
-        return [_unchecked_match(_RULE1_BY_GAPS[(inner.i - a > 1, b - inner.j > 1)], added)]
-    if not kids:
-        out = [_unchecked_match(HAIRPIN_1, added)]
-    elif len(kids) == 1:
-        c, d = kids[0]
-        out = [_unchecked_match(_RULE2_BY_GAPS[(c - a > 1, b - d > 1)], added, kids)]
-    else:
-        out = [_unchecked_match(MULTI_1 if len(kids) == 2 else MULTI_2, added, kids)]
-    parent = branch_of[outer]
-    if parent.closing is not None and len(parent.branches) == 1:
-        p, q = parent.closing
-        rule = _RULE2_BY_GAPS[(a - p > 1, q - b > 1)]
-        out.append(_unchecked_match(rule, added, (parent.closing,)))
-    return out
-
-
-def _first_match(loops: list[LoopRegion], added: tuple[BasePair, ...]) -> Match:
-    """The first, in rule order, of the matches that add ``added`` and yield
-    the valid structure whose loops are given: the one
-    :func:`enumerate_matches` lists first among them."""
-    return min(_matches_yielding(_loops_by_pair(loops), added), key=lambda m: m.sort_key)
-
-
 def _glued(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure | None:
     """``s`` with ``m`` applied, or None when the gluing conditions fail."""
     seq, n, partner = s.sequence, s.n, s.partner
@@ -498,7 +437,9 @@ def _glued(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure | 
     t = _apply_unchecked(s, m.added)
     if not validate_structure(t, g.min_hairpin_unpaired).ok:
         return None
-    if m not in _matches_yielding(_loops_by_pair(loop_index(t)), m.added):
+    # the matches that yield t by adding m.added are its inverse moves
+    # that remove them
+    if (ALL_RULES.index(m.rule), m.added, m.context) not in _inverse_steps(loop_index(t)):
         return None
     return t
 
@@ -534,25 +475,47 @@ def enumerate_inverse_matches(
     return _inverse_moves(s, loop_index(s))
 
 
+def _inverse_steps(loops: list[LoopRegion]) -> Iterator[tuple[int, tuple, tuple]]:
+    """The inverse moves of the valid structure whose loops are given, each
+    as (rule position in ``ALL_RULES``, removed pairs, context pairs), in
+    match order: the twin of :func:`_rule_moves`.
+
+    One pass over the loops by closing pair (a, b) sorts the moves into
+    rule buckets: a hairpin when the loop has no branch, a multi-branch
+    move when it has two or more. A single branch (c, d) gives three moves
+    of one gap shape: (a, b) removed inward, (c, d) removed outward, each
+    with the other as context, and both removed as a Rule-1 double. (c, d)
+    is the pair after (a, b) by left end, so each bucket fills in (removed,
+    context) order: the outward move of (c, d) before its inward one.
+    """
+    buckets: list[list[tuple]] = [[] for _ in ALL_RULES]
+    for loop in loops[1:]:
+        closing, kids = loop.closing, loop.branches
+        if not kids:
+            buckets[0].append(((closing,), ()))  # ALL_RULES[0] is HAIRPIN_1
+        elif len(kids) == 1:
+            kid = kids[0]
+            gaps = (kid.i - closing.i > 1, closing.j - kid.j > 1)
+            single = buckets[_RULE2_AT[gaps]]
+            single.append(((closing,), (kid,)))
+            single.append(((kid,), (closing,)))
+            buckets[_RULE1_AT[gaps]].append(((closing, kid), ()))
+        else:
+            buckets[_MULTI_AT[len(kids) > 2]].append(((closing,), tuple(kids)))
+    for at, bucket in enumerate(buckets):
+        for removed, context in bucket:
+            yield at, removed, context
+
+
 def _inverse_moves(
     s: SecondaryStructure, loops: list[LoopRegion]
 ) -> list[tuple[Match, SecondaryStructure]]:
     """:func:`enumerate_inverse_matches` on a structure known to be valid,
     such as one the engine built, with its loops."""
-    loops_by_pair = _loops_by_pair(loops)
-    closed_by = loops_by_pair[0]
-    out: list[tuple[Match, SecondaryStructure]] = []
-    for pair in s.sorted_pairs:
-        removals = [(pair,)]
-        kids = closed_by[pair].branches
-        if len(kids) == 1:
-            removals.append((pair, kids[0]))
-        # each of these removals yields at least one match
-        for removed in removals:
-            source = s.without(removed)
-            out.extend((m, source) for m in _matches_yielding(loops_by_pair, removed))
-    out.sort(key=lambda item: item[0].sort_key)
-    return out
+    return [
+        (_unchecked_match(ALL_RULES[at], removed, context), s.without(removed))
+        for at, removed, context in _inverse_steps(loops)
+    ]
 
 
 def _apply_unchecked(

@@ -11,8 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 __all__ = [
     "BASES",
@@ -32,6 +31,7 @@ __all__ = [
     "parse_dot_bracket",
     "emit_dot_bracket",
     "key_with_pairs",
+    "key_without_pairs",
     "loop_index",
     "split_loop",
 ]
@@ -55,6 +55,23 @@ class StructureError(ValueError):
     def __init__(self, message: str, violations: Iterable["Violation"] = ()):
         super().__init__(message)
         self.violations = tuple(violations)
+
+
+class cached:
+    """``functools.cached_property`` without the lock Python 3.11 takes on
+    each first read: the value goes into the instance's ``__dict__``, which
+    later reads find first, as this descriptor defines no ``__set__``."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class BasePair(NamedTuple):
@@ -173,7 +190,7 @@ class SecondaryStructure:
     def n(self) -> int:
         return len(self.sequence)
 
-    @cached_property
+    @cached
     def partner(self) -> dict[int, int]:
         """Position -> paired position, for both endpoints of every pair."""
         out: dict[int, int] = {}
@@ -182,18 +199,19 @@ class SecondaryStructure:
             out[j] = i
         return out
 
-    @cached_property
+    @cached
     def sorted_pairs(self) -> tuple[BasePair, ...]:
         return tuple(sorted(self.pairs))
 
-    @cached_property
+    @cached
     def key(self) -> str:
         """Canonical dot-bracket key; injective over valid structures."""
         return emit_dot_bracket(self)
 
-    def without(self, pairs: Iterable[BasePair]) -> "SecondaryStructure":
-        # a subset of normalized pairs is normalized
-        return SecondaryStructure._unchecked(self.sequence, self.pairs - frozenset(pairs))
+    def without(self, pairs: Iterable[BasePair], key: str | None = None) -> "SecondaryStructure":
+        # a subset of normalized pairs is normalized; ``key`` is the result's
+        # key when the caller already holds it
+        return SecondaryStructure._unchecked(self.sequence, self.pairs - frozenset(pairs), key)
 
 
 @dataclass(slots=True)
@@ -425,4 +443,14 @@ def key_with_pairs(key: str, pairs: Iterable[BasePair]) -> str:
     for i, j in pairs:
         chars[i] = "("
         chars[j] = ")"
+    return "".join(chars)
+
+
+def key_without_pairs(key: str, pairs: Iterable[BasePair]) -> str:
+    """The key of a structure with key ``key`` less ``pairs``, the removal
+    twin of :func:`key_with_pairs`: ``key`` with '.' written at each pair's
+    ends."""
+    chars = list(key)
+    for i, j in pairs:
+        chars[i] = chars[j] = "."
     return "".join(chars)

@@ -25,7 +25,15 @@ from itertools import combinations
 
 from grafold.controller import AdaptationOutcome, Controller, _path
 from grafold.energy import EnergyModel, LoopClass, LoopTableParams, observable
-from grafold.grammar import ALL_RULES, Grammar, LoopKind, Match, RuleId, gluing_check
+from grafold.grammar import (
+    ALL_RULES,
+    Grammar,
+    LoopKind,
+    Match,
+    RuleId,
+    _inverse_moves,
+    gluing_check,
+)
 from grafold.space import LTS, ExploreLimits, LTSState, LTSTransition, successors
 from grafold.structure import (
     BasePair,
@@ -254,7 +262,8 @@ class EagerController(Controller):
             moves = [(m.rule.label, target) for m, target in self._moves(node).successors]
             if self.grammar.allow_inverse:
                 moves.extend(
-                    (f"inverse:{m.rule.label}", source) for m, source in self._moves(node).inverse
+                    (f"inverse:{m.rule.label}", source)
+                    for m, source in _inverse_moves(node, self._moves(node).loops)
                 )
             if max_depth is not None and depth >= max_depth:
                 # the limit ends the phase only if it kept the search from a move

@@ -32,6 +32,7 @@ from grafold.space import successors
 from grafold.structure import (
     PrimarySequence,
     SecondaryStructure,
+    emit_dot_bracket,
     loop_index,
     parse_dot_bracket,
     validate_structure,
@@ -531,34 +532,46 @@ class TestLazyAdaptation:
     def test_children_built_only_when_taken(self, monkeypatch, seq_gggaaaccc):
         # the trap's first phase starts at its one-pair minimum and resumes
         # at a forward child of it, so a lazy search never needs the
-        # origin's inverse moves; the eager search enumerates them anyway.
+        # origin's inverse moves; the eager search builds them anyway.
         # The run builds every structure but the unfolded one through the
         # unchecked constructor: forward children (lazily in _Moves.forward,
         # eagerly in _Moves.successors), φ0 targets and inverse sources, so
-        # a count of 0 means a build escaped the count
-        inverse_of: list[str] = []
-        inverse = grafold.controller._inverse_moves
+        # a count of 0 means a build escaped the count. Inverse sources are
+        # built by SecondaryStructure.without: the lazy search builds one
+        # only when it takes it, so over the whole run the sources it builds
+        # are exactly the inverse children its child iterators hand out
+        without = SecondaryStructure.without
+        sources: list[str] = []
 
-        def counting_inverse(structure, view):
-            inverse_of.append(structure.key)
-            return inverse(structure, view)
+        def counting_without(s, pairs, key=None):
+            source = without(s, pairs, key)
+            sources.append(source.key)
+            return source
 
-        monkeypatch.setattr(grafold.controller, "_inverse_moves", counting_inverse)
+        monkeypatch.setattr(SecondaryStructure, "without", counting_without)
 
-        def first_phase(cls):
+        def fold(cls):
             """(unchecked build count, trace, first phase's origin, the
-            records it added, the structures whose inverse moves it
-            enumerated)"""
-            phases = []
+            records it added, the inverse sources it built), then over the
+            whole run the inverse sources built and the inverse children
+            taken, by key"""
+            phases, taken = [], []
 
             class Probe(cls):
                 def adaptation_phase(self):
                     origin = self.state.structure.key
-                    records, calls = len(self._records), len(inverse_of)
+                    records, built = len(self._records), len(sources)
                     outcome = super().adaptation_phase()
-                    phases.append((origin, self._records[records:], inverse_of[calls:]))
+                    phases.append((origin, self._records[records:], sources[built:]))
                     return outcome
 
+                def _children(self, node, held):
+                    for label, child in super()._children(node, held):
+                        if label.startswith("inverse:"):
+                            taken.append(child.key)
+                        yield label, child
+
+            sources.clear()
             with counting_builds() as (public, unchecked):
                 trace = Probe(
                     grammar=Grammar(allow_inverse=True),
@@ -566,18 +579,20 @@ class TestLazyAdaptation:
                     limits=RunLimits(max_steps=40),
                 ).run(seq_gggaaaccc)
             assert len(public) == 1
-            return (len(unchecked), trace, *phases[0])
+            return (len(unchecked), trace, *phases[0], sources[:], taken)
 
-        lazy_built, lazy, origin, added, lazy_calls = first_phase(Controller)
-        eager_built, eager, _, _, eager_calls = first_phase(EagerController)
+        lazy_built, lazy, origin, added, lazy_first, lazy_sources, taken = fold(Controller)
+        eager_built, eager, _, _, eager_first, eager_sources, _ = fold(EagerController)
         assert lazy.to_jsonl() == eager.to_jsonl()
         assert 0 < lazy_built < eager_built
         assert origin == "..(...).."
         assert [(r.move, r.db) for r in added] == [
             ("Helix-Rule-2", ".((...))."), (None, ".((...)).")
         ]
-        assert origin not in lazy_calls
-        assert origin in eager_calls
+        assert lazy_first == []
+        assert eager_first[0] == "........."  # the origin's only inverse source
+        assert lazy_sources == taken
+        assert 0 < len(lazy_sources) < len(eager_sources)
 
 
 class TestScoredSelection:
@@ -626,9 +641,11 @@ SEEDED_40 = "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUA"
 
 def test_phi0_targets_built_with_the_key_phi0_move_wrote(monkeypatch):
     # a phi0 target, in a steady step or an adaptation check, is built with
-    # the key _phi0_move wrote for it: each such key is the target's
-    # dot-bracket, and the fold writes one key fewer per target than the same
-    # fold whose targets are built without one
+    # the key _phi0_move wrote for it, and each child the adaptation search
+    # takes is built with the key the search read off its parent's key to
+    # see that it is new: each such key is the structure's dot-bracket, and
+    # the fold writes one key fewer per keyed build than the same fold whose
+    # structures are built without one
     build = SecondaryStructure._unchecked.__func__
     emit = grafold.structure.emit_dot_bracket
 
@@ -699,16 +716,23 @@ def checked_run(bases, grammar, model, max_steps):
 def test_run_memo_moves_equal_fresh_ones_along_derivations(min_h, bases, data):
     # one controller serves the whole derivation, so later structures read
     # loops memoized for earlier ones: the merged sites equal a fresh scan
-    # of every loop, in the same order, and the inverse moves, read without
-    # validation, equal the public validating enumeration
+    # of every loop, in the same order. The search's children, read lazily
+    # and without validation, are the public enumerations' matches as
+    # (label, structure): the forward targets, then the inverse sources,
+    # each built with its key read off the parent's, which is its
+    # dot-bracket
     g = Grammar(min_hairpin_unpaired=min_h, allow_inverse=True)
     controller = Controller(grammar=g, model=NUSSINOV)
-    for s, _ in random_derivation(bases, min_h, data):
+    for s, matches in random_derivation(bases, min_h, data):
         entry = controller._moves(s)
         assert entry.sites == _sites(s, g, loop_index(s))
         outer = [site[0] for site in entry.sites]
         assert outer == sorted(set(outer))
-        assert entry.inverse == enumerate_inverse_matches(s, g)
+        children = list(controller._children(s, set()))
+        assert children == [(m.rule.label, apply_match(s, m, g)) for m in matches] + [
+            (f"inverse:{m.rule.label}", source) for m, source in enumerate_inverse_matches(s, g)
+        ]
+        assert all(child.key == emit_dot_bracket(child) for _, child in children)
 
 
 @pytest.mark.parametrize(

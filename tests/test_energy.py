@@ -26,11 +26,17 @@ from grafold.energy import (
     _term,
     _terms,
 )
-from grafold.grammar import Grammar, _apply_unchecked, enumerate_matches
+from grafold.grammar import (
+    Grammar,
+    _apply_unchecked,
+    enumerate_inverse_matches,
+    enumerate_matches,
+)
 from grafold.structure import (
     BasePair,
     PrimarySequence,
     SecondaryStructure,
+    emit_dot_bracket,
     loop_index,
     parse_dot_bracket,
 )
@@ -461,6 +467,29 @@ def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
             got = _phi0_move(entry, observable(s, model), visited)
             want = full_choice(s, matches, model, visited)
             assert got == want
+
+
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_phi0_match_read_off_the_site_along_derivations(min_h, bases, data):
+    # the match φ0 names for its move, read off the source's site, is the
+    # first, in rule order, of the matches that yield its target by adding
+    # the move's pairs: the first inverse move of the target, read off the
+    # target's loops, that removes them. The target carries the key the
+    # search wrote, which is its dot-bracket
+    g = Grammar(min_hairpin_unpaired=min_h)
+    controllers = [Controller(grammar=g, model=m) for m in [NussinovModel(), *BOUND_MODELS]]
+    for s, _ in random_derivation(bases, min_h, data):
+        for controller in controllers:
+            choice = controller._phi0(s)
+            if choice is None:
+                continue
+            match, target = choice
+            inverse = enumerate_inverse_matches(target, g)
+            assert match == next(m for m, _ in inverse if m.added == match.added)
+            assert target.pairs == s.pairs | set(match.added)
+            assert target.key == emit_dot_bracket(target)
 
 
 def _without(table: dict, key) -> dict:

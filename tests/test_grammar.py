@@ -20,8 +20,11 @@ from grafold.grammar import (
     LoopKind,
     Match,
     RuleId,
+    _apply_unchecked,
+    _inverse_steps,
     _loop_sites,
     _rule_moves,
+    _site_match,
     _sites,
     apply_match,
     derive,
@@ -484,7 +487,9 @@ def test_hairpins_taken_without_classifying_the_other_moves(monkeypatch, db):
 def test_inverse_matches_dual_to_forward_along_derivations(grammar, bases, data):
     # at every structure s of a random derivation, the inverse moves are the
     # forward matches, from s without R, that add exactly R: one pair or two
-    # nested pairs of s
+    # nested pairs of s. The lazy generator lists them in the same order:
+    # labelled by rule and built by removing their pairs, its steps are the
+    # (label, source) list of the (match, source) pairs
     s = empty(bases)
     while True:
         pairs = s.sorted_pairs
@@ -499,10 +504,67 @@ def test_inverse_matches_dual_to_forward_along_derivations(grammar, bases, data)
         ]
         want.sort(key=lambda item: item[0].sort_key)
         assert enumerate_inverse_matches(s, grammar) == want
+        assert [
+            (f"inverse:{ALL_RULES[at].label}", s.without(removed))
+            for at, removed, _ in _inverse_steps(loop_index(s))
+        ] == [(f"inverse:{m.rule.label}", source) for m, source in want]
         matches = enumerate_matches(s, grammar)
         if not matches:
             break
         s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)
+
+
+def first_match_yielding(t: SecondaryStructure, added) -> Match:
+    """The first, in rule order, of the matches that yield ``t`` by adding
+    ``added``: the first inverse move of ``t`` that removes them, read off
+    the loops of ``t``."""
+    # a structure valid under the grammar is valid under the weakest one
+    return next(m for m, _ in enumerate_inverse_matches(t, G1) if m.added == added)
+
+
+@pytest.mark.parametrize("grammar", [G1, G3], ids=["min1", "min3"])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=12), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_site_match_is_the_first_match_along_derivations(grammar, bases, data):
+    # the match read off the source's site of a move's outer pair is the
+    # first, in rule order, of those that add the move's pairs: the one
+    # enumerate_matches lists first, and the first the loops of the target
+    # give
+    s = empty(bases)
+    while True:
+        sites = {site[0]: site for site in _sites(s, grammar, loop_index(s))}
+        matches = enumerate_matches(s, grammar)
+        first: dict[tuple, Match] = {}
+        for m in matches:
+            first.setdefault(m.added, m)
+        for added, m in first.items():
+            target = _apply_unchecked(s, added)
+            site = sites[added[0]]
+            assert _site_match(bases, site, added) == m == first_match_yielding(target, added)
+        if not matches:
+            break
+        s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)
+
+
+def test_outward_rule2_move_comes_before_the_inward_one_of_its_rule():
+    # (1,8) stacks both on the pair outside it and on the pair inside it:
+    # two Helix-Rule-2 matches add or remove it, and the one whose context
+    # is the outer pair comes first, forward and inverse
+    seq = PrimarySequence("GGGAAAACCC")
+    middle, outer, inner = BasePair(1, 8), BasePair(0, 9), BasePair(2, 7)
+    want = [Match(HELIX_2, (middle,), (outer,)), Match(HELIX_2, (middle,), (inner,))]
+    s = parse_dot_bracket(seq, "(((....)))")
+    assert [m for m, _ in enumerate_inverse_matches(s, G3) if m.added == (middle,)] == want
+    steps = [
+        Match(ALL_RULES[at], removed, context)
+        for at, removed, context in _inverse_steps(loop_index(s))
+        if removed == (middle,)
+    ]
+    assert steps == want
+    source = s.without((middle,))
+    assert [m for m in enumerate_matches(source, G3) if m.added == (middle,)] == want
+    site = next(site for site in _sites(source, G3, loop_index(source)) if site[0] == middle)
+    assert _site_match(seq.bases, site, (middle,)) == want[0] == first_match_yielding(s, (middle,))
 
 
 @pytest.mark.parametrize("grammar", [G1, G3], ids=["min1", "min3"])

@@ -175,8 +175,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     seq = _load_sequence(args.seq)
+    grammar = _build_grammar(args)
     model = _build_model(args)
-    structure = parse_dot_bracket(seq, args.db, min_hairpin_unpaired=args.min_hairpin)
+    structure = parse_dot_bracket(seq, args.db, min_hairpin_unpaired=grammar.min_hairpin_unpaired)
     loops = decompose_loops(structure)
     regions = [region for _, region in loops]
     if model.mode == "loop-table":  # _terms reads the exterior loop first

@@ -26,7 +26,7 @@ import json
 import math
 from bisect import bisect_left
 from collections import deque
-from collections.abc import Container, Iterator, Sequence
+from collections.abc import Container, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -35,16 +35,14 @@ from .energy import EnergyModel, NussinovModel
 from .grammar import (
     ALL_RULES,
     Grammar,
-    Match,
     _apply_unchecked,
     _by_outer_pair,
     _inner_pairs,
     _inverse_steps,
     _loop_sites,
     _LoopMemo,
-    _matches,
     _rule_moves,
-    _site_match,
+    _site_rule,
     _stacked_pair,
 )
 from .structure import (
@@ -342,17 +340,19 @@ class Trace:
 class StrategyContext:
     """Everything a strategy may inspect when evaluated.
 
-    ``successors`` are the unvisited forward steps of ``structure`` in match
-    order (the controller builds them on first read); ``successors_of``
-    gives every forward step of any structure, and ``score`` its
-    observable, both from the run's record of each structure.
+    A step is a forward move as (rule label, target structure); the pairs
+    it adds are ``target.pairs - structure.pairs``. ``successors`` is a
+    one-pass iterator of the unvisited steps of ``structure`` in match
+    order, each target built when it is taken; ``successors_of`` gives
+    every step of any structure, and ``score`` its observable, both from
+    the run's record of each structure.
     """
 
     structure: SecondaryStructure
     energy: float
     s_state: str
-    successors: Sequence[tuple[Match, SecondaryStructure]]
-    successors_of: Callable[[SecondaryStructure], list[tuple[Match, SecondaryStructure]]]
+    successors: Iterator[tuple[str, SecondaryStructure]]
+    successors_of: Callable[[SecondaryStructure], list[tuple[str, SecondaryStructure]]]
     score: Callable[[SecondaryStructure], float]
     best: tuple[float, SecondaryStructure] | None
     params: dict[str, object]
@@ -401,7 +401,7 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
     if depth < 1:
         return StrategyDecision(satisfied=False)
     best_choice: tuple[float, str, str, SecondaryStructure] | None = None
-    for match, first in ctx.successors:
+    for label, first in ctx.successors:
         frontier = [first]
         seen = {first.key}
         level = 1
@@ -420,7 +420,7 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
         candidate = (local_best[0], local_best[1], first.key, first)
         if best_choice is None or candidate[:3] < best_choice[:3]:
             best_choice = candidate
-            best_move = match.rule.label
+            best_move = label
     if best_choice is not None and best_choice[0] < ctx.energy:
         return StrategyDecision(
             satisfied=True,
@@ -465,12 +465,12 @@ _INVERSE_LABELS = tuple(f"inverse:{rule.label}" for rule in ALL_RULES)
 
 class _Moves:
     """The run's one record of a structure. Its loops, its move scorer and
-    its observable are made with the record, and its φ0 choice, the match
-    and the built target, is kept once searched. The outer pairs its
-    forward moves add and, for strategies, its built forward successors are
-    worked out on first read: a structure that is only scored, such as the
-    last level a lookahead reaches, never reads them. ``loop_sites`` is the
-    run's memo of each loop's :func:`~grafold.grammar._loop_sites`."""
+    its observable are made with the record, and its φ0 choice, the rule
+    label and the built target, is kept once searched. The outer pairs its
+    forward moves add and, for strategies, its forward steps are worked out
+    on first read: a structure that is only scored, such as the last level
+    a lookahead reaches, never reads them. ``loop_sites`` is the run's memo
+    of each loop's :func:`~grafold.grammar._loop_sites`."""
 
     def __init__(self, structure: SecondaryStructure, model: EnergyModel, loop_sites: _LoopMemo):
         self.structure = structure
@@ -478,7 +478,7 @@ class _Moves:
         self.loops = loop_index(structure)
         self.scorer = model.move_scorer(structure, self.loops)
         self.energy = self.scorer.observable()
-        # the (match, target) of the last :func:`_phi0_move` result, None
+        # the (rule label, target) of the last :func:`_phi0_move` result, None
         # when it found no move, or _UNSEARCHED
         self.phi0: object = _UNSEARCHED
 
@@ -487,12 +487,8 @@ class _Moves:
         return _by_outer_pair([self.loop_sites(loop) for loop in self.loops])
 
     @cached
-    def successors(self) -> list[tuple[Match, SecondaryStructure]]:
-        structure = self.structure
-        return [
-            (m, _apply_unchecked(structure, m.added))
-            for m in _matches(structure.sequence.bases, self.sites)
-        ]
+    def steps(self) -> list[tuple[str, SecondaryStructure]]:
+        return list(self.forward(()))
 
     def forward(self, held: Container[str]) -> Iterator[tuple[str, SecondaryStructure]]:
         """The forward steps to targets whose keys are not in ``held``, as
@@ -550,25 +546,6 @@ def _phi0_move(
                 if inner != stacked:
                     offer(scorer.double(outer, inner, region), (outer, inner))
     return None if best_key is None else (low, best_key, best_added)
-
-
-class _LazySuccessors(Sequence):
-    """A read-only sequence whose items are built on first read."""
-
-    def __init__(self, build: Callable[[], tuple[tuple[Match, SecondaryStructure], ...]]):
-        self._build = build
-        self._items: tuple[tuple[Match, SecondaryStructure], ...] | None = None
-
-    def _all(self) -> tuple[tuple[Match, SecondaryStructure], ...]:
-        if self._items is None:
-            self._items = self._build()
-        return self._items
-
-    def __len__(self) -> int:
-        return len(self._all())
-
-    def __getitem__(self, index):
-        return self._all()[index]
 
 
 def _path(
@@ -663,16 +640,17 @@ class Controller:
             entry = self._move_memo[key] = _Moves(structure, self.model, loop_sites)
         return entry
 
-    def _phi0(self, structure: SecondaryStructure) -> tuple[Match, SecondaryStructure] | None:
+    def _phi0(self, structure: SecondaryStructure) -> tuple[str, SecondaryStructure] | None:
         """The greedy choice among the unvisited successors of ``structure``:
         the one of minimal observable, ties broken on the smallest key, if it
         does not exceed the observable of ``structure``; None otherwise.
 
-        It is the structure's :func:`_phi0_move`, with the first match, in
-        rule order, that adds its pairs, read off the site of its outer
-        pair, and the target built with the key the search wrote. The
-        visited set only grows, so the kept choice stands until its own
-        target is visited; only then is the search run again."""
+        It is the structure's :func:`_phi0_move` as (rule label, target):
+        the rule of the first match, in rule order, that adds its pairs,
+        read off the site of its outer pair, and the target built with the
+        key the search wrote. The visited set only grows, so the kept choice
+        stands until its own target is visited; only then is the search run
+        again."""
         entry = self._moves(structure)
         choice = entry.phi0
         if choice is _UNSEARCHED or choice is not None and choice[1].key in self._visited:
@@ -682,8 +660,8 @@ class Controller:
                 _, key, added = move
                 sites = entry.sites
                 site = sites[bisect_left(sites, (added[0],))]
-                match = _site_match(structure.sequence.bases, site, added)
-                choice = (match, _apply_unchecked(structure, added, key))
+                at = _site_rule(structure.sequence.bases, site, added)
+                choice = (ALL_RULES[at].label, _apply_unchecked(structure, added, key))
             entry.phi0 = choice
         return choice
 
@@ -704,25 +682,21 @@ class Controller:
             selected = self._phi0(structure)
             if selected is None:
                 return StrategyDecision(satisfied=False)
-            match, target = selected
-            return StrategyDecision(satisfied=True, target=target, move=match.rule.label)
+            label, target = selected
+            return StrategyDecision(satisfied=True, target=target, move=label)
         fn = _get_strategy(constraint.strategy or "")
         return fn(self._context(structure, s_state, constraint.params_dict))
 
     def _context(
         self, structure: SecondaryStructure, s_state: str, params: dict[str, object]
     ) -> StrategyContext:
-        visited = self._visited
+        entry = self._moves(structure)
         return StrategyContext(
             structure=structure,
-            energy=self._observable(structure),
+            energy=entry.energy,
             s_state=s_state,
-            successors=_LazySuccessors(
-                lambda: tuple(
-                    (m, t) for m, t in self._moves(structure).successors if t.key not in visited
-                )
-            ),
-            successors_of=lambda s: self._moves(s).successors,
+            successors=entry.forward(self._visited),
+            successors_of=lambda s: self._moves(s).steps,
             score=self._observable,
             best=self._best,
             params=params,
@@ -876,18 +850,9 @@ class Controller:
         path: list[tuple[str, SecondaryStructure]],
     ) -> None:
         for label, structure in path:
-            state = RunState(origin.s_state, structure, self._observable(structure))
-            self.state = state
-            self._enter(origin.s_state, structure)
-            self._record(state, "adapting", move=label)
-        resumed = RunState(target_id, node, self._observable(node))
-        self.state = resumed
-        self._enter(target_id, node)
-        self._record(
-            resumed,
-            "steady",
-            note=f"adaptation-complete:{origin.s_state}->{target_id}",
-        )
+            self._move_to(origin.s_state, structure, "adapting", label, None)
+        note = f"adaptation-complete:{origin.s_state}->{target_id}"
+        self._move_to(target_id, node, "steady", None, note)
 
     # -- driving -------------------------------------------------------------
 

@@ -386,24 +386,12 @@ def _rule_moves(bases: str, sites: list[tuple]) -> Iterator[tuple[int, tuple, tu
             yield at, added, context
 
 
-def _site_match(bases: str, site: tuple, added: tuple[BasePair, ...]) -> Match:
-    """The first, in rule order, of the forward moves on one
-    :func:`_loop_sites` site that add ``added``, as :func:`_rule_moves`
-    classifies them: the match :func:`enumerate_matches` lists first among
-    those that add ``added``."""
-    return next(
-        _unchecked_match(ALL_RULES[at], added, context)
-        for at, step, context in _rule_moves(bases, [site])
-        if step == added
-    )
-
-
-def _matches(bases: str, sites: list[tuple]) -> list[Match]:
-    """The :func:`_rule_moves` on ``sites`` as matches."""
-    return [
-        _unchecked_match(ALL_RULES[at], added, context)
-        for at, added, context in _rule_moves(bases, sites)
-    ]
+def _site_rule(bases: str, site: tuple, added: tuple[BasePair, ...]) -> int:
+    """The position in ``ALL_RULES`` of the first, in rule order, of the
+    forward moves on one :func:`_loop_sites` site that add ``added``, as
+    :func:`_rule_moves` classifies them: the rule of the match
+    :func:`enumerate_matches` lists first among those that add ``added``."""
+    return next(at for at, step, _ in _rule_moves(bases, [site]) if step == added)
 
 
 def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
@@ -421,7 +409,10 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
     Returns:
         Sorted list of matches; empty when ``s`` is terminal.
     """
-    return _matches(s.sequence.bases, _sites(s, g, loop_index(s)))
+    return [
+        _unchecked_match(ALL_RULES[at], added, context)
+        for at, added, context in _rule_moves(s.sequence.bases, _sites(s, g, loop_index(s)))
+    ]
 
 
 def _glued(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure | None:
@@ -472,7 +463,10 @@ def enumerate_inverse_matches(
     report = validate_structure(s, g.min_hairpin_unpaired)
     if not report.ok:
         raise StructureError(f"invalid structure: {report.describe()}", report.violations)
-    return _inverse_moves(s, loop_index(s))
+    return [
+        (_unchecked_match(ALL_RULES[at], removed, context), s.without(removed))
+        for at, removed, context in _inverse_steps(loop_index(s))
+    ]
 
 
 def _inverse_steps(loops: list[LoopRegion]) -> Iterator[tuple[int, tuple, tuple]]:
@@ -505,17 +499,6 @@ def _inverse_steps(loops: list[LoopRegion]) -> Iterator[tuple[int, tuple, tuple]
     for at, bucket in enumerate(buckets):
         for removed, context in bucket:
             yield at, removed, context
-
-
-def _inverse_moves(
-    s: SecondaryStructure, loops: list[LoopRegion]
-) -> list[tuple[Match, SecondaryStructure]]:
-    """:func:`enumerate_inverse_matches` on a structure known to be valid,
-    such as one the engine built, with its loops."""
-    return [
-        (_unchecked_match(ALL_RULES[at], removed, context), s.without(removed))
-        for at, removed, context in _inverse_steps(loops)
-    ]
 
 
 def _apply_unchecked(

@@ -455,14 +455,17 @@ def validate_lts_json(doc: object) -> dict:
         if st["energy"] is not None and not isinstance(st["energy"], (int, float)):
             raise ValueError(f"state energy must be a number or null: {st!r}")
         ids.add(st["id"])
+    if not isinstance(doc["transitions"], list):
+        raise ValueError("transitions must be a list")
     for t in doc["transitions"]:
         if not isinstance(t, dict) or set(t) != {"from", "to", "rule", "matches"}:
             raise ValueError(f"bad transition record {t!r}")
+        if not (isinstance(t["from"], int) and isinstance(t["to"], int)
+                and isinstance(t["rule"], str) and isinstance(t["matches"], int)):
+            raise ValueError(f"bad transition record {t!r}")
         if t["from"] not in ids or t["to"] not in ids:
             raise ValueError(f"transition references unknown state: {t!r}")
-        if not isinstance(t["rule"], str) or not isinstance(t["matches"], int):
-            raise ValueError(f"bad transition record {t!r}")
-    if doc["initial"] not in ids:
+    if not isinstance(doc["initial"], int) or doc["initial"] not in ids:
         raise ValueError("initial state id is unknown")
     if doc["truncated_by"] is not None and not isinstance(doc["truncated_by"], str):
         raise ValueError("truncated_by must be a string or null")

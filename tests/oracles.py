@@ -31,7 +31,7 @@ from grafold.grammar import (
     LoopKind,
     Match,
     RuleId,
-    _inverse_moves,
+    _inverse_steps,
     gluing_check,
 )
 from grafold.space import LTS, ExploreLimits, LTSState, LTSTransition, successors
@@ -259,11 +259,12 @@ class EagerController(Controller):
                     self._resume(origin, target_id, node, _path(node, parent))
                     return AdaptationOutcome(True)
             max_depth = self.limits.max_adaptation_depth
-            moves = [(m.rule.label, target) for m, target in self._moves(node).successors]
+            entry = self._moves(node)
+            moves = list(entry.steps)
             if self.grammar.allow_inverse:
                 moves.extend(
-                    (f"inverse:{m.rule.label}", source)
-                    for m, source in _inverse_moves(node, self._moves(node).loops)
+                    (f"inverse:{ALL_RULES[at].label}", node.without(removed))
+                    for at, removed, _ in _inverse_steps(entry.loops)
                 )
             if max_depth is not None and depth >= max_depth:
                 # the limit ends the phase only if it kept the search from a move

@@ -487,6 +487,10 @@ class TestExitCodes:
              "min_hairpin_unpaired must be >= 1"),
             (["enumerate", "--seq", "GGGAAACCC", "--min-hairpin", "0"],
              "min_hairpin_unpaired must be >= 1"),
+            (["eval", "--seq", "GGGGCCCC", "--db", "(((())))", "--min-hairpin", "0"],
+             "min_hairpin_unpaired must be >= 1"),
+            (["eval", "--seq", "GGGGCCCC", "--db", "(((())))", "--energy", "loop-table",
+              "--min-hairpin", "-2"], "min_hairpin_unpaired must be >= 1"),
             (["enumerate", "--seq", "GGGAAACCC", "--max-states", "0"],
              "max_states must be positive, got 0"),
             (["enumerate", "--seq", "GGGAAACCC", "--max-depth", "-1"],
@@ -508,7 +512,8 @@ class TestExitCodes:
             (["eval", "--seq", "GAAAC", "--db", "(...)", "--energy", "external",
               "--external-cmd", " "], "names no program"),
         ],
-        ids=["fold-min-hairpin", "enumerate-min-hairpin", "max-states", "max-depth",
+        ids=["fold-min-hairpin", "enumerate-min-hairpin", "eval-min-hairpin",
+             "eval-min-hairpin-loop-table", "max-states", "max-depth",
              "max-seconds", "max-seconds-nan", "energy-ceiling-nan", "max-steps",
              "max-adaptation-depth", "max-adaptation-states", "unparsable-external-cmd",
              "empty-external-cmd"],

@@ -58,6 +58,12 @@ MACHINES = {
 }
 
 
+def labelled_steps(structure, grammar=G3):
+    """The forward steps of ``structure`` as (rule label, target), from the
+    public successor enumeration."""
+    return [(m.rule.label, t) for m, t in successors(structure, grammar)]
+
+
 def make_context(structure, model, grammar=G3, best=None, params=None):
     """A strategy context built outside a run, from the public successor
     enumeration and the plain observable."""
@@ -65,8 +71,8 @@ def make_context(structure, model, grammar=G3, best=None, params=None):
         structure=structure,
         energy=observable(structure, model),
         s_state="w0",
-        successors=tuple(successors(structure, grammar)),
-        successors_of=lambda s: successors(s, grammar),
+        successors=labelled_steps(structure, grammar),
+        successors_of=lambda s: labelled_steps(s, grammar),
         score=lambda s: observable(s, model),
         best=best,
         params=params or {},
@@ -535,7 +541,7 @@ class TestLazyAdaptation:
         # origin's inverse moves; the eager search builds them anyway.
         # The run builds every structure but the unfolded one through the
         # unchecked constructor: forward children (lazily in _Moves.forward,
-        # eagerly in _Moves.successors), φ0 targets and inverse sources, so
+        # eagerly in _Moves.steps), φ0 targets and inverse sources, so
         # a count of 0 means a build escaped the count. Inverse sources are
         # built by SecondaryStructure.without: the lazy search builds one
         # only when it takes it, so over the whole run the sources it builds
@@ -678,8 +684,9 @@ def test_phi0_targets_built_with_the_key_phi0_move_wrote(monkeypatch):
 
 
 def checked_run(bases, grammar, model, max_steps):
-    """A run whose every phi0 choice is checked against phi0_select over the
-    built, visited-filtered successors: its trace, the number of choices
+    """A run whose every phi0 choice, a (rule label, target) step, is checked
+    against phi0_select over the built, visited-filtered successors, its
+    match read as its rule label: its trace, the number of choices
     compared, how many of them had a visited successor tied at the least
     score, and the key of each structure checked."""
     compared = visited_ties = 0
@@ -692,7 +699,7 @@ def checked_run(bases, grammar, model, max_steps):
             fresh = [(m, t) for m, t in succs if t.key not in self._visited]
             want = phi0_select(structure, fresh, self.model)
             got = super()._phi0(structure)
-            assert got == want
+            assert got == (None if want is None else (want[0].rule.label, want[1]))
             compared += 1
             checked.append(structure.key)
             if succs:
@@ -733,6 +740,50 @@ def test_run_memo_moves_equal_fresh_ones_along_derivations(min_h, bases, data):
             (f"inverse:{m.rule.label}", source) for m, source in enumerate_inverse_matches(s, g)
         ]
         assert all(child.key == emit_dot_bracket(child) for _, child in children)
+
+
+@pytest.mark.parametrize("model", sorted(MODELS))
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_strategy_steps_equal_public_successors_along_derivations(model, min_h, bases, data):
+    # one controller serves the whole derivation, with some successors of
+    # each structure visited: a strategy's successors are the unvisited
+    # public successors as (rule label, target), in match order, handed
+    # out once; successors_of gives them all, each target keyed by its
+    # dot-bracket
+    g = Grammar(min_hairpin_unpaired=min_h)
+    controller = Controller(grammar=g, model=MODELS[model])
+    for s, _ in random_derivation(bases, min_h, data):
+        public = [(m.rule.label, t.key) for m, t in successors(s, g)]
+        keys = sorted({key for _, key in public})
+        controller._visited = set(data.draw(st.lists(st.sampled_from(keys))) if keys else [])
+        ctx = controller._context(s, "w0", {})
+        steps = list(ctx.successors)
+        assert [(label, t.key) for label, t in steps] == [
+            (label, key) for label, key in public if key not in controller._visited
+        ]
+        assert list(ctx.successors) == []
+        every = ctx.successors_of(s)
+        assert [(label, t.key) for label, t in every] == public
+        assert all(t.key == emit_dot_bracket(t) for _, t in every)
+
+
+def test_strategy_steps_built_only_when_taken(seq_gggaaaccc):
+    # a strategy that never reads its successors builds none of them; one
+    # that takes the first builds that one alone
+    register_strategy("reads-nothing", lambda ctx: StrategyDecision(satisfied=False))
+    register_strategy(
+        "takes-one", lambda ctx: StrategyDecision(satisfied=True, target=next(ctx.successors)[1])
+    )
+    empty = SecondaryStructure(seq_gggaaaccc)
+    first = successors(empty, G3)[0][1]
+    for name, built in [("reads-nothing", 0), ("takes-one", 1)]:
+        for model in MODELS.values():
+            with counting_builds() as (public, unchecked):
+                decision = check(Constraint.of_strategy(name), empty, model)
+            assert public == [] and len(unchecked) == built
+            assert decision.target == (first if built else None)
 
 
 @pytest.mark.parametrize(
@@ -806,7 +857,7 @@ class TestStrategies:
 
         def successors_of(s):
             expanded.append(s.key)
-            return successors(s, G3)
+            return labelled_steps(s)
 
         plain = lookahead(ctx)
         assert plain.satisfied and plain.target is not None

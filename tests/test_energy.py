@@ -473,11 +473,11 @@ def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
 @given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_phi0_match_read_off_the_site_along_derivations(min_h, bases, data):
-    # the match φ0 names for its move, read off the source's site, is the
-    # first, in rule order, of the matches that yield its target by adding
-    # the move's pairs: the first inverse move of the target, read off the
-    # target's loops, that removes them. The target carries the key the
-    # search wrote, which is its dot-bracket
+    # the rule φ0 names for its move, read off the source's site, is that
+    # of the first, in rule order, of the matches that yield its target by
+    # adding the move's pairs: the first inverse move of the target, read
+    # off the target's loops, that removes them. The target carries the key
+    # the search wrote, which is its dot-bracket
     g = Grammar(min_hairpin_unpaired=min_h)
     controllers = [Controller(grammar=g, model=m) for m in [NussinovModel(), *BOUND_MODELS]]
     for s, _ in random_derivation(bases, min_h, data):
@@ -485,10 +485,11 @@ def test_phi0_match_read_off_the_site_along_derivations(min_h, bases, data):
             choice = controller._phi0(s)
             if choice is None:
                 continue
-            match, target = choice
+            label, target = choice
+            added = tuple(sorted(target.pairs - s.pairs))
             inverse = enumerate_inverse_matches(target, g)
-            assert match == next(m for m, _ in inverse if m.added == match.added)
-            assert target.pairs == s.pairs | set(match.added)
+            assert label == next(m for m, _ in inverse if m.added == added).rule.label
+            assert target.pairs > s.pairs and 1 <= len(added) <= 2
             assert target.key == emit_dot_bracket(target)
 
 

@@ -25,11 +25,16 @@ hairpins and inverse children too. The Nussinov fold of the first 150 bases
 and the Nussinov backtracking fold of the first 80 were recorded before φ0
 chose its move in one pass as the least (score, key) unvisited move; under
 Nussinov every double ties, and the backtracking fold meets visited targets.
+The folds under a machine whose greedy state's adaptation search checks each
+child it takes against a one-step lookahead ψ, and whose second state
+restarts from the best structure, were recorded before strategies read
+forward moves as (rule label, structure) steps; each does five restarts.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -67,6 +72,28 @@ FOLD_DIGESTS = {
         "bcfb89ba0a4dbd095cb318eb80e70ab42a5c78fbf005a50c6c43176959532689",
     ),
 }
+
+# a greedy state whose adaptation search admits only structures with a
+# one-step lookahead escape, resuming in itself or in a restart-from-best state
+STRATEGY_MACHINE = {
+    "initial": "w0",
+    "states": [
+        {"id": "w0", "constraint": "phi0"},
+        {"id": "w1", "constraint": "restart-from-best"},
+    ],
+    "transitions": [
+        {"from": "w0", "to": "w0", "psi": {"strategy": "lookahead", "params": {"depth": 1}}},
+        {"from": "w0", "to": "w1", "psi": "true"},
+        {"from": "w1", "to": "w0", "psi": "true"},
+    ],
+}
+
+# the trace digest of each strand under STRATEGY_MACHINE, in STRANDS order
+STRATEGY_MACHINE_DIGESTS = (
+    "16b40b93bc2302ed6b511ed17c9c2b9d1b992fa5dcd8b27c00bddcb1f9838297",
+    "d00abef8e42834edb225fee135da6eb628e386f39a606e13346f7501e57b5143",
+    "18f90b8d307908bb0eb25c36069de7424d8b9f71d6b5057f9cc086347e4ff3a2",
+)
 
 # the first 40, 60, 80, 100 and 150 of ``"".join(rng.choice("ACGU") ...)``
 # with rng = random.Random(1)
@@ -167,6 +194,20 @@ def test_fold_trace_bytes(config, strand, tmp_path):
     out = tmp_path / "trace.jsonl"
     argv = ["fold", "--seq", STRANDS[strand], *FOLD_CONFIGS[config], "--trace-out", str(out)]
     assert _digest_of(argv, out) == FOLD_DIGESTS[config][strand]
+
+
+@pytest.mark.parametrize("strand", range(len(STRANDS)))
+def test_strategy_machine_fold_trace_bytes(strand, tmp_path):
+    machine = tmp_path / "machine.json"
+    machine.write_text(json.dumps(STRATEGY_MACHINE))
+    out = tmp_path / "trace.jsonl"
+    argv = [
+        "fold", "--seq", STRANDS[strand], "--energy", "loop-table", "--allow-inverse",
+        "--max-steps", "30", "--s-machine", str(machine), "--trace-out", str(out),
+    ]
+    assert _digest_of(argv, out) == STRATEGY_MACHINE_DIGESTS[strand]
+    notes = [json.loads(line).get("note") for line in out.read_text().splitlines()]
+    assert notes.count("restart-from-best") == 5
 
 
 @pytest.mark.parametrize(

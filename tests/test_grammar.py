@@ -24,7 +24,7 @@ from grafold.grammar import (
     _inverse_steps,
     _loop_sites,
     _rule_moves,
-    _site_match,
+    _site_rule,
     _sites,
     apply_match,
     derive,
@@ -526,10 +526,10 @@ def first_match_yielding(t: SecondaryStructure, added) -> Match:
 @given(bases=st.text(alphabet="ACGU", min_size=1, max_size=12), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_site_match_is_the_first_match_along_derivations(grammar, bases, data):
-    # the match read off the source's site of a move's outer pair is the
-    # first, in rule order, of those that add the move's pairs: the one
-    # enumerate_matches lists first, and the first the loops of the target
-    # give
+    # the rule read off the source's site of a move's outer pair is that of
+    # the first match, in rule order, of those that add the move's pairs:
+    # the one enumerate_matches lists first, and the first the loops of the
+    # target give
     s = empty(bases)
     while True:
         sites = {site[0]: site for site in _sites(s, grammar, loop_index(s))}
@@ -540,7 +540,8 @@ def test_site_match_is_the_first_match_along_derivations(grammar, bases, data):
         for added, m in first.items():
             target = _apply_unchecked(s, added)
             site = sites[added[0]]
-            assert _site_match(bases, site, added) == m == first_match_yielding(target, added)
+            assert m == first_match_yielding(target, added)
+            assert ALL_RULES[_site_rule(bases, site, added)] == m.rule
         if not matches:
             break
         s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)
@@ -564,7 +565,8 @@ def test_outward_rule2_move_comes_before_the_inward_one_of_its_rule():
     source = s.without((middle,))
     assert [m for m in enumerate_matches(source, G3) if m.added == (middle,)] == want
     site = next(site for site in _sites(source, G3, loop_index(source)) if site[0] == middle)
-    assert _site_match(seq.bases, site, (middle,)) == want[0] == first_match_yielding(s, (middle,))
+    assert want[0] == first_match_yielding(s, (middle,))
+    assert ALL_RULES[_site_rule(seq.bases, site, (middle,))] == HELIX_2
 
 
 @pytest.mark.parametrize("grammar", [G1, G3], ids=["min1", "min3"])

@@ -409,6 +409,24 @@ class TestExport:
         with pytest.raises(ValueError):
             validate_lts_json({"sequence": "GA"})
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [(("transitions",), 5), (("initial",), [0]),
+         (("transitions", 0, "from"), [0]), (("transitions", 0, "to"), {"id": 1})],
+        ids=["transitions-not-a-list", "initial-unhashable", "from-unhashable", "to-unhashable"],
+    )
+    def test_json_schema_rejects_ill_typed_fields(self, seq_gggaaaccc, path, value):
+        # an ill-typed field is a schema mismatch (ValueError), not a
+        # TypeError from a set lookup
+        doc = json.loads(export_lts(build_lts(seq_gggaaaccc, G3, MODEL), "json"))
+        *where, key = path
+        record = doc
+        for step in where:
+            record = record[step]
+        record[key] = value
+        with pytest.raises(ValueError):
+            validate_lts_json(doc)
+
     def test_unknown_format(self, seq_gaaac):
         lts = build_lts(seq_gaaac, G3, MODEL)
         with pytest.raises(ValueError):

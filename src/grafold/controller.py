@@ -466,16 +466,16 @@ _INVERSE_LABELS = tuple(f"inverse:{rule.label}" for rule in ALL_RULES)
 class _Moves:
     """The run's one record of a structure. Its loops, its move scorer and
     its observable are made with the record, and its φ0 choice, the rule
-    label and the built target, is kept once searched. The outer pairs its
-    forward moves add and, for strategies, its forward steps are worked out
-    on first read: a structure that is only scored, such as the last level
-    a lookahead reaches, never reads them. ``loop_sites`` is the run's memo
-    of each loop's :func:`~grafold.grammar._loop_sites`."""
+    label and the built target, is kept once searched. ``loops`` and
+    ``loop_sites`` are read through the run's loop memo: each is the run's
+    one region of the loop and its :func:`~grafold.grammar._loop_sites`,
+    shared by every record that holds the loop and scanned when the first
+    of them is made. The sites merged by outer pair and, for strategies,
+    the forward steps are worked out on first read."""
 
-    def __init__(self, structure: SecondaryStructure, model: EnergyModel, loop_sites: _LoopMemo):
+    def __init__(self, structure: SecondaryStructure, model: EnergyModel, memo: _LoopMemo):
         self.structure = structure
-        self.loop_sites = loop_sites
-        self.loops = loop_index(structure)
+        self.loops, self.loop_sites = zip(*map(memo, loop_index(structure)))
         self.scorer = model.move_scorer(structure, self.loops)
         self.energy = self.scorer.observable()
         # the (rule label, target) of the last :func:`_phi0_move` result, None
@@ -484,7 +484,7 @@ class _Moves:
 
     @cached
     def sites(self) -> list[tuple]:
-        return _by_outer_pair([self.loop_sites(loop) for loop in self.loops])
+        return _by_outer_pair(self.loop_sites)
 
     @cached
     def steps(self) -> list[tuple[str, SecondaryStructure]]:
@@ -591,7 +591,8 @@ class Controller:
         self._best: tuple[float, SecondaryStructure] | None = None
         # the run's record of each structure, keyed by dot-bracket key
         self._move_memo: dict[str, _Moves] = {}
-        # each distinct loop's sites, made for the strand of the first entry
+        # each distinct loop's one region and sites, made for the strand of
+        # the first record
         self._loop_sites: _LoopMemo | None = None
         self.state: RunState | None = None
 
@@ -631,13 +632,10 @@ class Controller:
         key = structure.key
         entry = self._move_memo.get(key)
         if entry is None:
-            loop_sites = self._loop_sites
-            if loop_sites is None:
+            if self._loop_sites is None:
                 bases, min_h = structure.sequence.bases, self.grammar.min_hairpin_unpaired
-                loop_sites = self._loop_sites = _LoopMemo(
-                    lambda loop: _loop_sites(bases, min_h, loop)
-                )
-            entry = self._move_memo[key] = _Moves(structure, self.model, loop_sites)
+                self._loop_sites = _LoopMemo(lambda loop: _loop_sites(bases, min_h, loop))
+            entry = self._move_memo[key] = _Moves(structure, self.model, self._loop_sites)
         return entry
 
     def _phi0(self, structure: SecondaryStructure) -> tuple[str, SecondaryStructure] | None:

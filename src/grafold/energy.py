@@ -30,7 +30,7 @@ from importlib import resources
 from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
-from typing import ClassVar, Mapping
+from typing import ClassVar, Mapping, Sequence
 
 from .structure import (
     BasePair,
@@ -212,7 +212,7 @@ def _term(
     return table[longest] + _EXTRAPOLATION_COEFF * math.log(unpaired / longest)
 
 
-def _terms(params: LoopTableParams, bases: str, regions: list[LoopRegion]) -> list[float]:
+def _terms(params: LoopTableParams, bases: str, regions: _Loops) -> list[float]:
     """The loop-table terms of the loops of a structure (:func:`loop_index`)
     in :func:`decompose_loops` order, the exterior loop's 0.0 last."""
     terms = []
@@ -225,8 +225,8 @@ def _terms(params: LoopTableParams, bases: str, regions: list[LoopRegion]) -> li
     return terms
 
 
-#: The loops of a structure, as :func:`loop_index` lists them.
-_Loops = list[LoopRegion]
+#: The loops of a structure, in :func:`loop_index` order.
+_Loops = Sequence[LoopRegion]
 
 
 class EnergyModel:

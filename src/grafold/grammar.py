@@ -290,20 +290,21 @@ def _loop_sites(bases: str, min_hairpin: int, region: LoopRegion) -> list[tuple]
 
 
 class _LoopMemo(dict):
-    """``make(loop)`` of each loop, worked out on its first lookup and kept
-    under the loop's (closing pair, branches), which name it within one
-    strand. A move changes one loop, so structures share most loops."""
+    """Each loop's first region looked up, with ``make(region)``, kept as
+    (region, value) under the loop's (closing pair, branches), which name it
+    within one strand. A move changes one loop, so structures share most
+    loops, and all callers share the one, read-only region of each."""
 
     def __init__(self, make: Callable[[LoopRegion], list]):
         super().__init__()
         self.make = make
 
-    def __call__(self, loop: LoopRegion) -> list:
+    def __call__(self, loop: LoopRegion) -> tuple[LoopRegion, list]:
         key = (loop.closing, tuple(loop.branches))
-        value = self.get(key)
-        if value is None:
-            value = self[key] = self.make(loop)
-        return value
+        entry = self.get(key)
+        if entry is None:
+            entry = self[key] = (loop, self.make(loop))
+        return entry
 
 
 def _inner_pairs(bases: str, site: tuple) -> list[BasePair]:
@@ -417,14 +418,12 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
 
 def _glued(s: SecondaryStructure, m: Match, g: Grammar) -> SecondaryStructure | None:
     """``s`` with ``m`` applied, or None when the gluing conditions fail."""
-    seq, n, partner = s.sequence, s.n, s.partner
-    ends: set[int] = set()
+    seq, n = s.sequence, s.n
+    taken = {end for pair in s.pairs for end in pair}
     for a, b in m.added:
-        if not 0 <= a < b < n or not is_admissible_pair(seq[a], seq[b]):
+        if a in taken or b in taken or not (0 <= a < b < n and is_admissible_pair(seq[a], seq[b])):
             return None
-        if a in partner or b in partner or a in ends or b in ends:
-            return None
-        ends.update((a, b))
+        taken.update((a, b))
     t = _apply_unchecked(s, m.added)
     if not validate_structure(t, g.min_hairpin_unpaired).ok:
         return None

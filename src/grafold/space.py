@@ -160,9 +160,9 @@ def build_lts(
     turned_away: dict[str, str] = {}
     # each distinct loop as (region, its (rule position, added) moves)
     loop_memo = _LoopMemo(
-        lambda loop: (loop, [
+        lambda loop: [
             (at, added) for at, added, _ in _rule_moves(bases, _loop_sites(bases, min_h, loop))
-        ])
+        ]
     )
 
     def fed(regions):
@@ -421,6 +421,7 @@ def _export_dot(lts: LTS) -> str:
 
 def validate_lts_json(doc: object) -> dict:
     """Check a decoded export against the documented schema; returns it.
+    Integers are checked by ``type``, as a JSON boolean decodes to an ``int``.
 
     Raises:
         ValueError: on any shape or type mismatch.
@@ -437,7 +438,7 @@ def validate_lts_json(doc: object) -> dict:
     if not isinstance(doc["sequence"], str):
         raise ValueError("sequence must be a string")
     grammar = doc["grammar"]
-    if not isinstance(grammar, dict) or not isinstance(grammar.get("min_hairpin"), int):
+    if not isinstance(grammar, dict) or type(grammar.get("min_hairpin")) is not int:
         raise ValueError("grammar.min_hairpin must be an integer")
     if not isinstance(grammar.get("allow_inverse"), bool):
         raise ValueError("grammar.allow_inverse must be a boolean")
@@ -450,9 +451,9 @@ def validate_lts_json(doc: object) -> dict:
     for st in states:
         if not isinstance(st, dict) or set(st) != {"id", "db", "energy"}:
             raise ValueError(f"bad state record {st!r}")
-        if not isinstance(st["id"], int) or not isinstance(st["db"], str):
+        if type(st["id"]) is not int or not isinstance(st["db"], str):
             raise ValueError(f"bad state record {st!r}")
-        if st["energy"] is not None and not isinstance(st["energy"], (int, float)):
+        if st["energy"] is not None and type(st["energy"]) not in (int, float):
             raise ValueError(f"state energy must be a number or null: {st!r}")
         ids.add(st["id"])
     if not isinstance(doc["transitions"], list):
@@ -460,12 +461,12 @@ def validate_lts_json(doc: object) -> dict:
     for t in doc["transitions"]:
         if not isinstance(t, dict) or set(t) != {"from", "to", "rule", "matches"}:
             raise ValueError(f"bad transition record {t!r}")
-        if not (isinstance(t["from"], int) and isinstance(t["to"], int)
-                and isinstance(t["rule"], str) and isinstance(t["matches"], int)):
+        if not (all(type(t[k]) is int for k in ("from", "to", "matches"))
+                and isinstance(t["rule"], str)):
             raise ValueError(f"bad transition record {t!r}")
         if t["from"] not in ids or t["to"] not in ids:
             raise ValueError(f"transition references unknown state: {t!r}")
-    if not isinstance(doc["initial"], int) or doc["initial"] not in ids:
+    if type(doc["initial"]) is not int or doc["initial"] not in ids:
         raise ValueError("initial state id is unknown")
     if doc["truncated_by"] is not None and not isinstance(doc["truncated_by"], str):
         raise ValueError("truncated_by must be a string or null")

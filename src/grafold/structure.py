@@ -191,15 +191,6 @@ class SecondaryStructure:
         return len(self.sequence)
 
     @cached
-    def partner(self) -> dict[int, int]:
-        """Position -> paired position, for both endpoints of every pair."""
-        out: dict[int, int] = {}
-        for i, j in self.pairs:
-            out[i] = j
-            out[j] = i
-        return out
-
-    @cached
     def sorted_pairs(self) -> tuple[BasePair, ...]:
         return tuple(sorted(self.pairs))
 
@@ -218,7 +209,8 @@ class SecondaryStructure:
 class LoopRegion:
     """One loop of a structure: its closing pair (None for the exterior
     loop), its unpaired positions and its branches, each left to right, so
-    ``bisect_left(branches, (p,))`` counts the branches left of ``p``."""
+    ``bisect_left(branches, (p,))`` counts the branches left of ``p``.
+    Read-only once made: a run shares one region per loop between structures."""
 
     closing: BasePair | None
     free: list[int] = field(default_factory=list)
@@ -228,23 +220,22 @@ class LoopRegion:
 def loop_index(s: SecondaryStructure) -> list[LoopRegion]:
     """The loops of a valid structure, from one left-to-right pass:
     ``loops[0]`` is the exterior loop, and ``loops[k]`` for k >= 1 is closed
-    by the k-th pair in sorted order."""
-    partner = s.partner
+    by the k-th pair in sorted order. A run interns them in its loop memo."""
+    opened = {pair.i: pair for pair in s.pairs}
     loops = [LoopRegion(None)]
     open_loops = [loops[0]]
     for pos in range(s.n):
-        mate = partner.get(pos)
         loop = open_loops[-1]
-        if mate is None:
-            loop.free.append(pos)
-        elif mate > pos:
-            pair = BasePair(pos, mate)
+        pair = opened.get(pos)
+        if pair is not None:
             loop.branches.append(pair)
             inner = LoopRegion(pair)
             open_loops.append(inner)
             loops.append(inner)
-        else:
+        elif loop.closing is not None and pos == loop.closing.j:
             open_loops.pop()
+        else:
+            loop.free.append(pos)
     return loops
 
 

@@ -790,9 +790,8 @@ def test_strategy_steps_built_only_when_taken(seq_gggaaaccc):
     "bases, min_h", [("GCGCGCGCGCGCGC", 3), ("CGAUUCAAAUGACG", 1)], ids=["gc-14", "multi"]
 )
 def test_each_distinct_loop_scanned_once_per_run(monkeypatch, bases, min_h):
-    # a run scans a loop, named by its closing pair and branches, the first
-    # time a structure whose sites it reads holds it, and never again in
-    # that run
+    # a run scans a loop, named by its closing pair and branches, when the
+    # first record that holds it is made, and never again in that run
     scanned = []
     loop_sites = grafold.controller._loop_sites
 
@@ -809,8 +808,9 @@ def test_each_distinct_loop_scanned_once_per_run(monkeypatch, bases, min_h):
     )
     trace = controller.run(seq)
     per_run = len(scanned)
-    read = [entry for entry in controller._move_memo.values() if "sites" in vars(entry)]
-    loops = [(loop.closing, tuple(loop.branches)) for entry in read for loop in entry.loops]
+    records = controller._move_memo.values()
+    read = [entry for entry in records if "sites" in vars(entry)]
+    loops = [(loop.closing, tuple(loop.branches)) for entry in records for loop in entry.loops]
     # the memoized sites of every structure the run read them for equal a
     # fresh scan, merged by outer pair
     for entry in read:
@@ -823,6 +823,53 @@ def test_each_distinct_loop_scanned_once_per_run(monkeypatch, bases, min_h):
     assert len(loops) > 2 * per_run
     # the memo lives for one run: the second run scans the same loops
     assert scanned[per_run:] == scanned[:per_run]
+
+
+def _fields(loop):
+    return loop.closing, loop.free, loop.branches
+
+
+@pytest.mark.parametrize(
+    "machine, allow_inverse",
+    [("default", False), ("default", True), ("example", False)],
+    ids=["forward", "inverse", "example-machine"],
+)
+def test_run_records_share_the_memo_regions(machine, allow_inverse):
+    # every record of a run holds, for each of its loops, the one region the
+    # run's loop memo keeps, so the records hold exactly as many distinct
+    # regions as the memo has entries; each record's loops still equal a
+    # fresh loop_index, so no path changed a shared region in place
+    controller = Controller(
+        machine=MACHINES[machine],
+        grammar=Grammar(allow_inverse=allow_inverse),
+        model=MODELS["loop-table"],
+        limits=RunLimits(max_steps=20),
+    )
+    controller.run(PrimarySequence("CAGAUUUUCAUAUUAUGCAGAAAAUCUACU"))
+    records = controller._move_memo.values()
+    held = {id(loop) for entry in records for loop in entry.loops}
+    assert len(held) == len(controller._loop_sites) < sum(len(e.loops) for e in records)
+    assert held == {id(region) for region, _ in controller._loop_sites.values()}
+    for entry in records:
+        assert list(map(_fields, entry.loops)) == list(map(_fields, loop_index(entry.structure)))
+
+
+@pytest.mark.parametrize("min_h", [1, 3])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_records_hold_one_region_per_loop_along_derivations(min_h, bases, data):
+    # one controller makes the records of a derivation's structures and of
+    # their forward and inverse children: two records that hold a loop under
+    # the same (closing pair, branches) hold the same region
+    g = Grammar(min_hairpin_unpaired=min_h, allow_inverse=True)
+    controller = Controller(grammar=g, model=MODELS["loop-table"])
+    for s, _ in random_derivation(bases, min_h, data):
+        for _, t in [(None, s), *controller._children(s, set())]:
+            controller._moves(t)
+    held = {}
+    for entry in controller._move_memo.values():
+        for loop in entry.loops:
+            assert held.setdefault((loop.closing, tuple(loop.branches)), loop) is loop
 
 
 class TestStrategies:

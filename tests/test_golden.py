@@ -29,6 +29,10 @@ The folds under a machine whose greedy state's adaptation search checks each
 child it takes against a one-step lookahead ψ, and whose second state
 restarts from the best structure, were recorded before strategies read
 forward moves as (rule label, structure) steps; each does five restarts.
+The fold of the first 36 bases of ``SEEDED[40]`` under the packaged example
+machine, whose lookahead of depth 2 makes a run record for every structure
+it scores, was recorded before those records shared the run's loops and
+scanned each loop when the first record holding it was made.
 """
 
 import contextlib
@@ -140,6 +144,9 @@ LARGE_FOLDS = (
      "ba2293a52574312cc3f82b4e83f14459513e131564fccca8948b43dfc8a6c666"),
 )
 
+# the packaged example machine on the first 36 bases of SEEDED[40]
+EXAMPLE_MACHINE_36_DIGEST = "00049871afc5a3c5806c8f830a60e479c1085bce28ef27c09b5d3b0be6ece599"
+
 ENUMERATE_DIGEST = "ecb98f545e1402619c90a46c5508dbd4a7c234e102755c85f1d9afaeca02b37c"
 
 GC14 = ["--seq", "GCGCGCGCGCGCGC", "--energy", "loop-table"]
@@ -217,6 +224,15 @@ def test_large_fold_trace_bytes(config, n, flags, digest, tmp_path):
     out = tmp_path / "trace.jsonl"
     argv = ["fold", "--seq", SEEDED[n], *flags, "--trace-out", str(out)]
     assert _digest_of(argv, out) == digest
+
+
+def test_example_machine_fold_trace_bytes(tmp_path):
+    out = tmp_path / "trace.jsonl"
+    argv = [
+        "fold", "--seq", SEEDED[40][:36], "--energy", "loop-table", "--max-steps", "20",
+        "--s-machine", MACHINE, "--trace-out", str(out),
+    ]
+    assert _digest_of(argv, out) == EXAMPLE_MACHINE_36_DIGEST
 
 
 def test_enumerate_export_bytes(tmp_path):

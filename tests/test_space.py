@@ -410,20 +410,36 @@ class TestExport:
             validate_lts_json({"sequence": "GA"})
 
     @pytest.mark.parametrize(
-        "path, value",
-        [(("transitions",), 5), (("initial",), [0]),
-         (("transitions", 0, "from"), [0]), (("transitions", 0, "to"), {"id": 1})],
-        ids=["transitions-not-a-list", "initial-unhashable", "from-unhashable", "to-unhashable"],
+        "edits",
+        [
+            [(("transitions",), 5)],
+            [(("initial",), [0])],
+            [(("transitions", 0, "from"), [0])],
+            [(("transitions", 0, "to"), {"id": 1})],
+            [(("initial",), False)],
+            [(("transitions", 0, "from"), False)],
+            [(("transitions", 0, "to"), True), (("states", 1, "id"), True)],
+            [(("transitions", 0, "matches"), True)],
+            [(("grammar", "min_hairpin"), True)],
+            [(("states", 0, "id"), False)],
+            [(("states", 1, "energy"), True)],
+        ],
+        ids=[
+            "transitions-not-a-list", "initial-unhashable", "from-unhashable", "to-unhashable",
+            "initial-bool", "from-bool", "to-and-id-bool", "matches-bool", "min-hairpin-bool",
+            "id-bool", "energy-bool",
+        ],
     )
-    def test_json_schema_rejects_ill_typed_fields(self, seq_gggaaaccc, path, value):
+    def test_json_schema_rejects_ill_typed_fields(self, seq_gggaaaccc, edits):
         # an ill-typed field is a schema mismatch (ValueError), not a
-        # TypeError from a set lookup
+        # TypeError from a set lookup; a JSON true or false is no integer or
+        # number, though bool is an int in Python and False == 0 finds id 0
         doc = json.loads(export_lts(build_lts(seq_gggaaaccc, G3, MODEL), "json"))
-        *where, key = path
-        record = doc
-        for step in where:
-            record = record[step]
-        record[key] = value
+        for (*where, key), value in edits:
+            record = doc
+            for step in where:
+                record = record[step]
+            record[key] = value
         with pytest.raises(ValueError):
             validate_lts_json(doc)
 

@@ -181,7 +181,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     loops = decompose_loops(structure)
     regions = [region for _, region in loops]
     if model.mode == "loop-table":  # _terms reads the exterior loop first
-        terms = _terms(model.params, seq.bases, regions[-1:] + regions[:-1])
+        terms = _terms(model, seq.bases, regions[-1:] + regions[:-1])
     elif model.mode == "nussinov":
         terms = [-1.0 if region.closing is not None else 0.0 for region in regions]
     else:

@@ -37,13 +37,11 @@ from .grammar import (
     Grammar,
     _apply_unchecked,
     _by_outer_pair,
-    _inner_pairs,
     _inverse_steps,
     _loop_sites,
     _LoopMemo,
     _rule_moves,
     _site_rule,
-    _stacked_pair,
 )
 from .structure import (
     BasePair,
@@ -509,43 +507,8 @@ def _phi0_move(
     """The forward move of ``entry.structure`` with the least (score, target
     key) among those scoring at most ``threshold`` whose target key is not
     in ``visited``, as (score, target key, added pairs); None when no move
-    qualifies.
-
-    One pass over ``entry.sites``, by outer pair (a, b). A target's key is
-    the source's key with brackets at the added ends, and ``'('`` sorts
-    before ``'.'``, so of two moves tied on score the one with the lesser a
-    has the lesser key: a tie whose a lies right of the best move's loses
-    without being keyed. Each outer pair's single and stacked double are
-    scored; its bulge and internal doubles only when their bound
-    (:meth:`MoveScorer.double_bound`) is below the best score, or equal to
-    it at the best move's a. Every skipped move loses, so the result is exact.
-    """
-    structure, scorer = entry.structure, entry.scorer
-    bases, source_key = structure.sequence.bases, structure.key
-    low, best_key, best_added = threshold, None, ()
-
-    def ties(a: int) -> bool:
-        return best_key is None or a == best_added[0][0]
-
-    def offer(score: float, added: tuple[BasePair, ...]) -> None:
-        nonlocal low, best_key, best_added
-        if score < low or score == low and ties(added[0][0]):
-            key = key_with_pairs(source_key, added)
-            if key not in visited and (score < low or best_key is None or key < best_key):
-                low, best_key, best_added = score, key, added
-
-    for site in entry.sites:
-        outer, region = site[0], site[2]
-        offer(scorer.single(outer, region), (outer,))
-        stacked = _stacked_pair(bases, site)
-        if stacked is not None:
-            offer(scorer.double(outer, stacked, region), (outer, stacked))
-        bound = scorer.double_bound(outer, region)
-        if bound < low or bound == low and ties(outer[0]):
-            for inner in _inner_pairs(bases, site):
-                if inner != stacked:
-                    offer(scorer.double(outer, inner, region), (outer, inner))
-    return None if best_key is None else (low, best_key, best_added)
+    qualifies (:meth:`~grafold.energy.MoveScorer.least_move`)."""
+    return entry.scorer.least_move(entry.sites, threshold, visited)
 
 
 def _path(

@@ -24,6 +24,7 @@ import math
 import shlex
 import subprocess
 from bisect import bisect_left
+from collections.abc import Container
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -32,11 +33,13 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import ClassVar, Mapping, Sequence
 
+from .grammar import _inner_pairs, _stacked_pair
 from .structure import (
     BasePair,
     LoopRegion,
     PrimarySequence,
     SecondaryStructure,
+    key_with_pairs,
     loop_index,
 )
 
@@ -175,52 +178,69 @@ class LoopTableParams:
                 raise ParameterError(f"[{section}] {key}: non-finite number {str(value)!r}")
 
 
+def _length_rows(params: LoopTableParams, n: int) -> list[list]:
+    """The hairpin, bulge and internal tables of ``params`` as lists indexed
+    by length, through ``n`` at least: each table's entries, then its last
+    entry extrapolated logarithmically, and None below its first length."""
+    rows = []
+    for kind, shortest in _FIRST_LENGTH.items():
+        table = getattr(params, kind.value)
+        longest = shortest + len(table) - 1
+        last = table[longest]
+        rows.append(
+            [None] * shortest
+            + [table[length] for length in range(shortest, longest + 1)]
+            + [
+                last + _EXTRAPOLATION_COEFF * math.log(length / longest)
+                for length in range(longest + 1, n + 1)
+            ]
+        )
+    return rows
+
+
 def _term(
     params: LoopTableParams,
+    rows: list[list],
     bases: str,
-    kind: LoopClass,
     closing: BasePair,
     n_branches: int,
     first: BasePair | None,
     unpaired: int,
 ) -> float:
-    """The loop-table term of the ``kind`` loop closed by ``closing`` with
+    """The loop-table term of the loop closed by ``closing`` with
     ``n_branches`` branches, the leftmost being ``first``, and ``unpaired``
-    unpaired positions."""
-    if kind is _STACK:
-        outer = bases[closing.i] + bases[closing.j]
-        return params.stack[(outer, bases[first.i] + bases[first.j])]
-    if kind is _MULTI:
+    unpaired positions, of the class :func:`_loop_class` gives it; ``rows``
+    are the tables' :func:`_length_rows` through the strand's length."""
+    if n_branches == 1:
+        flush_left, flush_right = first.i - closing.i == 1, closing.j - first.j == 1
+        if flush_left and flush_right:
+            outer = bases[closing.i] + bases[closing.j]
+            return params.stack[(outer, bases[first.i] + bases[first.j])]
+        at = 1 if flush_left or flush_right else 2
+    elif n_branches:
         return (
             params.multibranch_offset
             + params.multibranch_per_branch * n_branches
             + params.multibranch_per_unpaired * unpaired
         )
-    if kind is _HAIRPIN:
-        table = params.hairpin
     else:
-        table = params.bulge if kind is _BULGE else params.internal
-    term = table.get(unpaired)
-    if term is not None:
-        return term
-    # the table is contiguous from its first length: past its end, its last
-    # entry extrapolated logarithmically
-    shortest = _FIRST_LENGTH[kind]
-    if unpaired < shortest:
+        at = 0
+    term = rows[at][unpaired]
+    if term is None:
+        kind = list(_FIRST_LENGTH)[at]
         raise ParameterError(f"{kind.value} table has no entry for length {unpaired}")
-    longest = shortest + len(table) - 1
-    return table[longest] + _EXTRAPOLATION_COEFF * math.log(unpaired / longest)
+    return term
 
 
-def _terms(params: LoopTableParams, bases: str, regions: _Loops) -> list[float]:
+def _terms(model: LoopTableModel, bases: str, regions: _Loops) -> list[float]:
     """The loop-table terms of the loops of a structure (:func:`loop_index`)
     in :func:`decompose_loops` order, the exterior loop's 0.0 last."""
+    params, rows = model.params, model._term_rows(len(bases))
     terms = []
     for r in regions[1:]:
         branches = r.branches
         first = branches[0] if branches else None
-        kind = _loop_class(r.closing, len(branches), first)
-        terms.append(_term(params, bases, kind, r.closing, len(branches), first, len(r.free)))
+        terms.append(_term(params, rows, bases, r.closing, len(branches), first, len(r.free)))
     terms.append(0.0)
     return terms
 
@@ -244,7 +264,8 @@ class EnergyModel:
 
 
 class MoveScorer:
-    """The observables of the forward moves of one structure ``s``.
+    """The observables of the forward moves of one structure ``s``, and the
+    φ0 choice among them (:meth:`least_move`).
 
     A move adds an outer pair, alone or with one inner pair nested inside it
     (a Rule-1 double), in one loop of ``s``: the ``region`` each method is
@@ -258,7 +279,9 @@ class MoveScorer:
 
     This base class builds each successor and scores it with
     :func:`observable`, and bounds nothing (-inf), so a model that defines
-    only :meth:`EnergyModel.energy` has every move scored in full.
+    only :meth:`EnergyModel.energy` has every move scored in full. A scorer
+    may instead override :meth:`least_move` alone, as the loop-table scorer
+    does.
     """
 
     def __init__(self, model: EnergyModel, s: SecondaryStructure):
@@ -281,6 +304,51 @@ class MoveScorer:
         s = self.s
         successor = SecondaryStructure._unchecked(s.sequence, s.pairs | frozenset(added))
         return observable(successor, self.model)
+
+    def least_move(
+        self, sites: list[tuple], threshold: float, visited: Container[str]
+    ) -> tuple[float, str, tuple[BasePair, ...]] | None:
+        """The forward move on ``sites`` (the
+        :func:`~grafold.grammar._loop_sites` of the loops of ``s``, by outer
+        pair) with the least (score, target key) among those scoring at most
+        ``threshold`` whose target key is not in ``visited``, as (score,
+        target key, added pairs); None when no move qualifies.
+
+        One pass over the sites, by outer pair (a, b). A target's key is the
+        source's key with brackets at the added ends, and ``'('`` sorts
+        before ``'.'``, so of two moves tied on score the one with the lesser
+        a has the lesser key: a tie whose a lies right of the best move's
+        loses without being keyed. Each outer pair's single and stacked
+        double are scored; its bulge and internal doubles only when their
+        bound (:meth:`double_bound`) is below the best score, or equal to it
+        at the best move's a. Every skipped move loses, so the result is
+        exact.
+        """
+        bases, source_key = self.s.sequence.bases, self.s.key
+        low, best_key, best_added = threshold, None, ()
+
+        def ties(a: int) -> bool:
+            return best_key is None or a == best_added[0][0]
+
+        def offer(score: float, added: tuple[BasePair, ...]) -> None:
+            nonlocal low, best_key, best_added
+            if score < low or score == low and ties(added[0][0]):
+                key = key_with_pairs(source_key, added)
+                if key not in visited and (score < low or best_key is None or key < best_key):
+                    low, best_key, best_added = score, key, added
+
+        for site in sites:
+            outer, region = site[0], site[2]
+            offer(self.single(outer, region), (outer,))
+            stacked = _stacked_pair(bases, site)
+            if stacked is not None:
+                offer(self.double(outer, stacked, region), (outer, stacked))
+            bound = self.double_bound(outer, region)
+            if bound < low or bound == low and ties(outer[0]):
+                for inner in _inner_pairs(bases, site):
+                    if inner != stacked:
+                        offer(self.double(outer, inner, region), (outer, inner))
+        return None if best_key is None else (low, best_key, best_added)
 
 
 @dataclass(frozen=True)
@@ -322,6 +390,8 @@ class LoopTableModel(EnergyModel):
 
     params: LoopTableParams
     mode: ClassVar[str] = "loop-table"
+    # the longest :func:`_length_rows` asked for so far, made on first use
+    _rows: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def energy(self, s: SecondaryStructure) -> float:
         """The loop terms added one by one, left to right in
@@ -329,12 +399,20 @@ class LoopTableModel(EnergyModel):
         on every Python (``sum`` compensates from 3.12 on) and lets the move
         scorer reuse a folded prefix."""
         total = 0.0
-        for term in _terms(self.params, s.sequence.bases, loop_index(s)):
+        for term in _terms(self, s.sequence.bases, loop_index(s)):
             total += term
         return total
 
     def move_scorer(self, s: SecondaryStructure, loops: _Loops) -> "MoveScorer":
         return _LoopTableScorer(self, s, loops)
+
+    def _term_rows(self, n: int) -> list[list]:
+        """The :func:`_length_rows` of the tables through length ``n`` at
+        least, made again, longer, when a longer strand asks; the entries
+        of shorter lengths never change."""
+        if min(map(len, self._rows), default=0) <= n:
+            self._rows[:] = _length_rows(self.params, n)
+        return self._rows
 
     @functools.cached_property
     def _least_terms(self) -> tuple[float, float, float]:
@@ -355,107 +433,135 @@ class _LoopTableScorer(MoveScorer):
     L's term replaced and the new loops' terms inserted at the sorted place
     of their closing pairs, and :meth:`LoopTableModel.energy` folds them in
     that order. The part of the fold before the new loops depends on the
-    outer new pair only: it starts from the fold of the parent's terms before
-    L's, kept once per scorer, and is finished once per outer pair (the
-    context of the last outer pair asked about is kept); each move then adds
-    its new loops' terms and the terms after them.
+    outer new pair only: it starts from the fold of the parent's terms
+    before L's (``heads``) and is finished once per site; each move then
+    adds its new loops' terms and the terms after them.
 
-    The bound of a bulge or internal double folds the same way with the new
-    loops' terms replaced by their least values: the outer new loop's by the
-    least bulge or internal term, the inner one's by the least hairpin term
-    (no children), the least one-branch term (one child), or the multibranch
-    term at the fewest or the most unpaired positions the inner loop can
-    keep (two or more children; the term is monotone in that count). Float
-    addition is monotone in each operand, so the bound never exceeds the
-    score of such a double."""
+    The bound of a site's bulge and internal doubles folds the same way with
+    the new loops' terms replaced by their least values: the outer new
+    loop's by the least bulge or internal term, the inner one's by the least
+    hairpin term (no children), the least one-branch term (one child), or
+    the multibranch term at the fewest or the most unpaired positions the
+    inner loop can keep (two or more children; the term is monotone in that
+    count). Float addition is monotone in each operand, so the bound never
+    exceeds the score of such a double.
+
+    :meth:`least_move` is the base class's walk in one pass: each site's
+    context is worked out once, and each term is read off the model's term
+    rows (:meth:`LoopTableModel._term_rows`) and stack table, or made by
+    :func:`_term`'s own expression, so every score is the built successor's
+    observable bit for bit."""
 
     def __init__(self, model: LoopTableModel, s: SecondaryStructure, loops: _Loops):
         super().__init__(model, s)
-        seq, params = s.sequence, model.params
-        self.params, self.bases = params, seq.bases
+        self.params, self.rows = model.params, model._term_rows(s.n)
         self._least_terms = model._least_terms
-        self.terms = _terms(params, seq.bases, loops)
+        self.terms = _terms(model, s.sequence.bases, loops)
         # heads[k]: the left fold of terms[:k]
         self.heads = list(accumulate(self.terms, initial=0.0))
-        self._outer: BasePair | None = None
-        self._context: tuple = ()
 
     def observable(self) -> float:
         return self.heads[-1] if self.s.pairs else math.inf
 
-    def _split(self, outer: BasePair, region: LoopRegion) -> tuple:
-        """The folded head and the tail of the successor's terms around the
-        new loops, and L's (``region``'s) branches and unpaired positions
-        inside ``outer``: the branch count, the leftmost and rightmost
-        branch, the unpaired count. All are found by bisection."""
-        if outer == self._outer:
-            return self._context
-        free, branches = region.free, region.branches
-        lo, hi = bisect_left(free, outer.i), bisect_left(free, outer.j)
-        left = bisect_left(branches, outer)
-        kids = bisect_left(branches, (outer.j,), left) - left
-        first_kid = branches[left] if kids else None
-        last_kid = branches[left + kids - 1] if kids else None
-        terms, at = self.terms, bisect_left(self.s.sorted_pairs, outer)
-        closing = region.closing
-        if closing is None:  # the exterior term stays 0.0
-            head = self.heads[at]
-        else:  # L's term sorts before outer: refold from it
-            n_branches = len(branches) - kids + 1
-            unpaired = len(free) - (hi - lo + 1)
-            kind = _loop_class(closing, n_branches, outer)
-            idx = bisect_left(self.s.sorted_pairs, closing, 0, at)
-            head = self.heads[idx] + _term(
-                self.params, self.bases, kind, closing, n_branches, outer, unpaired
-            )
-            for term in terms[idx + 1 : at]:
-                head += term
-        self._outer = outer
-        self._context = (head, terms[at:], kids, first_kid, last_kid, hi - lo - 1)
-        return self._context
-
-    def single(self, outer: BasePair, region: LoopRegion) -> float:
-        total, tail, kids, first_kid, _, inside = self._split(outer, region)
-        kind = _loop_class(outer, kids, first_kid)
-        total += _term(self.params, self.bases, kind, outer, kids, first_kid, inside)
-        for term in tail:
-            total += term
-        return total
-
-    def double(self, outer: BasePair, inner: BasePair, region: LoopRegion) -> float:
-        total, tail, kids, first_kid, _, inside = self._split(outer, region)
-        params, bases = self.params, self.bases
-        gaps = (inner.i - outer.i - 1) + (outer.j - inner.j - 1)
-        kind = _loop_class(outer, 1, inner)
-        total += _term(params, bases, kind, outer, 1, inner, gaps)
-        kind = _loop_class(inner, kids, first_kid)
-        total += _term(params, bases, kind, inner, kids, first_kid, inside - gaps - 2)
-        for term in tail:
-            total += term
-        return total
-
-    def double_bound(self, outer: BasePair, region: LoopRegion) -> float:
-        total, tail, kids, first_kid, last_kid, inside = self._split(outer, region)
+    def least_move(
+        self, sites: list[tuple], threshold: float, visited: Container[str]
+    ) -> tuple[float, str, tuple[BasePair, ...]] | None:
+        s, params, rows = self.s, self.params, self.rows
+        bases, source_key, pairs = s.sequence.bases, s.key, s.sorted_pairs
+        terms, heads, stack = self.terms, self.heads, params.stack
+        hairpins, bulges, internals = rows
+        offset, per_branch = params.multibranch_offset, params.multibranch_per_branch
+        per_unpaired = params.multibranch_per_unpaired
         least_outer, least_hairpin, least_one_branch = self._least_terms
-        total += least_outer
-        if not kids:
-            total += least_hairpin
-        elif kids == 1:
-            total += least_one_branch
-        else:
-            # the inner loop keeps at least every unpaired position between
-            # the first and the last child (inside - runs), and at most
-            # inside - 3: the inner pair takes two positions of the runs and
-            # leaves at least one in a gap
-            runs = (first_kid.i - outer.i - 1) + (outer.j - last_kid.j - 1)
-            params, bases = self.params, self.bases
-            total += min(
-                _term(params, bases, _MULTI, outer, kids, first_kid, inside - runs),
-                _term(params, bases, _MULTI, outer, kids, first_kid, inside - 3),
-            )
-        for term in tail:
-            total += term
-        return total
+        low, best_key, best_added = threshold, None, ()
+
+        def offer(score: float, added: tuple[BasePair, ...]) -> None:
+            # the base walk's rule for a score of at most ``low``
+            nonlocal low, best_key, best_added
+            if score < low or best_key is None or added[0][0] == best_added[0][0]:
+                key = key_with_pairs(source_key, added)
+                if key not in visited and (score < low or best_key is None or key < best_key):
+                    low, best_key, best_added = score, key, added
+
+        for site in sites:
+            outer, kids, region, c_hi, d_lo, _ = site
+            a, b = outer
+            free, closing = region.free, region.closing
+            lo, hi = bisect_left(free, a), bisect_left(free, b)
+            inside, n_kids = hi - lo - 1, len(kids)
+            first = kids[0] if kids else None
+            # the fold of the successor's terms before the new loops, and the
+            # terms after them
+            at = bisect_left(pairs, outer)
+            if closing is None:  # the exterior term stays 0.0
+                head = heads[at]
+            else:  # L's term sorts before outer: refold from it
+                n_branches = len(region.branches) - n_kids + 1
+                idx = bisect_left(pairs, closing, 0, at)
+                head = heads[idx] + _term(
+                    params, rows, bases, closing, n_branches, outer, len(free) - inside - 2
+                )
+                for term in terms[idx + 1 : at]:
+                    head += term
+            tail = terms[at:]
+
+            if kids:
+                score = head + _term(params, rows, bases, outer, n_kids, first, inside)
+            else:
+                score = head + hairpins[inside]
+            for term in tail:
+                score += term
+            if score <= low:
+                offer(score, (outer,))
+            stacked = _stacked_pair(bases, site)
+            if stacked is not None:
+                score = head + stack[(bases[a] + bases[b], bases[a + 1] + bases[b - 1])]
+                if kids:
+                    score += _term(params, rows, bases, stacked, n_kids, first, inside - 2)
+                else:
+                    score += hairpins[inside - 2]
+                for term in tail:
+                    score += term
+                if score <= low:
+                    offer(score, (outer, stacked))
+            if c_hi <= a or d_lo >= b:  # no inner pair
+                continue
+
+            bound = head + least_outer
+            if not kids:
+                bound += least_hairpin
+            elif n_kids == 1:
+                bound += least_one_branch
+            else:
+                # the inner loop keeps at least every unpaired position between
+                # the first and the last child (inside - runs), and at most
+                # inside - 3: the inner pair takes two positions of the runs and
+                # leaves at least one in a gap
+                runs = (first.i - a - 1) + (b - kids[-1].j - 1)
+                kid_terms = offset + per_branch * n_kids
+                bound += min(
+                    kid_terms + per_unpaired * (inside - runs),
+                    kid_terms + per_unpaired * (inside - 3),
+                )
+            for term in tail:
+                bound += term
+            if bound < low or bound == low and (best_key is None or a == best_added[0][0]):
+                for inner in _inner_pairs(bases, site):
+                    if inner == stacked:
+                        continue
+                    c, d = inner
+                    gaps = (c - a - 1) + (b - d - 1)
+                    # one flush side makes a bulge; none, an internal loop
+                    score = head + (bulges if c - a == 1 or b - d == 1 else internals)[gaps]
+                    if kids:
+                        score += _term(params, rows, bases, inner, n_kids, first, inside - gaps - 2)
+                    else:
+                        score += hairpins[inside - gaps - 2]
+                    for term in tail:
+                        score += term
+                    if score <= low:
+                        offer(score, (outer, inner))
+        return None if best_key is None else (low, best_key, best_added)
 
 
 class ExternalEvaluationError(RuntimeError):

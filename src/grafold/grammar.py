@@ -50,6 +50,7 @@ from .structure import (
     LoopRegion,
     SecondaryStructure,
     StructureError,
+    _pair,
     is_admissible_pair,
     loop_index,
     validate_structure,
@@ -270,22 +271,26 @@ def _loop_sites(bases: str, min_hairpin: int, region: LoopRegion) -> list[tuple]
     for k in range(1, size):
         if free[k - 1] == free[k] - 1:
             run_start[k] = run_start[k - 1]
+    free_bases = [bases[p] for p in free]
     sites = []
     for x in range(size):
         a = free[x]
-        mates = _PAIRS_WITH[bases[a]]
+        mates = _PAIRS_WITH[free_bases[x]]
         left, a_end = before[x], run_end[x]
         for y in range(x + 1, size):
-            b = free[y]
-            if bases[b] not in mates:
+            if free_bases[y] not in mates:
                 continue
+            b = free[y]
             kids = tuple(branches[left : before[y]])
             if not kids and b - a - 1 < min_hairpin:
                 continue
-            sites.append((
-                BasePair(a, b), kids, region, min(a_end, b - 1), max(run_start[y], a + 1),
-                2 if kids else min_hairpin + 1,
-            ))
+            # c_hi = min(a_end, b - 1) and d_lo = max(run_start[y], a + 1):
+            # b lies past a's run exactly when b's run starts past a
+            if b > a_end:
+                c_hi, d_lo = a_end, run_start[y]
+            else:
+                c_hi, d_lo = b - 1, a + 1
+            sites.append((_pair(a, b), kids, region, c_hi, d_lo, 2 if kids else min_hairpin + 1))
     return sites
 
 
@@ -315,9 +320,10 @@ def _inner_pairs(bases: str, site: tuple) -> list[BasePair]:
     out = []
     for c in range(a + 1, c_hi + 1):
         inner_mates = _PAIRS_WITH[bases[c]]
-        for d in range(max(d_lo, c + min_span), b):
+        least_d = c + min_span
+        for d in range(d_lo if d_lo > least_d else least_d, b):
             if bases[d] in inner_mates:
-                out.append(BasePair(c, d))
+                out.append(_pair(c, d))
     return out
 
 
@@ -326,8 +332,8 @@ def _stacked_pair(bases: str, site: tuple) -> BasePair | None:
     (a, b) when :func:`_inner_pairs` lists it, else None."""
     (a, b), _, _, c_hi, d_lo, min_span = site
     c, d = a + 1, b - 1
-    if c <= c_hi and d >= max(d_lo, c + min_span) and bases[d] in _PAIRS_WITH[bases[c]]:
-        return BasePair(c, d)
+    if c <= c_hi and d >= d_lo and d - c >= min_span and bases[d] in _PAIRS_WITH[bases[c]]:
+        return _pair(c, d)
     return None
 
 

@@ -419,9 +419,26 @@ def _export_dot(lts: LTS) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _balanced(db: str) -> bool:
+    """True iff ``db`` holds only '.', '(' and ')', and its brackets balance."""
+    depth = 0
+    for ch in db:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                return False
+        elif ch != ".":
+            return False
+    return depth == 0
+
+
 def validate_lts_json(doc: object) -> dict:
     """Check a decoded export against the documented schema; returns it.
     Integers are checked by ``type``, as a JSON boolean decodes to an ``int``.
+    State ids are unique, and each state's ``db`` is a balanced dot-bracket
+    string of the sequence's length.
 
     Raises:
         ValueError: on any shape or type mismatch.
@@ -453,6 +470,10 @@ def validate_lts_json(doc: object) -> dict:
             raise ValueError(f"bad state record {st!r}")
         if type(st["id"]) is not int or not isinstance(st["db"], str):
             raise ValueError(f"bad state record {st!r}")
+        if st["id"] in ids:
+            raise ValueError(f"repeated state id {st['id']}")
+        if len(st["db"]) != len(doc["sequence"]) or not _balanced(st["db"]):
+            raise ValueError(f"state db is no dot-bracket structure of the sequence: {st!r}")
         if st["energy"] is not None and type(st["energy"]) not in (int, float):
             raise ValueError(f"state energy must be a number or null: {st!r}")
         ids.add(st["id"])

@@ -81,6 +81,12 @@ class BasePair(NamedTuple):
     j: int
 
 
+def _pair(i: int, j: int) -> BasePair:
+    """``BasePair(i, j)`` for the enumerator's hot loops, made without the
+    call through the namedtuple's generated ``__new__``."""
+    return tuple.__new__(BasePair, (i, j))
+
+
 @dataclass(frozen=True)
 class PrimarySequence:
     """An RNA strand over the alphabet A, C, G, U.

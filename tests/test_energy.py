@@ -16,6 +16,7 @@ from grafold.energy import (
     LoopClass,
     LoopTableModel,
     LoopTableParams,
+    MoveScorer,
     NussinovModel,
     ParameterError,
     decompose_loops,
@@ -29,6 +30,7 @@ from grafold.energy import (
 from grafold.grammar import (
     Grammar,
     _apply_unchecked,
+    _sites,
     enumerate_inverse_matches,
     enumerate_matches,
 )
@@ -155,16 +157,15 @@ class TestLoopTable:
     def test_additivity_over_shuffled_loops(self):
         params = example_parameters()
         s = structure("GGGAGGGAGAAACCCACACCC", "(((.(((.(...))).).)))")
-        terms = _terms(params, s.sequence.bases, loop_index(s))
+        terms = _terms(LoopTableModel(params), s.sequence.bases, loop_index(s))
         assert len(terms) == len(decompose_loops(s))
         random.Random(0).shuffle(terms)
         assert sum(terms) == pytest.approx(LoopTableModel(params).energy(s))
 
     def test_multibranch_term(self):
         params = example_parameters()
-        term = _term(
-            params, "GGAACAGAACC", LoopClass.MULTI, BasePair(0, 10), 2, BasePair(1, 4), 1
-        )
+        rows = LoopTableModel(params)._term_rows(11)
+        term = _term(params, rows, "GGAACAGAACC", BasePair(0, 10), 2, BasePair(1, 4), 1)
         assert term == pytest.approx(3.0 + 0.4 * 2 + 0.1 * 1)
 
     def test_long_hairpin_extrapolates(self):
@@ -180,7 +181,9 @@ class TestLoopTable:
         term = sum(
             term
             for (kind, _), term in zip(
-                decompose_loops(s), _terms(params, s.sequence.bases, loop_index(s)), strict=True
+                decompose_loops(s),
+                _terms(LoopTableModel(params), s.sequence.bases, loop_index(s)),
+                strict=True,
             )
             if kind is LoopClass.STACK
         )
@@ -229,47 +232,70 @@ def short_table_parameters() -> LoopTableParams:
     )
 
 
-@pytest.mark.parametrize("kind", [LoopClass.HAIRPIN, LoopClass.BULGE, LoopClass.INTERNAL])
+LENGTH_CLASSES = [LoopClass.HAIRPIN, LoopClass.BULGE, LoopClass.INTERNAL]
+
+
+@pytest.mark.parametrize("kind", LENGTH_CLASSES)
 def test_length_terms_equal_the_formula(kind):
     # every length up to 200, read twice from each of two parameter sets
     # with tables of different lengths: the table's entry, past its end the
-    # last entry extrapolated (bit for bit), and below its first entry an error
+    # last entry extrapolated (bit for bit), and below its first entry an
+    # error. Every entry of the model's term row is that value (None below
+    # the first entry): the rows made for a 20-base strand, and those made
+    # again, longer, for a 203-base one, of which the first are a prefix
     sets = [short_table_parameters(), rounding_sensitive_parameters()]
     bases = "G" + "A" * 201 + "C"
-    branch = None if kind is LoopClass.HAIRPIN else BasePair(1, 201)
-    args = (kind, BasePair(0, 202), 0 if branch is None else 1, branch)
-    for length in range(201):
-        for _ in range(2):
-            for params in sets:
-                table = getattr(params, kind.value)
-                if length < min(table):
+    # no branch closes a hairpin, one flush on the left a bulge, one with
+    # gaps on both sides an internal loop
+    branch = {LoopClass.BULGE: BasePair(1, 200), LoopClass.INTERNAL: BasePair(2, 200)}.get(kind)
+    args = (BasePair(0, 202), 0 if branch is None else 1, branch)
+    for params in sets:
+        table = getattr(params, kind.value)
+        longest = max(table)
+
+        def want(length):
+            if length < min(table):
+                return None
+            return table.get(length, table[longest] + 1.75 * 0.616 * math.log(length / longest))
+
+        model = LoopTableModel(params)
+        short = model._term_rows(20)[LENGTH_CLASSES.index(kind)]
+        rows = model._term_rows(len(bases))
+        row = rows[LENGTH_CLASSES.index(kind)]
+        assert len(short) >= 21 and len(row) >= len(bases) + 1
+        assert row[: len(short)] == short
+        for length, entry in enumerate(row):
+            assert entry == want(length)
+        for length in range(201):
+            for _ in range(2):
+                if want(length) is None:
                     with pytest.raises(ParameterError, match=f"^{kind.value} table has no entry"):
-                        _term(params, bases, *args, length)
+                        _term(params, rows, bases, *args, length)
                     continue
-                longest = max(table)
-                want = table.get(length, table[longest] + 1.75 * 0.616 * math.log(length / longest))
-                assert _term(params, bases, *args, length) == want
+                assert _term(params, rows, bases, *args, length) == want(length)
 
 
-def region_of(s: SecondaryStructure, outer: BasePair):
-    """The loop of ``s`` a move with outer pair ``outer`` adds its pairs in:
-    the one whose unpaired positions hold ``outer.i``."""
-    (region,) = [loop for loop in loop_index(s) if outer.i in loop.free]
-    return region
+def assert_least_move_finds_each(s, sites, scorer, model, matches, asked) -> None:
+    # float ==, not approx: the loop-local sum must be the full sum, bit for
+    # bit. Each asked move is sought alone, with the threshold at its
+    # target's exact observable and every other target of ``matches``
+    # visited: least_move must return that move with that score, so a score
+    # above it, one below it, or a double bound above it fails
+    keys = {_apply_unchecked(s, m.added).key for m in matches}
+    for added in dict.fromkeys(m.added for m in asked):
+        target = _apply_unchecked(s, added)
+        score = observable(target, model)
+        got = scorer.least_move(sites, score, keys - {target.key})
+        assert got == (score, target.key, added)
 
 
-def assert_moves_score_exactly(s: SecondaryStructure, matches, models=MODELS) -> None:
-    # float ==, not approx: the loop-local sum must be the full sum, bit for bit
+def assert_moves_score_exactly(s: SecondaryStructure, matches, min_h, models=MODELS) -> None:
+    loops = loop_index(s)
+    sites = _sites(s, Grammar(min_hairpin_unpaired=min_h), loops)
     for model in models:
-        scorer = model.move_scorer(s, loop_index(s))
+        scorer = model.move_scorer(s, loops)
         assert scorer.observable() == observable(s, model)
-        scores = [
-            (scorer.single if len(m.added) == 1 else scorer.double)(
-                *m.added, region_of(s, m.added[0])
-            )
-            for m in matches
-        ]
-        assert scores == [observable(_apply_unchecked(s, m.added), model) for m in matches]
+        assert_least_move_finds_each(s, sites, scorer, model, matches, matches)
 
 
 class TestSuccessorObservables:
@@ -304,7 +330,7 @@ class TestSuccessorObservables:
         s = structure(bases, db, min_h=3)
         matches = enumerate_matches(s, Grammar())
         assert rules <= {m.rule.label for m in matches}
-        assert_moves_score_exactly(s, matches)
+        assert_moves_score_exactly(s, matches, min_h=3)
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
@@ -315,7 +341,7 @@ def test_successor_observables_along_derivations(min_h, bases, data):
     s = SecondaryStructure(PrimarySequence(bases))
     while True:
         matches = enumerate_matches(s, g)
-        assert_moves_score_exactly(s, matches)
+        assert_moves_score_exactly(s, matches, min_h)
         if not matches:
             break
         s = _apply_unchecked(s, data.draw(st.sampled_from(matches)).added)
@@ -335,7 +361,7 @@ def test_energy_is_left_fold_of_table_terms_along_derivations(min_h, bases, data
     for s, _ in random_derivation(bases, min_h, data):
         for params in TABLES:
             total = 0.0
-            terms = _terms(params, s.sequence.bases, loop_index(s))
+            terms = _terms(LoopTableModel(params), s.sequence.bases, loop_index(s))
             for loop, term in zip(as_loops(decompose_loops(s)), terms, strict=True):
                 assert term == table_loop_term(loop, s.sequence, params)
                 total += term
@@ -350,7 +376,7 @@ def test_successor_observables_extrapolate_along_derivations(min_h, bases, data)
     # whose term extrapolates, so the scorer reads extrapolated lengths
     model = LoopTableModel(short_table_parameters())
     for s, matches in random_derivation(bases, min_h, data):
-        assert_moves_score_exactly(s, matches, models=[model])
+        assert_moves_score_exactly(s, matches, min_h, models=[model])
 
 
 def falling_loop_parameters() -> LoopTableParams:
@@ -370,6 +396,25 @@ def falling_loop_parameters() -> LoopTableParams:
     )
 
 
+def tied_loop_parameters() -> LoopTableParams:
+    """The example table's lengths with every stack, bulge and internal
+    entry 0.0, every hairpin entry 1.0 and no multibranch charge per
+    unpaired position: a hairpin alone and a hairpin behind a stack, a
+    bulge or an internal loop score the same, so many moves of one outer
+    pair, and of outer pairs with one left end, tie, and the tie rule
+    picks the move."""
+    params = example_parameters()
+    return LoopTableParams(
+        stack=dict.fromkeys(params.stack, 0.0),
+        hairpin=dict.fromkeys(params.hairpin, 1.0),
+        bulge=dict.fromkeys(params.bulge, 0.0),
+        internal=dict.fromkeys(params.internal, 0.0),
+        multibranch_offset=params.multibranch_offset,
+        multibranch_per_branch=params.multibranch_per_branch,
+        multibranch_per_unpaired=0.0,
+    )
+
+
 BOUND_MODELS = [
     LoopTableModel(params)
     for params in (
@@ -377,23 +422,31 @@ BOUND_MODELS = [
         rounding_sensitive_parameters(),
         short_table_parameters(),
         falling_loop_parameters(),
+        tied_loop_parameters(),
     )
 ]
 
 
-def assert_double_bounds_hold(s: SecondaryStructure, matches) -> None:
+def region_of(s: SecondaryStructure, outer: BasePair):
+    """The loop of ``s`` a move with outer pair ``outer`` adds its pairs in:
+    the one whose unpaired positions hold ``outer.i``."""
+    (region,) = [loop for loop in loop_index(s) if outer.i in loop.free]
+    return region
+
+
+def assert_double_bounds_hold(s: SecondaryStructure, matches, min_h) -> None:
     # a bulge or internal double adds an outer pair and an inner pair that is
-    # not stacked on it; the bound of its outer pair must not exceed its exact
-    # observable on any table, and under Nussinov it is that observable
+    # not stacked on it; least_move finds each such double alone at its exact
+    # observable on every table, so its outer pair's bound does not exceed
+    # that observable, and under Nussinov the bound is that observable
     doubles = [m for m in matches if len(m.added) == 2 and m.rule.label != "Helix-Rule-1"]
+    loops = loop_index(s)
+    sites = _sites(s, Grammar(min_hairpin_unpaired=min_h), loops)
     for model in BOUND_MODELS:
-        scorer = model.move_scorer(s, loop_index(s))
-        for m in doubles:
-            target = _apply_unchecked(s, m.added)
-            bound = scorer.double_bound(m.added[0], region_of(s, m.added[0]))
-            assert bound <= observable(target, model)
+        scorer = model.move_scorer(s, loops)
+        assert_least_move_finds_each(s, sites, scorer, model, matches, doubles)
     nussinov = NussinovModel()
-    scorer = nussinov.move_scorer(s, loop_index(s))
+    scorer = nussinov.move_scorer(s, loops)
     for m in doubles:
         bound = scorer.double_bound(m.added[0], region_of(s, m.added[0]))
         assert bound == observable(_apply_unchecked(s, m.added), nussinov)
@@ -417,7 +470,7 @@ def test_double_bound_fixtures(min_h, bases, db):
     s = structure(bases, db, min_h=3)
     matches = enumerate_matches(s, Grammar(min_hairpin_unpaired=min_h))
     assert any(len(m.added) == 2 and m.rule.label != "Helix-Rule-1" for m in matches)
-    assert_double_bounds_hold(s, matches)
+    assert_double_bounds_hold(s, matches, min_h)
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
@@ -425,7 +478,7 @@ def test_double_bound_fixtures(min_h, bases, db):
 @settings(max_examples=40, deadline=None)
 def test_double_bound_along_derivations(min_h, bases, data):
     for s, matches in random_derivation(bases, min_h, data):
-        assert_double_bounds_hold(s, matches)
+        assert_double_bounds_hold(s, matches, min_h)
 
 
 def full_choice(s, matches, model, visited):
@@ -447,7 +500,9 @@ def full_choice(s, matches, model, visited):
 @given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
-    # the pruned one-pass search finds the same least (score, key) move as
+    # the pruned one-pass search (the loop-table scorer's fused pass, or the
+    # base walk of the Nussinov scorer) finds the same least (score, key)
+    # move as the base walk over built successors, with no bound, and as
     # scoring every built successor, whichever successors are visited; the
     # drawn visited set holds the unfiltered winner about half the time, so
     # the search must also pass over visited moves tied with its result. One
@@ -467,6 +522,8 @@ def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
             got = _phi0_move(entry, observable(s, model), visited)
             want = full_choice(s, matches, model, visited)
             assert got == want
+            base = MoveScorer(model, s).least_move(entry.sites, observable(s, model), visited)
+            assert base == want
 
 
 @pytest.mark.parametrize("min_h", [1, 3])

@@ -21,11 +21,13 @@ from grafold.grammar import (
     Match,
     RuleId,
     _apply_unchecked,
+    _inner_pairs,
     _inverse_steps,
     _loop_sites,
     _rule_moves,
     _site_rule,
     _sites,
+    _stacked_pair,
     apply_match,
     derive,
     enumerate_inverse_matches,
@@ -450,6 +452,39 @@ def test_loop_moves_merge_to_the_matches_along_derivations(grammar, bases, data)
         merged = sorted([move for moves in per_loop for move in moves])
         matches = enumerate_matches(s, grammar)
         assert merged == [(ALL_RULES.index(m.rule), m.added) for m in matches]
+        if not matches:
+            break
+        s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)
+
+
+@pytest.mark.parametrize("grammar", [G1, G3], ids=["min1", "min3"])
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=12), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_site_pairs_are_base_pairs_along_derivations(grammar, bases, data):
+    # the scan builds its pairs without the namedtuple's own constructor:
+    # each outer, inner and stacked pair is a BasePair equal to, and hashing
+    # as, the one BasePair(i, j) builds, and each site's ranges are the
+    # unpaired run after a, cut at b - 1, and the run before b, cut at a + 1
+    s = empty(bases)
+    while True:
+        for loop in loop_index(s):
+            free = set(loop.free)
+            for site in _loop_sites(bases, grammar.min_hairpin_unpaired, loop):
+                (a, b), _, _, c_hi, d_lo, _ = site
+                a_end, b_start = a, b
+                while a_end + 1 in free:
+                    a_end += 1
+                while b_start - 1 in free:
+                    b_start -= 1
+                assert (c_hi, d_lo) == (min(a_end, b - 1), max(b_start, a + 1))
+                stacked = _stacked_pair(bases, site)
+                inner = _inner_pairs(bases, site)
+                assert stacked is None or stacked in inner
+                for pair in [site[0], *inner]:
+                    want = BasePair(pair[0], pair[1])
+                    assert type(pair) is BasePair and pair == want and hash(pair) == hash(want)
+                    assert (pair.i, pair.j) == (want.i, want.j)
+        matches = enumerate_matches(s, grammar)
         if not matches:
             break
         s = apply_match(s, data.draw(st.sampled_from(matches)), grammar)

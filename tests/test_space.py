@@ -443,6 +443,29 @@ class TestExport:
         with pytest.raises(ValueError):
             validate_lts_json(doc)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["states"].append(dict(doc["states"][1])),
+            lambda doc: doc["states"][2].update(db="((((((((("),
+            lambda doc: doc["states"][2].update(db=doc["states"][2]["db"][:-1]),
+            lambda doc: doc["states"][2].update(db=doc["states"][2]["db"] + "."),
+            lambda doc: doc["states"][2].update(db=")))...((("),
+            lambda doc: doc["states"][2].update(db="(((xxx)))"),
+        ],
+        ids=["repeated-id", "unbalanced-db", "short-db", "long-db", "closed-first-db",
+             "foreign-character-db"],
+    )
+    def test_json_schema_rejects_repeated_ids_and_foreign_dbs(self, seq_gggaaaccc, edit):
+        # two states under one id, or a db that is no structure of the
+        # sequence (wrong length, brackets that do not balance, characters
+        # other than '.()'), is a schema mismatch
+        doc = json.loads(export_lts(build_lts(seq_gggaaaccc, G3, MODEL), "json"))
+        validate_lts_json(doc)
+        edit(doc)
+        with pytest.raises(ValueError):
+            validate_lts_json(doc)
+
     def test_unknown_format(self, seq_gaaac):
         lts = build_lts(seq_gaaac, G3, MODEL)
         with pytest.raises(ValueError):

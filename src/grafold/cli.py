@@ -39,7 +39,7 @@ from .energy import (
     observable,
 )
 from .grammar import ALL_RULES, RULE_DESCRIPTIONS, Grammar, LoopKind
-from .space import ExploreLimits, build_lts, export_lts, stats
+from .space import ExploreLimits, _energy_label, build_lts, export_lts, stats
 from .structure import (
     PrimarySequence,
     SequenceError,
@@ -122,10 +122,6 @@ def _build_grammar(args: argparse.Namespace) -> Grammar:
     )
 
 
-def _energy_str(value: float) -> str:
-    return "+inf" if math.isinf(value) else str(value)
-
-
 #: The terminations of a fold run cut short by one of its limits.
 _LIMIT_TERMINATIONS = ("max-steps", "adaptation-depth-limit", "adaptation-state-limit")
 
@@ -194,7 +190,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"{kind.value:<12} closing={closing:<10} "
             f"branches={len(region.branches)} unpaired={len(region.free)} energy={term_str}"
         )
-    print(f"total {_energy_str(total)}")
+    print(f"total {_energy_label(total)}")
     return EXIT_OK
 
 

@@ -394,7 +394,7 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
         raise MachineConfigError(f"unknown lookahead param(s) {unknown}: {ctx.params!r}")
     try:
         depth = int(ctx.params.get("depth", 2))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise MachineConfigError(f"lookahead depth must be an integer: {ctx.params!r}")
     if depth < 1:
         return StrategyDecision(satisfied=False)
@@ -818,7 +818,16 @@ class Controller:
     # -- driving -------------------------------------------------------------
 
     def run(self, seq: PrimarySequence) -> Trace:
-        """Alternate steady steps and adaptation phases until termination."""
+        """Alternate steady steps and adaptation phases until termination.
+
+        Raises:
+            UnknownStrategyError: when a constraint of the machine names an
+                unregistered strategy, before the run starts.
+        """
+        for st in self.machine.states:
+            for constraint in (st.constraint, *(psi for _, psi in st.transitions)):
+                if constraint.kind == STRATEGY:
+                    _get_strategy(constraint.strategy)
         s0 = SecondaryStructure(seq)
         self._move_memo = {}
         self._loop_sites = None

@@ -33,7 +33,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import ClassVar, Mapping, Sequence
 
-from .grammar import _inner_pairs, _stacked_pair
+from .grammar import _apply_unchecked, _inner_pairs, _stacked_pair
 from .structure import (
     BasePair,
     LoopRegion,
@@ -81,18 +81,8 @@ class LoopClass(Enum):
     EXTERIOR = "exterior"
 
 
-# The classes as module globals for the per-move scorer: up to Python 3.11,
-# ``EnumType.__getattr__`` makes every ``LoopClass.X`` read a slow lookup
-_HAIRPIN, _STACK, _BULGE, _INTERNAL, _MULTI = (
-    LoopClass.HAIRPIN,
-    LoopClass.STACK,
-    LoopClass.BULGE,
-    LoopClass.INTERNAL,
-    LoopClass.MULTI,
-)
-
 #: The structural minimum length of each length table.
-_FIRST_LENGTH = {_HAIRPIN: 1, _BULGE: 1, _INTERNAL: 2}
+_FIRST_LENGTH = {LoopClass.HAIRPIN: 1, LoopClass.BULGE: 1, LoopClass.INTERNAL: 2}
 _MULTIBRANCH_KEYS = ("offset", "per_branch", "per_unpaired")
 
 
@@ -101,9 +91,9 @@ def _loop_class(closing: BasePair, n_branches: int, first: BasePair | None) -> L
     branches, the leftmost being ``first``."""
     if n_branches == 1:
         if first.i - closing.i == 1:
-            return _STACK if closing.j - first.j == 1 else _BULGE
-        return _BULGE if closing.j - first.j == 1 else _INTERNAL
-    return _MULTI if n_branches else _HAIRPIN
+            return LoopClass.STACK if closing.j - first.j == 1 else LoopClass.BULGE
+        return LoopClass.BULGE if closing.j - first.j == 1 else LoopClass.INTERNAL
+    return LoopClass.MULTI if n_branches else LoopClass.HAIRPIN
 
 
 def decompose_loops(s: SecondaryStructure) -> list[tuple[LoopClass, LoopRegion]]:
@@ -264,24 +254,17 @@ class EnergyModel:
 
 
 class MoveScorer:
-    """The observables of the forward moves of one structure ``s``, and the
-    φ0 choice among them (:meth:`least_move`).
+    """The observable of one structure ``s`` (:meth:`observable`) and the
+    φ0 choice among its forward moves (:meth:`least_move`).
 
     A move adds an outer pair, alone or with one inner pair nested inside it
-    (a Rule-1 double), in one loop of ``s``: the ``region`` each method is
-    handed, or a loop of another structure with the same closing pair and
-    branches. :meth:`single` and :meth:`double` return exactly the
-    value :func:`observable` gives for the built successor, and
-    :meth:`observable` exactly that of ``s``. :meth:`double_bound` is a lower
-    bound on :meth:`double` over every inner pair that is not stacked on the
-    outer pair, that is over its bulge and internal-loop doubles: a selector
-    may skip them when the bound cannot win.
-
-    This base class builds each successor and scores it with
-    :func:`observable`, and bounds nothing (-inf), so a model that defines
-    only :meth:`EnergyModel.energy` has every move scored in full. A scorer
-    may instead override :meth:`least_move` alone, as the loop-table scorer
-    does.
+    (a Rule-1 double), in one loop of ``s``. Whatever a scorer prunes, its
+    scores are exactly the values :func:`observable` gives for the built
+    successors. This base class is the plain scan: it builds each
+    unvisited successor and scores it with :func:`observable`, so a model
+    that defines only :meth:`EnergyModel.energy` has every such move scored
+    in full. The Nussinov and loop-table scorers override
+    :meth:`least_move` with a pruned walk.
     """
 
     def __init__(self, model: EnergyModel, s: SecondaryStructure):
@@ -290,20 +273,6 @@ class MoveScorer:
 
     def observable(self) -> float:
         return observable(self.s, self.model)
-
-    def single(self, outer: BasePair, region: LoopRegion) -> float:
-        return self._built((outer,))
-
-    def double(self, outer: BasePair, inner: BasePair, region: LoopRegion) -> float:
-        return self._built((outer, inner))
-
-    def double_bound(self, outer: BasePair, region: LoopRegion) -> float:
-        return -math.inf
-
-    def _built(self, added: tuple[BasePair, ...]) -> float:
-        s = self.s
-        successor = SecondaryStructure._unchecked(s.sequence, s.pairs | frozenset(added))
-        return observable(successor, self.model)
 
     def least_move(
         self, sites: list[tuple], threshold: float, visited: Container[str]
@@ -314,41 +283,24 @@ class MoveScorer:
         ``threshold`` whose target key is not in ``visited``, as (score,
         target key, added pairs); None when no move qualifies.
 
-        One pass over the sites, by outer pair (a, b). A target's key is the
-        source's key with brackets at the added ends, and ``'('`` sorts
-        before ``'.'``, so of two moves tied on score the one with the lesser
-        a has the lesser key: a tie whose a lies right of the best move's
-        loses without being keyed. Each outer pair's single and stacked
-        double are scored; its bulge and internal doubles only when their
-        bound (:meth:`double_bound`) is below the best score, or equal to it
-        at the best move's a. Every skipped move loses, so the result is
-        exact.
+        Each site's single and each of its doubles, in
+        :func:`~grafold.grammar._inner_pairs` order, is keyed first; a
+        target whose key is in ``visited`` is neither built nor scored.
         """
-        bases, source_key = self.s.sequence.bases, self.s.key
-        low, best_key, best_added = threshold, None, ()
-
-        def ties(a: int) -> bool:
-            return best_key is None or a == best_added[0][0]
-
-        def offer(score: float, added: tuple[BasePair, ...]) -> None:
-            nonlocal low, best_key, best_added
-            if score < low or score == low and ties(added[0][0]):
-                key = key_with_pairs(source_key, added)
-                if key not in visited and (score < low or best_key is None or key < best_key):
-                    low, best_key, best_added = score, key, added
-
+        s, model = self.s, self.model
+        bases, source_key = s.sequence.bases, s.key
+        low, best = threshold, None
         for site in sites:
-            outer, region = site[0], site[2]
-            offer(self.single(outer, region), (outer,))
-            stacked = _stacked_pair(bases, site)
-            if stacked is not None:
-                offer(self.double(outer, stacked, region), (outer, stacked))
-            bound = self.double_bound(outer, region)
-            if bound < low or bound == low and ties(outer[0]):
-                for inner in _inner_pairs(bases, site):
-                    if inner != stacked:
-                        offer(self.double(outer, inner, region), (outer, inner))
-        return None if best_key is None else (low, best_key, best_added)
+            outer = site[0]
+            doubles = [(outer, inner) for inner in _inner_pairs(bases, site)]
+            for added in [(outer,), *doubles]:
+                key = key_with_pairs(source_key, added)
+                if key in visited:
+                    continue
+                score = observable(_apply_unchecked(s, added, key), model)
+                if score < low or score == low and (best is None or key < best[1]):
+                    low, best = score, (score, key, added)
+        return best
 
 
 @dataclass(frozen=True)
@@ -365,23 +317,39 @@ class NussinovModel(EnergyModel):
 
 
 class _NussinovScorer(MoveScorer):
-    """Every single scores one pair more than ``s``, every double two: the
-    double bound is exact."""
+    """On a structure of p pairs every double scores -(p+2) and every single
+    -(p+1)."""
 
-    def __init__(self, model: NussinovModel, s: SecondaryStructure):
-        super().__init__(model, s)
-        pairs = len(s.pairs)
-        self._single = float(-(pairs + 1))
-        self._double = float(-(pairs + 2))
-
-    def single(self, outer: BasePair, region: LoopRegion) -> float:
-        return self._single
-
-    def double(self, outer: BasePair, inner: BasePair, region: LoopRegion) -> float:
-        return self._double
-
-    def double_bound(self, outer: BasePair, region: LoopRegion) -> float:
-        return self._double
+    def least_move(
+        self, sites: list[tuple], threshold: float, visited: Container[str]
+    ) -> tuple[float, str, tuple[BasePair, ...]] | None:
+        """The unvisited double of least target key, or failing that the
+        unvisited single of least target key, when its score is at most
+        ``threshold``. A target's key is the source's key with brackets at
+        the added ends, and ``'('`` sorts before ``'.'``, so a move with a
+        lesser left end has the lesser key: each search stops at the first
+        site right of its best move's left end."""
+        bases, source_key = self.s.sequence.bases, self.s.key
+        double = float(-(len(self.s.pairs) + 2))
+        for score, doubles in ((double, True), (double + 1.0, False)):
+            if score > threshold:
+                return None
+            best_key, best_added = None, ()
+            for site in sites:
+                outer = site[0]
+                if best_key is not None and outer[0] > best_added[0][0]:
+                    break
+                if doubles:
+                    moves = [(outer, inner) for inner in _inner_pairs(bases, site)]
+                else:
+                    moves = [(outer,)]
+                for added in moves:
+                    key = key_with_pairs(source_key, added)
+                    if key not in visited and (best_key is None or key < best_key):
+                        best_key, best_added = key, added
+            if best_key is not None:
+                return score, best_key, best_added
+        return None
 
 
 @dataclass(frozen=True)
@@ -446,11 +414,17 @@ class _LoopTableScorer(MoveScorer):
     count). Float addition is monotone in each operand, so the bound never
     exceeds the score of such a double.
 
-    :meth:`least_move` is the base class's walk in one pass: each site's
-    context is worked out once, and each term is read off the model's term
-    rows (:meth:`LoopTableModel._term_rows`) and stack table, or made by
-    :func:`_term`'s own expression, so every score is the built successor's
-    observable bit for bit."""
+    :meth:`least_move` is one pass over the sites, by outer pair (a, b). A
+    target's key is the source's key with brackets at the added ends, and
+    ``'('`` sorts before ``'.'``, so of two moves tied on score the one with
+    the lesser a has the lesser key: a tie whose a lies right of the best
+    move's loses without being keyed. Each site's single and stacked double
+    are scored; its bulge and internal doubles only when their bound is
+    below the best score, or equal to it at the best move's a, so every
+    skipped move loses. Each site's context is worked out once, and each
+    term is read off the model's term rows (:meth:`LoopTableModel._term_rows`)
+    and stack table, or made by :func:`_term`'s own expression, so every
+    score is the built successor's observable bit for bit."""
 
     def __init__(self, model: LoopTableModel, s: SecondaryStructure, loops: _Loops):
         super().__init__(model, s)
@@ -476,7 +450,9 @@ class _LoopTableScorer(MoveScorer):
         low, best_key, best_added = threshold, None, ()
 
         def offer(score: float, added: tuple[BasePair, ...]) -> None:
-            # the base walk's rule for a score of at most ``low``
+            # an unvisited move scoring at most ``low`` wins when none is held,
+            # when it scores below ``low``, or when it ties at the best
+            # move's a with a lesser key
             nonlocal low, best_key, best_added
             if score < low or best_key is None or added[0][0] == best_added[0][0]:
                 key = key_with_pairs(source_key, added)
@@ -580,10 +556,10 @@ class ExternalEvaluator:
     Protocol: the command receives two lines on stdin (the base string, then
     the dot-bracket string) and must print one finite decimal kcal/mol value.
     Results are cached per structure key for the lifetime of the adapter:
-    the controller's run memo does not cover the move scorer
-    (:meth:`EnergyModel.move_scorer`), which builds each successor and scores
-    it through :meth:`ExternalModel.energy`, so a run asks again for
-    structures it has scored.
+    φ0 (:meth:`MoveScorer.least_move`) builds every forward successor whose
+    key is not visited, site by site and single before doubles, and scores
+    it through :meth:`ExternalModel.energy` outside the controller's run
+    memo, so a run asks again for structures it has scored.
     """
 
     command: str

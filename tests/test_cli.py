@@ -147,13 +147,28 @@ class TestFold:
         [
             ({"depth": 2, "detph": 3}, "unknown lookahead param(s) ['detph']"),
             ({"depth": "two"}, "lookahead depth must be an integer"),
+            ({"depth": float("inf")}, "lookahead depth must be an integer"),
         ],
-        ids=["misspelled-key", "non-integer-depth"],
+        ids=["misspelled-key", "non-integer-depth", "infinite-depth"],
     )
     def test_bad_lookahead_params(self, tmp_path, capsys, params, message):
         path = strategy_machine(tmp_path, "lookahead", params)
         code, _, err = run_cli(["fold", "--seq", "GGGAAACCC", "--s-machine", str(path)], capsys)
         assert code == 2 and err.startswith("error: ") and message in err
+
+    def test_unregistered_strategy_fails_before_the_run(self, tmp_path, capsys):
+        # the name sits on a transition a forward-only run never reaches: it
+        # is looked up when the run starts, not when the run gets there
+        machine = {
+            "initial": "w0",
+            "states": [{"id": "w0", "constraint": "phi0"}],
+            "transitions": [{"from": "w0", "to": "w0", "psi": {"strategy": "nope"}}],
+        }
+        path = tmp_path / "machine.json"
+        path.write_text(json.dumps(machine))
+        code, out, err = run_cli(["fold", "--seq", "GGGAAACCC", "--s-machine", str(path)], capsys)
+        assert code == 2 and err.startswith("error: ") and "is not registered" in err
+        assert out == ""
 
 
 class TestEnumerate:

@@ -427,29 +427,16 @@ BOUND_MODELS = [
 ]
 
 
-def region_of(s: SecondaryStructure, outer: BasePair):
-    """The loop of ``s`` a move with outer pair ``outer`` adds its pairs in:
-    the one whose unpaired positions hold ``outer.i``."""
-    (region,) = [loop for loop in loop_index(s) if outer.i in loop.free]
-    return region
-
-
 def assert_double_bounds_hold(s: SecondaryStructure, matches, min_h) -> None:
     # a bulge or internal double adds an outer pair and an inner pair that is
     # not stacked on it; least_move finds each such double alone at its exact
-    # observable on every table, so its outer pair's bound does not exceed
-    # that observable, and under Nussinov the bound is that observable
+    # observable, under Nussinov and on every table, so no pruning skips it
     doubles = [m for m in matches if len(m.added) == 2 and m.rule.label != "Helix-Rule-1"]
     loops = loop_index(s)
     sites = _sites(s, Grammar(min_hairpin_unpaired=min_h), loops)
-    for model in BOUND_MODELS:
+    for model in [NussinovModel(), *BOUND_MODELS]:
         scorer = model.move_scorer(s, loops)
         assert_least_move_finds_each(s, sites, scorer, model, matches, doubles)
-    nussinov = NussinovModel()
-    scorer = nussinov.move_scorer(s, loops)
-    for m in doubles:
-        bound = scorer.double_bound(m.added[0], region_of(s, m.added[0]))
-        assert bound == observable(_apply_unchecked(s, m.added), nussinov)
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
@@ -500,9 +487,9 @@ def full_choice(s, matches, model, visited):
 @given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
-    # the pruned one-pass search (the loop-table scorer's fused pass, or the
-    # base walk of the Nussinov scorer) finds the same least (score, key)
-    # move as the base walk over built successors, with no bound, and as
+    # the pruned search (the loop-table scorer's fused pass, or the Nussinov
+    # scorer's walk that stops right of its best move) finds the same least
+    # (score, key) move as the plain scan over built successors, and as
     # scoring every built successor, whichever successors are visited; the
     # drawn visited set holds the unfiltered winner about half the time, so
     # the search must also pass over visited moves tied with its result. One
@@ -524,6 +511,35 @@ def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
             assert got == want
             base = MoveScorer(model, s).least_move(entry.sites, observable(s, model), visited)
             assert base == want
+
+
+@pytest.mark.parametrize(
+    "bases,db",
+    [
+        ("GGGGAAACGAAACCCC", "...(...)(...)..."),
+        ("GGGGAAAAAAACCCCGGGAAACCC", "...............(((...)))"),
+    ],
+)
+def test_plain_scan_never_scores_a_visited_target(monkeypatch, bases, db):
+    # the plain scan keys each target before it builds it: the external
+    # command is asked for every unvisited target once and for no visited one
+    table = LoopTableModel(example_parameters())
+    invoked = []
+
+    def fake_invoke(self, strand, key):
+        invoked.append(key)
+        return table.energy(parse_dot_bracket(PrimarySequence(strand), key))
+
+    monkeypatch.setattr(ExternalEvaluator, "_invoke", fake_invoke)
+    s = structure(bases, db)
+    g = Grammar(min_hairpin_unpaired=1)
+    matches = enumerate_matches(s, g)
+    keys = sorted({_apply_unchecked(s, m.added).key for m in matches})
+    visited = set(keys[::2])
+    scorer = MoveScorer(ExternalModel(ExternalEvaluator("unused")), s)
+    got = scorer.least_move(_sites(s, g, loop_index(s)), observable(s, table), visited)
+    assert sorted(invoked) == sorted(set(keys) - visited)
+    assert got == full_choice(s, matches, table, visited)
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
@@ -728,9 +744,9 @@ class TestExternal:
 
     @pytest.mark.parametrize("n", [16, 24])
     def test_cache_calls_out_once_per_structure_of_a_run(self, monkeypatch, n):
-        # the controller's run memo does not cover the move scorer, which
-        # scores every successor through energy(), so a run evaluates
-        # structures again; the cache keeps it to one command call each
+        # φ0 scores every unvisited successor through energy(), outside the
+        # controller's run memo, so a run evaluates structures again; the
+        # cache keeps it to one command call each
         scorer = LoopTableModel(example_parameters())
         invoked = []
         evaluated = 0

@@ -32,7 +32,6 @@ from .energy import (
     LoopTableModel,
     NussinovModel,
     ParameterError,
-    _terms,
     decompose_loops,
     example_parameters,
     load_parameters,
@@ -174,17 +173,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     grammar = _build_grammar(args)
     model = _build_model(args)
     structure = parse_dot_bracket(seq, args.db, min_hairpin_unpaired=grammar.min_hairpin_unpaired)
-    loops = decompose_loops(structure)
-    regions = [region for _, region in loops]
-    if model.mode == "loop-table":  # _terms reads the exterior loop first
-        terms = _terms(model, seq.bases, regions[-1:] + regions[:-1])
-    elif model.mode == "nussinov":
-        terms = [-1.0 if region.closing is not None else 0.0 for region in regions]
-    else:
-        terms = [None] * len(loops)
     total = observable(structure, model)
-    for (kind, region), term in zip(loops, terms):
+    for kind, region in decompose_loops(structure):
         closing = f"({region.closing.i},{region.closing.j})" if region.closing else "-"
+        term = model.loop_term(seq.bases, region)
         term_str = "-" if term is None else str(term)
         print(
             f"{kind.value:<12} closing={closing:<10} "

@@ -392,9 +392,8 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
     unknown = sorted(set(ctx.params) - {"depth"})
     if unknown:
         raise MachineConfigError(f"unknown lookahead param(s) {unknown}: {ctx.params!r}")
-    try:
-        depth = int(ctx.params.get("depth", 2))
-    except (TypeError, ValueError, OverflowError):
+    depth = ctx.params.get("depth", 2)
+    if type(depth) is not int:
         raise MachineConfigError(f"lookahead depth must be an integer: {ctx.params!r}")
     if depth < 1:
         return StrategyDecision(satisfied=False)
@@ -430,7 +429,12 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
 
 
 def _restart_from_best_strategy(ctx: StrategyContext) -> StrategyDecision:
-    """Escape strategy: jump back to the best structure seen in this run."""
+    """Escape strategy: jump back to the best structure seen in this run.
+    It takes no params."""
+    if ctx.params:
+        raise MachineConfigError(
+            f"unknown restart-from-best param(s) {sorted(ctx.params)}: {ctx.params!r}"
+        )
     if ctx.best is None:
         return StrategyDecision(satisfied=False)
     best_energy, best_structure = ctx.best
@@ -467,14 +471,16 @@ class _Moves:
     label and the built target, is kept once searched. ``loops`` and
     ``loop_sites`` are read through the run's loop memo: each is the run's
     one region of the loop and its :func:`~grafold.grammar._loop_sites`,
-    shared by every record that holds the loop and scanned when the first
-    of them is made. The sites merged by outer pair and, for strategies,
-    the forward steps are worked out on first read."""
+    shared by every record that holds the loop and worked out, with the
+    loop's :meth:`~grafold.energy.EnergyModel.loop_term`, when the first of
+    them is made. The sites merged by outer pair and, for strategies, the
+    forward steps are worked out on first read."""
 
     def __init__(self, structure: SecondaryStructure, model: EnergyModel, memo: _LoopMemo):
         self.structure = structure
-        self.loops, self.loop_sites = zip(*map(memo, loop_index(structure)))
-        self.scorer = model.move_scorer(structure, self.loops)
+        self.loops, kept = zip(*map(memo, loop_index(structure)))
+        self.loop_sites, terms = zip(*kept)
+        self.scorer = model.move_scorer(structure, terms)
         self.energy = self.scorer.observable()
         # the (rule label, target) of the last :func:`_phi0_move` result, None
         # when it found no move, or _UNSEARCHED
@@ -554,9 +560,9 @@ class Controller:
         self._best: tuple[float, SecondaryStructure] | None = None
         # the run's record of each structure, keyed by dot-bracket key
         self._move_memo: dict[str, _Moves] = {}
-        # each distinct loop's one region and sites, made for the strand of
-        # the first record
-        self._loop_sites: _LoopMemo | None = None
+        # each distinct loop's one region, its sites and its term, made for
+        # the strand of the first record
+        self._loop_memo: _LoopMemo | None = None
         self.state: RunState | None = None
 
     # -- bookkeeping -------------------------------------------------------
@@ -595,10 +601,13 @@ class Controller:
         key = structure.key
         entry = self._move_memo.get(key)
         if entry is None:
-            if self._loop_sites is None:
+            if self._loop_memo is None:
                 bases, min_h = structure.sequence.bases, self.grammar.min_hairpin_unpaired
-                self._loop_sites = _LoopMemo(lambda loop: _loop_sites(bases, min_h, loop))
-            entry = self._move_memo[key] = _Moves(structure, self.model, self._loop_sites)
+                model = self.model
+                self._loop_memo = _LoopMemo(
+                    lambda loop: (_loop_sites(bases, min_h, loop), model.loop_term(bases, loop))
+                )
+            entry = self._move_memo[key] = _Moves(structure, self.model, self._loop_memo)
         return entry
 
     def _phi0(self, structure: SecondaryStructure) -> tuple[str, SecondaryStructure] | None:
@@ -830,7 +839,7 @@ class Controller:
                     _get_strategy(constraint.strategy)
         s0 = SecondaryStructure(seq)
         self._move_memo = {}
-        self._loop_sites = None
+        self._loop_memo = None
         self.state = RunState(self.machine.initial, s0, self._observable(s0))
         self._records = []
         self._visited = {s0.key}

@@ -222,23 +222,6 @@ def _term(
     return term
 
 
-def _terms(model: LoopTableModel, bases: str, regions: _Loops) -> list[float]:
-    """The loop-table terms of the loops of a structure (:func:`loop_index`)
-    in :func:`decompose_loops` order, the exterior loop's 0.0 last."""
-    params, rows = model.params, model._term_rows(len(bases))
-    terms = []
-    for r in regions[1:]:
-        branches = r.branches
-        first = branches[0] if branches else None
-        terms.append(_term(params, rows, bases, r.closing, len(branches), first, len(r.free)))
-    terms.append(0.0)
-    return terms
-
-
-#: The loops of a structure, in :func:`loop_index` order.
-_Loops = Sequence[LoopRegion]
-
-
 class EnergyModel:
     """Interface: ``energy(structure) -> kcal/mol``."""
 
@@ -247,9 +230,16 @@ class EnergyModel:
     def energy(self, s: SecondaryStructure) -> float:
         raise NotImplementedError
 
-    def move_scorer(self, s: SecondaryStructure, loops: _Loops) -> "MoveScorer":
-        """The scorer of the forward moves of ``s``; ``loops`` is
-        ``loop_index(s)``."""
+    def loop_term(self, bases: str, loop: LoopRegion) -> float | None:
+        """What ``loop``, a :func:`loop_index` region of a structure on
+        ``bases``, adds to the energy; None when the energy is not a sum of
+        loop terms. A term depends on its own loop only."""
+        return None
+
+    def move_scorer(self, s: SecondaryStructure, terms: Sequence[float | None]) -> "MoveScorer":
+        """The scorer of the forward moves of ``s``; ``terms`` are the
+        :meth:`loop_term` of each loop of ``s``, in :func:`loop_index`
+        order."""
         return MoveScorer(self, s)
 
 
@@ -312,7 +302,10 @@ class NussinovModel(EnergyModel):
     def energy(self, s: SecondaryStructure) -> float:
         return float(-len(s.pairs))
 
-    def move_scorer(self, s: SecondaryStructure, loops: _Loops) -> "MoveScorer":
+    def loop_term(self, bases: str, loop: LoopRegion) -> float:
+        return 0.0 if loop.closing is None else -1.0
+
+    def move_scorer(self, s: SecondaryStructure, terms: Sequence[float]) -> "MoveScorer":
         return _NussinovScorer(self, s)
 
 
@@ -366,13 +359,24 @@ class LoopTableModel(EnergyModel):
         :func:`decompose_loops` order, from 0.0. The fold fixes the rounding
         on every Python (``sum`` compensates from 3.12 on) and lets the move
         scorer reuse a folded prefix."""
+        bases = s.sequence.bases
+        exterior, *closed = loop_index(s)
         total = 0.0
-        for term in _terms(self, s.sequence.bases, loop_index(s)):
-            total += term
-        return total
+        for loop in closed:
+            total += self.loop_term(bases, loop)
+        return total + self.loop_term(bases, exterior)
 
-    def move_scorer(self, s: SecondaryStructure, loops: _Loops) -> "MoveScorer":
-        return _LoopTableScorer(self, s, loops)
+    def loop_term(self, bases: str, loop: LoopRegion) -> float:
+        """0.0 for the exterior loop, else the table's :func:`_term`."""
+        closing, branches = loop.closing, loop.branches
+        if closing is None:
+            return 0.0
+        first = branches[0] if branches else None
+        rows = self._term_rows(len(bases))
+        return _term(self.params, rows, bases, closing, len(branches), first, len(loop.free))
+
+    def move_scorer(self, s: SecondaryStructure, terms: Sequence[float]) -> "MoveScorer":
+        return _LoopTableScorer(self, s, terms)
 
     def _term_rows(self, n: int) -> list[list]:
         """The :func:`_length_rows` of the tables through length ``n`` at
@@ -426,11 +430,11 @@ class _LoopTableScorer(MoveScorer):
     and stack table, or made by :func:`_term`'s own expression, so every
     score is the built successor's observable bit for bit."""
 
-    def __init__(self, model: LoopTableModel, s: SecondaryStructure, loops: _Loops):
+    def __init__(self, model: LoopTableModel, s: SecondaryStructure, terms: Sequence[float]):
         super().__init__(model, s)
-        self.params, self.rows = model.params, model._term_rows(s.n)
-        self._least_terms = model._least_terms
-        self.terms = _terms(model, s.sequence.bases, loops)
+        # the terms in :func:`decompose_loops` order: closed loops by closing
+        # pair, then the exterior loop's 0.0
+        self.terms = [*terms[1:], terms[0]]
         # heads[k]: the left fold of terms[:k]
         self.heads = list(accumulate(self.terms, initial=0.0))
 
@@ -440,13 +444,14 @@ class _LoopTableScorer(MoveScorer):
     def least_move(
         self, sites: list[tuple], threshold: float, visited: Container[str]
     ) -> tuple[float, str, tuple[BasePair, ...]] | None:
-        s, params, rows = self.s, self.params, self.rows
+        s, model = self.s, self.model
+        params, rows = model.params, model._term_rows(s.n)
         bases, source_key, pairs = s.sequence.bases, s.key, s.sorted_pairs
         terms, heads, stack = self.terms, self.heads, params.stack
         hairpins, bulges, internals = rows
         offset, per_branch = params.multibranch_offset, params.multibranch_per_branch
         per_unpaired = params.multibranch_per_unpaired
-        least_outer, least_hairpin, least_one_branch = self._least_terms
+        least_outer, least_hairpin, least_one_branch = model._least_terms
         low, best_key, best_added = threshold, None, ()
 
         def offer(score: float, added: tuple[BasePair, ...]) -> None:

@@ -202,25 +202,6 @@ class Match:
         return (self.rule.sort_key, self.added, self.context)
 
 
-# the slot setters of a Match, which skip the frozen ``__setattr__``
-_set_rule, _set_added, _set_context = (
-    Match.rule.__set__, Match.added.__set__, Match.context.__set__
-)
-
-
-def _unchecked_match(
-    rule: RuleId, added: tuple[BasePair, ...], context: tuple[BasePair, ...] = ()
-) -> Match:
-    """A :class:`Match` built without ``__post_init__``: for the enumerator,
-    whose pairs are already sorted ``BasePair(i < j)`` tuples of the rule's
-    arity."""
-    m = object.__new__(Match)
-    _set_rule(m, rule)
-    _set_added(m, added)
-    _set_context(m, context)
-    return m
-
-
 @dataclass(frozen=True)
 class Grammar:
     """The biological knobs that parametrize the fixed production set."""
@@ -300,11 +281,11 @@ class _LoopMemo(dict):
     within one strand. A move changes one loop, so structures share most
     loops, and all callers share the one, read-only region of each."""
 
-    def __init__(self, make: Callable[[LoopRegion], list]):
+    def __init__(self, make: Callable[[LoopRegion], object]):
         super().__init__()
         self.make = make
 
-    def __call__(self, loop: LoopRegion) -> tuple[LoopRegion, list]:
+    def __call__(self, loop: LoopRegion) -> tuple[LoopRegion, object]:
         key = (loop.closing, tuple(loop.branches))
         entry = self.get(key)
         if entry is None:
@@ -417,7 +398,7 @@ def enumerate_matches(s: SecondaryStructure, g: Grammar) -> list[Match]:
         Sorted list of matches; empty when ``s`` is terminal.
     """
     return [
-        _unchecked_match(ALL_RULES[at], added, context)
+        Match(ALL_RULES[at], added, context)
         for at, added, context in _rule_moves(s.sequence.bases, _sites(s, g, loop_index(s)))
     ]
 
@@ -469,7 +450,7 @@ def enumerate_inverse_matches(
     if not report.ok:
         raise StructureError(f"invalid structure: {report.describe()}", report.violations)
     return [
-        (_unchecked_match(ALL_RULES[at], removed, context), s.without(removed))
+        (Match(ALL_RULES[at], removed, context), s.without(removed))
         for at, removed, context in _inverse_steps(loop_index(s))
     ]
 

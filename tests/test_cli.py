@@ -143,16 +143,24 @@ class TestFold:
         assert seen and all(params == {"name": 1, "depth": 2} for params in seen)
 
     @pytest.mark.parametrize(
-        "params, message",
+        "strategy, params, message",
         [
-            ({"depth": 2, "detph": 3}, "unknown lookahead param(s) ['detph']"),
-            ({"depth": "two"}, "lookahead depth must be an integer"),
-            ({"depth": float("inf")}, "lookahead depth must be an integer"),
+            ("lookahead", {"depth": 2, "detph": 3}, "unknown lookahead param(s) ['detph']"),
+            ("lookahead", {"depth": "two"}, "lookahead depth must be an integer"),
+            ("lookahead", {"depth": float("inf")}, "lookahead depth must be an integer"),
+            # none of these may be read as an int
+            ("lookahead", {"depth": 2.7}, "lookahead depth must be an integer"),
+            ("lookahead", {"depth": True}, "lookahead depth must be an integer"),
+            ("lookahead", {"depth": "3"}, "lookahead depth must be an integer"),
+            ("restart-from-best", {"detph": 3}, "unknown restart-from-best param(s) ['detph']"),
         ],
-        ids=["misspelled-key", "non-integer-depth", "infinite-depth"],
+        ids=[
+            "misspelled-key", "non-integer-depth", "infinite-depth", "fractional-depth",
+            "boolean-depth", "string-depth", "restart-from-best-param",
+        ],
     )
-    def test_bad_lookahead_params(self, tmp_path, capsys, params, message):
-        path = strategy_machine(tmp_path, "lookahead", params)
+    def test_bad_lookahead_params(self, tmp_path, capsys, strategy, params, message):
+        path = strategy_machine(tmp_path, strategy, params)
         code, _, err = run_cli(["fold", "--seq", "GGGAAACCC", "--s-machine", str(path)], capsys)
         assert code == 2 and err.startswith("error: ") and message in err
 

@@ -790,16 +790,23 @@ def test_strategy_steps_built_only_when_taken(seq_gggaaaccc):
     "bases, min_h", [("GCGCGCGCGCGCGC", 3), ("CGAUUCAAAUGACG", 1)], ids=["gc-14", "multi"]
 )
 def test_each_distinct_loop_scanned_once_per_run(monkeypatch, bases, min_h):
-    # a run scans a loop, named by its closing pair and branches, when the
-    # first record that holds it is made, and never again in that run
-    scanned = []
+    # a run scans a loop, named by its closing pair and branches, and works
+    # out its term when the first record that holds it is made, and never
+    # again in that run
+    scanned, termed = [], []
     loop_sites = grafold.controller._loop_sites
+    loop_term = LoopTableModel.loop_term
 
     def counting_loop_sites(bases, min_hairpin, region):
         scanned.append((region.closing, tuple(region.branches)))
         return loop_sites(bases, min_hairpin, region)
 
+    def counting_loop_term(model, bases, region):
+        termed.append((region.closing, tuple(region.branches)))
+        return loop_term(model, bases, region)
+
     monkeypatch.setattr(grafold.controller, "_loop_sites", counting_loop_sites)
+    monkeypatch.setattr(LoopTableModel, "loop_term", counting_loop_term)
     seq = PrimarySequence(bases)
     controller = Controller(
         grammar=Grammar(min_hairpin_unpaired=min_h, allow_inverse=True),
@@ -823,6 +830,7 @@ def test_each_distinct_loop_scanned_once_per_run(monkeypatch, bases, min_h):
     assert len(loops) > 2 * per_run
     # the memo lives for one run: the second run scans the same loops
     assert scanned[per_run:] == scanned[:per_run]
+    assert termed == scanned
 
 
 def _fields(loop):
@@ -848,8 +856,8 @@ def test_run_records_share_the_memo_regions(machine, allow_inverse):
     controller.run(PrimarySequence("CAGAUUUUCAUAUUAUGCAGAAAAUCUACU"))
     records = controller._move_memo.values()
     held = {id(loop) for entry in records for loop in entry.loops}
-    assert len(held) == len(controller._loop_sites) < sum(len(e.loops) for e in records)
-    assert held == {id(region) for region, _ in controller._loop_sites.values()}
+    assert len(held) == len(controller._loop_memo) < sum(len(e.loops) for e in records)
+    assert held == {id(region) for region, _ in controller._loop_memo.values()}
     for entry in records:
         assert list(map(_fields, entry.loops)) == list(map(_fields, loop_index(entry.structure)))
 

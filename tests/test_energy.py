@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import random
 import shlex
@@ -25,7 +26,6 @@ from grafold.energy import (
     observable,
     parse_parameters,
     _term,
-    _terms,
 )
 from grafold.grammar import (
     Grammar,
@@ -157,7 +157,8 @@ class TestLoopTable:
     def test_additivity_over_shuffled_loops(self):
         params = example_parameters()
         s = structure("GGGAGGGAGAAACCCACACCC", "(((.(((.(...))).).)))")
-        terms = _terms(LoopTableModel(params), s.sequence.bases, loop_index(s))
+        model = LoopTableModel(params)
+        terms = [model.loop_term(s.sequence.bases, loop) for loop in loop_index(s)]
         assert len(terms) == len(decompose_loops(s))
         random.Random(0).shuffle(terms)
         assert sum(terms) == pytest.approx(LoopTableModel(params).energy(s))
@@ -179,12 +180,8 @@ class TestLoopTable:
         params = example_parameters()
         s = structure("GGAAAUC", "((...))")  # outer G-C, inner G-U
         term = sum(
-            term
-            for (kind, _), term in zip(
-                decompose_loops(s),
-                _terms(LoopTableModel(params), s.sequence.bases, loop_index(s)),
-                strict=True,
-            )
+            LoopTableModel(params).loop_term(s.sequence.bases, region)
+            for kind, region in decompose_loops(s)
             if kind is LoopClass.STACK
         )
         assert term == pytest.approx(-(3.0 + 1.0) / 2)
@@ -289,11 +286,16 @@ def assert_least_move_finds_each(s, sites, scorer, model, matches, asked) -> Non
         assert got == (score, target.key, added)
 
 
+def move_scorer(model, s: SecondaryStructure, loops):
+    """The model's scorer of ``s``, given the loop terms a run keeps."""
+    return model.move_scorer(s, [model.loop_term(s.sequence.bases, loop) for loop in loops])
+
+
 def assert_moves_score_exactly(s: SecondaryStructure, matches, min_h, models=MODELS) -> None:
     loops = loop_index(s)
     sites = _sites(s, Grammar(min_hairpin_unpaired=min_h), loops)
     for model in models:
-        scorer = model.move_scorer(s, loops)
+        scorer = move_scorer(model, s, loops)
         assert scorer.observable() == observable(s, model)
         assert_least_move_finds_each(s, sites, scorer, model, matches, matches)
 
@@ -349,6 +351,17 @@ def test_successor_observables_along_derivations(min_h, bases, data):
 
 TABLES = [rounding_sensitive_parameters(), short_table_parameters()]
 
+#: Each model with the term it gives a closed loop, from the oracle loop and
+#: the sequence; the external model's energy is not a sum of loop terms.
+TERM_MODELS = [
+    *(
+        (LoopTableModel(params), functools.partial(table_loop_term, params=params))
+        for params in TABLES
+    ),
+    (NussinovModel(), lambda loop, seq: -1.0),
+    (ExternalModel(ExternalEvaluator("false")), lambda loop, seq: None),
+]
+
 
 @pytest.mark.parametrize("min_h", [1, 3])
 @given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
@@ -356,16 +369,24 @@ TABLES = [rounding_sensitive_parameters(), short_table_parameters()]
 def test_energy_is_left_fold_of_table_terms_along_derivations(min_h, bases, data):
     # float ==: the energy is the left-to-right fold, from 0.0, of the loop
     # terms in decomposition order, whatever rounding the interpreter's sum()
-    # uses; each term is the table's own entry (asymmetric stack entries,
-    # extrapolated lengths of every loop class)
+    # uses; each closed loop's term is the table's own entry (asymmetric
+    # stack entries, extrapolated lengths of every loop class), or -1.0
+    # under Nussinov, and the exterior loop's is 0.0; an external model
+    # gives None for every loop
     for s, _ in random_derivation(bases, min_h, data):
-        for params in TABLES:
+        decomposition = decompose_loops(s)
+        closed = as_loops(decomposition)[:-1]
+        for model, closed_term in TERM_MODELS:
+            terms = [model.loop_term(s.sequence.bases, region) for _, region in decomposition]
+            assert terms[:-1] == [closed_term(loop, s.sequence) for loop in closed]
+            if isinstance(model, ExternalModel):
+                assert terms[-1] is None
+                continue
+            assert terms[-1] == 0.0
             total = 0.0
-            terms = _terms(LoopTableModel(params), s.sequence.bases, loop_index(s))
-            for loop, term in zip(as_loops(decompose_loops(s)), terms, strict=True):
-                assert term == table_loop_term(loop, s.sequence, params)
+            for term in terms:
                 total += term
-            assert LoopTableModel(params).energy(s) == total
+            assert model.energy(s) == total
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
@@ -435,7 +456,7 @@ def assert_double_bounds_hold(s: SecondaryStructure, matches, min_h) -> None:
     loops = loop_index(s)
     sites = _sites(s, Grammar(min_hairpin_unpaired=min_h), loops)
     for model in [NussinovModel(), *BOUND_MODELS]:
-        scorer = model.move_scorer(s, loops)
+        scorer = move_scorer(model, s, loops)
         assert_least_move_finds_each(s, sites, scorer, model, matches, doubles)
 
 

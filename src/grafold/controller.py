@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .energy import EnergyModel, NussinovModel
+from .energy import EnergyModel, NussinovModel, observable_from_terms
 from .grammar import (
     ALL_RULES,
     Grammar,
@@ -44,7 +44,6 @@ from .grammar import (
     _site_rule,
 )
 from .structure import (
-    BasePair,
     PrimarySequence,
     SecondaryStructure,
     cached,
@@ -389,12 +388,7 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
     """Escape strategy: accept when a strictly lower observable is reachable
     within ``depth`` forward steps; move one step toward the best such
     structure."""
-    unknown = sorted(set(ctx.params) - {"depth"})
-    if unknown:
-        raise MachineConfigError(f"unknown lookahead param(s) {unknown}: {ctx.params!r}")
     depth = ctx.params.get("depth", 2)
-    if type(depth) is not int:
-        raise MachineConfigError(f"lookahead depth must be an integer: {ctx.params!r}")
     if depth < 1:
         return StrategyDecision(satisfied=False)
     best_choice: tuple[float, str, str, SecondaryStructure] | None = None
@@ -431,10 +425,6 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
 def _restart_from_best_strategy(ctx: StrategyContext) -> StrategyDecision:
     """Escape strategy: jump back to the best structure seen in this run.
     It takes no params."""
-    if ctx.params:
-        raise MachineConfigError(
-            f"unknown restart-from-best param(s) {sorted(ctx.params)}: {ctx.params!r}"
-        )
     if ctx.best is None:
         return StrategyDecision(satisfied=False)
     best_energy, best_structure = ctx.best
@@ -445,6 +435,27 @@ def _restart_from_best_strategy(ctx: StrategyContext) -> StrategyDecision:
 
 register_strategy("lookahead", _lookahead_strategy)
 register_strategy("restart-from-best", _restart_from_best_strategy)
+
+#: The name and the param names of each built-in strategy.
+_BUILT_IN = {
+    _lookahead_strategy: ("lookahead", {"depth"}),
+    _restart_from_best_strategy: ("restart-from-best", set()),
+}
+
+
+def _check_params(fn: StrategyFn, params: dict[str, object]) -> None:
+    """Raise :class:`MachineConfigError` when the built-in strategy ``fn``
+    does not take ``params``: an unknown name, or a lookahead ``depth``
+    (2 when left out) that is not an integer. A strategy registered from
+    outside checks its own params when called."""
+    if fn not in _BUILT_IN:
+        return
+    name, known = _BUILT_IN[fn]
+    unknown = sorted(set(params) - known)
+    if unknown:
+        raise MachineConfigError(f"unknown {name} param(s) {unknown}: {params!r}")
+    if type(params.get("depth", 2)) is not int:
+        raise MachineConfigError(f"lookahead depth must be an integer: {params!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -466,24 +477,21 @@ _INVERSE_LABELS = tuple(f"inverse:{rule.label}" for rule in ALL_RULES)
 
 
 class _Moves:
-    """The run's one record of a structure. Its loops, its move scorer and
-    its observable are made with the record, and its φ0 choice, the rule
-    label and the built target, is kept once searched. ``loops`` and
-    ``loop_sites`` are read through the run's loop memo: each is the run's
-    one region of the loop and its :func:`~grafold.grammar._loop_sites`,
-    shared by every record that holds the loop and worked out, with the
-    loop's :meth:`~grafold.energy.EnergyModel.loop_term`, when the first of
-    them is made. The sites merged by outer pair and, for strategies, the
-    forward steps are worked out on first read."""
+    """The run's one record of a structure: its ``loops``, their
+    ``loop_sites`` (:func:`~grafold.grammar._loop_sites`) and their
+    ``terms`` (:meth:`~grafold.energy.EnergyModel.loop_term`), read through
+    the run's loop memo, which works each out once per distinct loop; its
+    observable, folded from the terms; and its φ0 choice, the rule label and
+    the built target, kept once searched. The sites merged by outer pair
+    and, for strategies, the forward steps are worked out on first read."""
 
     def __init__(self, structure: SecondaryStructure, model: EnergyModel, memo: _LoopMemo):
         self.structure = structure
         self.loops, kept = zip(*map(memo, loop_index(structure)))
-        self.loop_sites, terms = zip(*kept)
-        self.scorer = model.move_scorer(structure, terms)
-        self.energy = self.scorer.observable()
-        # the (rule label, target) of the last :func:`_phi0_move` result, None
-        # when it found no move, or _UNSEARCHED
+        self.loop_sites, self.terms = zip(*kept)
+        self.energy = observable_from_terms(structure, model, self.terms)
+        # the (rule label, target) of the last φ0 search, None when it found
+        # no move, or _UNSEARCHED
         self.phi0: object = _UNSEARCHED
 
     @cached
@@ -505,16 +513,6 @@ class _Moves:
             target_key = key_with_pairs(key, added)
             if target_key not in held:
                 yield ALL_RULES[at].label, _apply_unchecked(structure, added, target_key)
-
-
-def _phi0_move(
-    entry: _Moves, threshold: float, visited: set[str]
-) -> tuple[float, str, tuple[BasePair, ...]] | None:
-    """The forward move of ``entry.structure`` with the least (score, target
-    key) among those scoring at most ``threshold`` whose target key is not
-    in ``visited``, as (score, target key, added pairs); None when no move
-    qualifies (:meth:`~grafold.energy.MoveScorer.least_move`)."""
-    return entry.scorer.least_move(entry.sites, threshold, visited)
 
 
 def _path(
@@ -615,16 +613,18 @@ class Controller:
         the one of minimal observable, ties broken on the smallest key, if it
         does not exceed the observable of ``structure``; None otherwise.
 
-        It is the structure's :func:`_phi0_move` as (rule label, target):
-        the rule of the first match, in rule order, that adds its pairs,
-        read off the site of its outer pair, and the target built with the
-        key the search wrote. The visited set only grows, so the kept choice
-        stands until its own target is visited; only then is the search run
-        again."""
+        It is the model's :meth:`~grafold.energy.EnergyModel.least_move` on
+        the structure's record, as (rule label, target): the rule of the
+        first match, in rule order, that adds its pairs, read off the site
+        of its outer pair, and the target built with the key the search
+        wrote. The visited set only grows, so the kept choice stands until
+        its own target is visited; only then is the search run again."""
         entry = self._moves(structure)
         choice = entry.phi0
         if choice is _UNSEARCHED or choice is not None and choice[1].key in self._visited:
-            move = _phi0_move(entry, entry.energy, self._visited)
+            move = self.model.least_move(
+                structure, entry.terms, entry.sites, entry.energy, self._visited
+            )
             choice = None
             if move is not None:
                 _, key, added = move
@@ -832,11 +832,14 @@ class Controller:
         Raises:
             UnknownStrategyError: when a constraint of the machine names an
                 unregistered strategy, before the run starts.
+            MachineConfigError: when a constraint of the machine gives a
+                built-in strategy params it does not take, before the run
+                starts.
         """
         for st in self.machine.states:
             for constraint in (st.constraint, *(psi for _, psi in st.transitions)):
                 if constraint.kind == STRATEGY:
-                    _get_strategy(constraint.strategy)
+                    _check_params(_get_strategy(constraint.strategy), constraint.params_dict)
         s0 = SecondaryStructure(seq)
         self._move_memo = {}
         self._loop_memo = None

@@ -47,7 +47,6 @@ __all__ = [
     "LoopClass",
     "LoopTableParams",
     "EnergyModel",
-    "MoveScorer",
     "NussinovModel",
     "LoopTableModel",
     "ExternalModel",
@@ -56,6 +55,7 @@ __all__ = [
     "ParameterError",
     "decompose_loops",
     "observable",
+    "observable_from_terms",
     "parse_parameters",
     "load_parameters",
     "example_parameters",
@@ -222,6 +222,17 @@ def _term(
     return term
 
 
+def _fold_terms(terms: Sequence[float]) -> float:
+    """``terms``, given in :func:`loop_index` order, added one by one from
+    0.0 in :func:`decompose_loops` order. The fold fixes the rounding on
+    every Python (``sum`` compensates from 3.12 on) and lets
+    :meth:`LoopTableModel.least_move` reuse a folded prefix."""
+    total = 0.0
+    for term in terms[1:]:
+        total += term
+    return total + terms[0]
+
+
 class EnergyModel:
     """Interface: ``energy(structure) -> kcal/mol``."""
 
@@ -233,51 +244,36 @@ class EnergyModel:
     def loop_term(self, bases: str, loop: LoopRegion) -> float | None:
         """What ``loop``, a :func:`loop_index` region of a structure on
         ``bases``, adds to the energy; None when the energy is not a sum of
-        loop terms. A term depends on its own loop only."""
+        loop terms. A term depends on its own loop only. A model that gives
+        terms gives them for every loop, and the energy of every structure
+        is the :func:`_fold_terms` of its loops' terms."""
         return None
 
-    def move_scorer(self, s: SecondaryStructure, terms: Sequence[float | None]) -> "MoveScorer":
-        """The scorer of the forward moves of ``s``; ``terms`` are the
-        :meth:`loop_term` of each loop of ``s``, in :func:`loop_index`
-        order."""
-        return MoveScorer(self, s)
-
-
-class MoveScorer:
-    """The observable of one structure ``s`` (:meth:`observable`) and the
-    φ0 choice among its forward moves (:meth:`least_move`).
-
-    A move adds an outer pair, alone or with one inner pair nested inside it
-    (a Rule-1 double), in one loop of ``s``. Whatever a scorer prunes, its
-    scores are exactly the values :func:`observable` gives for the built
-    successors. This base class is the plain scan: it builds each
-    unvisited successor and scores it with :func:`observable`, so a model
-    that defines only :meth:`EnergyModel.energy` has every such move scored
-    in full. The Nussinov and loop-table scorers override
-    :meth:`least_move` with a pruned walk.
-    """
-
-    def __init__(self, model: EnergyModel, s: SecondaryStructure):
-        self.model = model
-        self.s = s
-
-    def observable(self) -> float:
-        return observable(self.s, self.model)
-
     def least_move(
-        self, sites: list[tuple], threshold: float, visited: Container[str]
+        self,
+        s: SecondaryStructure,
+        terms: Sequence[float | None],
+        sites: list[tuple],
+        threshold: float,
+        visited: Container[str],
     ) -> tuple[float, str, tuple[BasePair, ...]] | None:
-        """The forward move on ``sites`` (the
-        :func:`~grafold.grammar._loop_sites` of the loops of ``s``, by outer
-        pair) with the least (score, target key) among those scoring at most
-        ``threshold`` whose target key is not in ``visited``, as (score,
-        target key, added pairs); None when no move qualifies.
+        """The φ0 choice among the forward moves of ``s``: the move on
+        ``sites`` (the :func:`~grafold.grammar._loop_sites` of the loops of
+        ``s``, by outer pair) with the least (score, target key) among those
+        scoring at most ``threshold`` whose target key is not in
+        ``visited``, as (score, target key, added pairs); None when no move
+        qualifies. ``terms`` are the :meth:`loop_term` of each loop of ``s``,
+        in :func:`loop_index` order.
 
-        Each site's single and each of its doubles, in
-        :func:`~grafold.grammar._inner_pairs` order, is keyed first; a
-        target whose key is in ``visited`` is neither built nor scored.
+        A move adds an outer pair, alone or with one inner pair nested inside
+        it (a Rule-1 double), in one loop of ``s``. Whatever a model prunes,
+        its scores are exactly the values :func:`observable` gives for the
+        built successors. This base method is the plain scan: each site's
+        single and each of its doubles, in
+        :func:`~grafold.grammar._inner_pairs` order, is keyed first, and only
+        a target whose key is not in ``visited`` is built and scored in full.
+        The Nussinov and loop-table models override it with a pruned walk.
         """
-        s, model = self.s, self.model
         bases, source_key = s.sequence.bases, s.key
         low, best = threshold, None
         for site in sites:
@@ -287,7 +283,7 @@ class MoveScorer:
                 key = key_with_pairs(source_key, added)
                 if key in visited:
                     continue
-                score = observable(_apply_unchecked(s, added, key), model)
+                score = observable(_apply_unchecked(s, added, key), self)
                 if score < low or score == low and (best is None or key < best[1]):
                     low, best = score, (score, key, added)
         return best
@@ -305,25 +301,23 @@ class NussinovModel(EnergyModel):
     def loop_term(self, bases: str, loop: LoopRegion) -> float:
         return 0.0 if loop.closing is None else -1.0
 
-    def move_scorer(self, s: SecondaryStructure, terms: Sequence[float]) -> "MoveScorer":
-        return _NussinovScorer(self, s)
-
-
-class _NussinovScorer(MoveScorer):
-    """On a structure of p pairs every double scores -(p+2) and every single
-    -(p+1)."""
-
     def least_move(
-        self, sites: list[tuple], threshold: float, visited: Container[str]
+        self,
+        s: SecondaryStructure,
+        terms: Sequence[float],
+        sites: list[tuple],
+        threshold: float,
+        visited: Container[str],
     ) -> tuple[float, str, tuple[BasePair, ...]] | None:
-        """The unvisited double of least target key, or failing that the
-        unvisited single of least target key, when its score is at most
-        ``threshold``. A target's key is the source's key with brackets at
-        the added ends, and ``'('`` sorts before ``'.'``, so a move with a
+        """On a structure of p pairs every double scores -(p+2) and every
+        single -(p+1): the unvisited double of least target key, or failing
+        that the unvisited single of least target key, when its score is at
+        most ``threshold``. A target's key is the source's key with brackets
+        at the added ends, and ``'('`` sorts before ``'.'``, so a move with a
         lesser left end has the lesser key: each search stops at the first
         site right of its best move's left end."""
-        bases, source_key = self.s.sequence.bases, self.s.key
-        double = float(-(len(self.s.pairs) + 2))
+        bases, source_key = s.sequence.bases, s.key
+        double = float(-(len(s.pairs) + 2))
         for score, doubles in ((double, True), (double + 1.0, False)):
             if score > threshold:
                 return None
@@ -355,16 +349,9 @@ class LoopTableModel(EnergyModel):
     _rows: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def energy(self, s: SecondaryStructure) -> float:
-        """The loop terms added one by one, left to right in
-        :func:`decompose_loops` order, from 0.0. The fold fixes the rounding
-        on every Python (``sum`` compensates from 3.12 on) and lets the move
-        scorer reuse a folded prefix."""
+        """The :func:`_fold_terms` of the loop terms of ``s``."""
         bases = s.sequence.bases
-        exterior, *closed = loop_index(s)
-        total = 0.0
-        for loop in closed:
-            total += self.loop_term(bases, loop)
-        return total + self.loop_term(bases, exterior)
+        return _fold_terms([self.loop_term(bases, loop) for loop in loop_index(s)])
 
     def loop_term(self, bases: str, loop: LoopRegion) -> float:
         """0.0 for the exterior loop, else the table's :func:`_term`."""
@@ -374,9 +361,6 @@ class LoopTableModel(EnergyModel):
         first = branches[0] if branches else None
         rows = self._term_rows(len(bases))
         return _term(self.params, rows, bases, closing, len(branches), first, len(loop.free))
-
-    def move_scorer(self, s: SecondaryStructure, terms: Sequence[float]) -> "MoveScorer":
-        return _LoopTableScorer(self, s, terms)
 
     def _term_rows(self, n: int) -> list[list]:
         """The :func:`_length_rows` of the tables through length ``n`` at
@@ -397,61 +381,58 @@ class LoopTableModel(EnergyModel):
         one_branch = min(min(params.stack.values()), bulge_or_internal)
         return bulge_or_internal, min(params.hairpin.values()), one_branch
 
-
-class _LoopTableScorer(MoveScorer):
-    """Loop-local scoring. A move adds its pairs inside one loop L: L keeps
-    its closing pair with the outer new pair as a branch, and each new pair
-    closes a new loop. So the successor's terms are the parent's terms with
-    L's term replaced and the new loops' terms inserted at the sorted place
-    of their closing pairs, and :meth:`LoopTableModel.energy` folds them in
-    that order. The part of the fold before the new loops depends on the
-    outer new pair only: it starts from the fold of the parent's terms
-    before L's (``heads``) and is finished once per site; each move then
-    adds its new loops' terms and the terms after them.
-
-    The bound of a site's bulge and internal doubles folds the same way with
-    the new loops' terms replaced by their least values: the outer new
-    loop's by the least bulge or internal term, the inner one's by the least
-    hairpin term (no children), the least one-branch term (one child), or
-    the multibranch term at the fewest or the most unpaired positions the
-    inner loop can keep (two or more children; the term is monotone in that
-    count). Float addition is monotone in each operand, so the bound never
-    exceeds the score of such a double.
-
-    :meth:`least_move` is one pass over the sites, by outer pair (a, b). A
-    target's key is the source's key with brackets at the added ends, and
-    ``'('`` sorts before ``'.'``, so of two moves tied on score the one with
-    the lesser a has the lesser key: a tie whose a lies right of the best
-    move's loses without being keyed. Each site's single and stacked double
-    are scored; its bulge and internal doubles only when their bound is
-    below the best score, or equal to it at the best move's a, so every
-    skipped move loses. Each site's context is worked out once, and each
-    term is read off the model's term rows (:meth:`LoopTableModel._term_rows`)
-    and stack table, or made by :func:`_term`'s own expression, so every
-    score is the built successor's observable bit for bit."""
-
-    def __init__(self, model: LoopTableModel, s: SecondaryStructure, terms: Sequence[float]):
-        super().__init__(model, s)
-        # the terms in :func:`decompose_loops` order: closed loops by closing
-        # pair, then the exterior loop's 0.0
-        self.terms = [*terms[1:], terms[0]]
-        # heads[k]: the left fold of terms[:k]
-        self.heads = list(accumulate(self.terms, initial=0.0))
-
-    def observable(self) -> float:
-        return self.heads[-1] if self.s.pairs else math.inf
-
     def least_move(
-        self, sites: list[tuple], threshold: float, visited: Container[str]
+        self,
+        s: SecondaryStructure,
+        terms: Sequence[float],
+        sites: list[tuple],
+        threshold: float,
+        visited: Container[str],
     ) -> tuple[float, str, tuple[BasePair, ...]] | None:
-        s, model = self.s, self.model
-        params, rows = model.params, model._term_rows(s.n)
+        """Loop-local scoring. A move adds its pairs inside one loop L: L
+        keeps its closing pair with the outer new pair as a branch, and each
+        new pair closes a new loop. So the successor's terms are the
+        parent's terms with L's term replaced and the new loops' terms
+        inserted at the sorted place of their closing pairs, and
+        :func:`_fold_terms` folds them in that order. The part of
+        the fold before the new loops depends on the outer new pair only: it
+        starts from the fold of the parent's terms before L's (``heads``)
+        and is finished once per site; each move then adds its new loops'
+        terms and the terms after them.
+
+        The bound of a site's bulge and internal doubles folds the same way
+        with the new loops' terms replaced by their least values: the outer
+        new loop's by the least bulge or internal term, the inner one's by
+        the least hairpin term (no children), the least one-branch term (one
+        child), or the multibranch term at the fewest or the most unpaired
+        positions the inner loop can keep (two or more children; the term is
+        monotone in that count). Float addition is monotone in each operand,
+        so the bound never exceeds the score of such a double.
+
+        The search is one pass over the sites, by outer pair (a, b). A
+        target's key is the source's key with brackets at the added ends,
+        and ``'('`` sorts before ``'.'``, so of two moves tied on score the
+        one with the lesser a has the lesser key: a tie whose a lies right
+        of the best move's loses without being keyed. Each site's single and
+        stacked double are scored; its bulge and internal doubles only when
+        their bound is below the best score, or equal to it at the best
+        move's a, so every skipped move loses. Each site's context is worked
+        out once, and each term is read off the model's term rows
+        (:meth:`LoopTableModel._term_rows`) and stack table, or made by
+        :func:`_term`'s own expression, so every score is the built
+        successor's observable bit for bit."""
+        # the terms in :func:`decompose_loops` order: closed loops by closing
+        # pair, then the exterior loop's 0.0; heads[k] is the left fold of
+        # terms[:k]
+        terms = [*terms[1:], terms[0]]
+        heads = list(accumulate(terms, initial=0.0))
+        params, rows = self.params, self._term_rows(s.n)
         bases, source_key, pairs = s.sequence.bases, s.key, s.sorted_pairs
-        terms, heads, stack = self.terms, self.heads, params.stack
+        stack = params.stack
         hairpins, bulges, internals = rows
         offset, per_branch = params.multibranch_offset, params.multibranch_per_branch
         per_unpaired = params.multibranch_per_unpaired
-        least_outer, least_hairpin, least_one_branch = model._least_terms
+        least_outer, least_hairpin, least_one_branch = self._least_terms
         low, best_key, best_added = threshold, None, ()
 
         def offer(score: float, added: tuple[BasePair, ...]) -> None:
@@ -561,7 +542,7 @@ class ExternalEvaluator:
     Protocol: the command receives two lines on stdin (the base string, then
     the dot-bracket string) and must print one finite decimal kcal/mol value.
     Results are cached per structure key for the lifetime of the adapter:
-    φ0 (:meth:`MoveScorer.least_move`) builds every forward successor whose
+    φ0 (:meth:`EnergyModel.least_move`) builds every forward successor whose
     key is not visited, site by site and single before doubles, and scores
     it through :meth:`ExternalModel.energy` outside the controller's run
     memo, so a run asks again for structures it has scored.
@@ -626,6 +607,16 @@ def observable(s: SecondaryStructure, model: EnergyModel) -> float:
     if not s.pairs:
         return math.inf
     return model.energy(s)
+
+
+def observable_from_terms(s: SecondaryStructure, model: EnergyModel, terms: Sequence) -> float:
+    """The :func:`observable` of ``s`` given the :meth:`~EnergyModel.loop_term`
+    of each of its loops, in :func:`loop_index` order: +inf for zero pairs,
+    else the :func:`_fold_terms` of the terms, or the model's energy when it
+    gives none."""
+    if not s.pairs:
+        return math.inf
+    return model.energy(s) if terms[0] is None else _fold_terms(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,16 +17,23 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
-def strategy_machine(tmp_path, strategy, params):
-    """A machine file: greedy w0, adapting into w1 under ``strategy``."""
-    machine = {
-        "initial": "w0",
-        "states": [
-            {"id": "w0", "constraint": "phi0"},
-            {"id": "w1", "constraint": {"strategy": strategy, "params": params}},
-        ],
-        "transitions": [{"from": "w0", "to": "w1"}, {"from": "w1", "to": "w0"}],
-    }
+def strategy_machine(tmp_path, strategy, params, on_psi=False):
+    """A machine file: greedy w0, adapting into w1 under ``strategy``; or,
+    ``on_psi``, greedy w0 alone, adapting into itself with ``strategy`` as
+    the ψ of its self-loop."""
+    constraint = {"strategy": strategy, "params": params}
+    if on_psi:
+        machine = {
+            "initial": "w0",
+            "states": [{"id": "w0", "constraint": "phi0"}],
+            "transitions": [{"from": "w0", "to": "w0", "psi": constraint}],
+        }
+    else:
+        machine = {
+            "initial": "w0",
+            "states": [{"id": "w0", "constraint": "phi0"}, {"id": "w1", "constraint": constraint}],
+            "transitions": [{"from": "w0", "to": "w1"}, {"from": "w1", "to": "w0"}],
+        }
     path = tmp_path / "machine.json"
     path.write_text(json.dumps(machine))
     return path
@@ -143,26 +150,34 @@ class TestFold:
         assert seen and all(params == {"name": 1, "depth": 2} for params in seen)
 
     @pytest.mark.parametrize(
-        "strategy, params, message",
+        "strategy, params, message, on_psi",
         [
-            ("lookahead", {"depth": 2, "detph": 3}, "unknown lookahead param(s) ['detph']"),
-            ("lookahead", {"depth": "two"}, "lookahead depth must be an integer"),
-            ("lookahead", {"depth": float("inf")}, "lookahead depth must be an integer"),
+            ("lookahead", {"depth": 2, "detph": 3}, "unknown lookahead param(s) ['detph']", False),
+            ("lookahead", {"depth": "two"}, "lookahead depth must be an integer", False),
+            ("lookahead", {"depth": float("inf")}, "lookahead depth must be an integer", False),
             # none of these may be read as an int
-            ("lookahead", {"depth": 2.7}, "lookahead depth must be an integer"),
-            ("lookahead", {"depth": True}, "lookahead depth must be an integer"),
-            ("lookahead", {"depth": "3"}, "lookahead depth must be an integer"),
-            ("restart-from-best", {"detph": 3}, "unknown restart-from-best param(s) ['detph']"),
+            ("lookahead", {"depth": 2.7}, "lookahead depth must be an integer", False),
+            ("lookahead", {"depth": True}, "lookahead depth must be an integer", False),
+            ("lookahead", {"depth": "3"}, "lookahead depth must be an integer", False),
+            ("restart-from-best", {"detph": 3},
+             "unknown restart-from-best param(s) ['detph']", False),
+            # a ψ that no structure of the run is checked against: the params
+            # are checked when the run starts, not when a strategy is called
+            ("lookahead", {"depth": 2.7}, "lookahead depth must be an integer", True),
+            ("restart-from-best", {"detph": 3},
+             "unknown restart-from-best param(s) ['detph']", True),
         ],
         ids=[
             "misspelled-key", "non-integer-depth", "infinite-depth", "fractional-depth",
             "boolean-depth", "string-depth", "restart-from-best-param",
+            "fractional-depth-on-psi", "restart-from-best-param-on-psi",
         ],
     )
-    def test_bad_lookahead_params(self, tmp_path, capsys, strategy, params, message):
-        path = strategy_machine(tmp_path, strategy, params)
-        code, _, err = run_cli(["fold", "--seq", "GGGAAACCC", "--s-machine", str(path)], capsys)
+    def test_bad_lookahead_params(self, tmp_path, capsys, strategy, params, message, on_psi):
+        path = strategy_machine(tmp_path, strategy, params, on_psi)
+        code, out, err = run_cli(["fold", "--seq", "GGGAAACCC", "--s-machine", str(path)], capsys)
         assert code == 2 and err.startswith("error: ") and message in err
+        assert out == ""
 
     def test_unregistered_strategy_fails_before_the_run(self, tmp_path, capsys):
         # the name sits on a transition a forward-only run never reaches: it

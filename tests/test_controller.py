@@ -628,13 +628,13 @@ class TestScoredSelection:
         # unvisited; inverse moves lead back to structures whose choice was
         # visited since, and each such check searches again
         searched = []
-        phi0_move = grafold.controller._phi0_move
+        least_move = LoopTableModel.least_move
 
-        def counting_phi0_move(entry, threshold, visited):
-            searched.append(entry.structure.key)
-            return phi0_move(entry, threshold, visited)
+        def counting_least_move(model, s, terms, sites, threshold, visited):
+            searched.append(s.key)
+            return least_move(model, s, terms, sites, threshold, visited)
 
-        monkeypatch.setattr(grafold.controller, "_phi0_move", counting_phi0_move)
+        monkeypatch.setattr(LoopTableModel, "least_move", counting_least_move)
         *_, checked = checked_run(SEEDED_40, Grammar(allow_inverse=True), MODELS["loop-table"], 60)
         assert len(searched) - len(set(searched)) > 0
         assert set(searched) == set(checked)
@@ -647,7 +647,7 @@ SEEDED_40 = "CAGAUUUUCAUAUUAUGCAGAAAAUCUACUUCGCCUGAUA"
 
 def test_phi0_targets_built_with_the_key_phi0_move_wrote(monkeypatch):
     # a phi0 target, in a steady step or an adaptation check, is built with
-    # the key _phi0_move wrote for it, and each child the adaptation search
+    # the key least_move wrote for it, and each child the adaptation search
     # takes is built with the key the search read off its parent's key to
     # see that it is new: each such key is the structure's dot-bracket, and
     # the fold writes one key fewer per keyed build than the same fold whose

@@ -9,21 +9,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grafold.controller import Controller, RunLimits, _phi0_move, run
+from grafold.controller import Controller, RunLimits, run
 from grafold.energy import (
+    EnergyModel,
     ExternalEvaluationError,
     ExternalEvaluator,
     ExternalModel,
     LoopClass,
     LoopTableModel,
     LoopTableParams,
-    MoveScorer,
     NussinovModel,
     ParameterError,
     decompose_loops,
     example_parameters,
     load_parameters,
     observable,
+    observable_from_terms,
     parse_parameters,
     _term,
 )
@@ -42,7 +43,7 @@ from grafold.structure import (
     loop_index,
     parse_dot_bracket,
 )
-from conftest import random_derivation
+from conftest import ScriptedModel, random_derivation
 from oracles import Loop, all_valid_structures, stack_walk_loops, table_loop_term
 
 
@@ -211,6 +212,9 @@ MODELS = [
     NussinovModel(),
     LoopTableModel(example_parameters()),
     LoopTableModel(rounding_sensitive_parameters()),
+    # energy only: no loop terms, so its observable is its energy and its
+    # moves are scored by the plain scan
+    ScriptedModel(default=lambda s: -0.5 * len(s.pairs)),
 ]
 
 
@@ -272,7 +276,7 @@ def test_length_terms_equal_the_formula(kind):
                 assert _term(params, rows, bases, *args, length) == want(length)
 
 
-def assert_least_move_finds_each(s, sites, scorer, model, matches, asked) -> None:
+def assert_least_move_finds_each(s, sites, terms, model, matches, asked) -> None:
     # float ==, not approx: the loop-local sum must be the full sum, bit for
     # bit. Each asked move is sought alone, with the threshold at its
     # target's exact observable and every other target of ``matches``
@@ -282,22 +286,22 @@ def assert_least_move_finds_each(s, sites, scorer, model, matches, asked) -> Non
     for added in dict.fromkeys(m.added for m in asked):
         target = _apply_unchecked(s, added)
         score = observable(target, model)
-        got = scorer.least_move(sites, score, keys - {target.key})
+        got = model.least_move(s, terms, sites, score, keys - {target.key})
         assert got == (score, target.key, added)
 
 
-def move_scorer(model, s: SecondaryStructure, loops):
-    """The model's scorer of ``s``, given the loop terms a run keeps."""
-    return model.move_scorer(s, [model.loop_term(s.sequence.bases, loop) for loop in loops])
+def loop_terms(model, s: SecondaryStructure, loops):
+    """The loop terms a run keeps for ``s``."""
+    return [model.loop_term(s.sequence.bases, loop) for loop in loops]
 
 
 def assert_moves_score_exactly(s: SecondaryStructure, matches, min_h, models=MODELS) -> None:
     loops = loop_index(s)
     sites = _sites(s, Grammar(min_hairpin_unpaired=min_h), loops)
     for model in models:
-        scorer = move_scorer(model, s, loops)
-        assert scorer.observable() == observable(s, model)
-        assert_least_move_finds_each(s, sites, scorer, model, matches, matches)
+        terms = loop_terms(model, s, loops)
+        assert observable_from_terms(s, model, terms) == observable(s, model)
+        assert_least_move_finds_each(s, sites, terms, model, matches, matches)
 
 
 class TestSuccessorObservables:
@@ -456,8 +460,8 @@ def assert_double_bounds_hold(s: SecondaryStructure, matches, min_h) -> None:
     loops = loop_index(s)
     sites = _sites(s, Grammar(min_hairpin_unpaired=min_h), loops)
     for model in [NussinovModel(), *BOUND_MODELS]:
-        scorer = move_scorer(model, s, loops)
-        assert_least_move_finds_each(s, sites, scorer, model, matches, doubles)
+        terms = loop_terms(model, s, loops)
+        assert_least_move_finds_each(s, sites, terms, model, matches, doubles)
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
@@ -493,7 +497,7 @@ def full_choice(s, matches, model, visited):
     """The least (observable, key) among the built successors of ``s`` that
     are not in ``visited`` and score at most its observable, with the added
     pairs of a move building it, or None; the unpruned reference of
-    ``_phi0_move``."""
+    :meth:`EnergyModel.least_move`."""
     threshold = observable(s, model)
     scored = []
     for m in matches:
@@ -508,8 +512,8 @@ def full_choice(s, matches, model, visited):
 @given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
-    # the pruned search (the loop-table scorer's fused pass, or the Nussinov
-    # scorer's walk that stops right of its best move) finds the same least
+    # the pruned search (the loop-table model's fused pass, or the Nussinov
+    # model's walk that stops right of its best move) finds the same least
     # (score, key) move as the plain scan over built successors, and as
     # scoring every built successor, whichever successors are visited; the
     # drawn visited set holds the unfiltered winner about half the time, so
@@ -527,11 +531,11 @@ def test_phi0_move_equals_full_scoring_along_derivations(min_h, bases, data):
             if winner is not None and data.draw(st.booleans()):
                 visited.add(winner[1])
             entry = controller._moves(s)
-            got = _phi0_move(entry, observable(s, model), visited)
+            args = (s, entry.terms, entry.sites, observable(s, model), visited)
+            got = model.least_move(*args)
             want = full_choice(s, matches, model, visited)
             assert got == want
-            base = MoveScorer(model, s).least_move(entry.sites, observable(s, model), visited)
-            assert base == want
+            assert EnergyModel.least_move(model, *args) == want
 
 
 @pytest.mark.parametrize(
@@ -557,8 +561,10 @@ def test_plain_scan_never_scores_a_visited_target(monkeypatch, bases, db):
     matches = enumerate_matches(s, g)
     keys = sorted({_apply_unchecked(s, m.added).key for m in matches})
     visited = set(keys[::2])
-    scorer = MoveScorer(ExternalModel(ExternalEvaluator("unused")), s)
-    got = scorer.least_move(_sites(s, g, loop_index(s)), observable(s, table), visited)
+    model = ExternalModel(ExternalEvaluator("unused"))
+    loops = loop_index(s)
+    args = (s, loop_terms(model, s, loops), _sites(s, g, loops), observable(s, table), visited)
+    got = ExternalModel.least_move(model, *args)
     assert sorted(invoked) == sorted(set(keys) - visited)
     assert got == full_choice(s, matches, table, visited)
 

@@ -38,7 +38,6 @@ from .grammar import (
 from .energy import (
     EnergyModel,
     ExternalEvaluationError,
-    ExternalEvaluator,
     ExternalModel,
     LoopClass,
     LoopTableModel,

@@ -27,7 +27,6 @@ from .controller import (
 from .energy import (
     EnergyModel,
     ExternalEvaluationError,
-    ExternalEvaluator,
     ExternalModel,
     LoopTableModel,
     NussinovModel,
@@ -110,7 +109,7 @@ def _build_model(args: argparse.Namespace) -> EnergyModel:
         raise ConfigError(f"cannot parse external command {command!r}: {exc}") from None
     if not argv:
         raise ConfigError(f"external command {command!r} names no program")
-    return ExternalModel(ExternalEvaluator(command))
+    return ExternalModel(command)
 
 
 def _build_grammar(args: argparse.Namespace) -> Grammar:

@@ -125,7 +125,8 @@ class Constraint:
             if obj == UNCONSTRAINED:
                 return cls.true()
             return cls.of_strategy(obj)
-        if isinstance(obj, dict) and isinstance(obj.get("strategy"), str):
+        if (isinstance(obj, dict) and isinstance(obj.get("strategy"), str)
+                and obj.keys() <= {"strategy", "params"}):
             params = obj.get("params", {})
             if not isinstance(params, dict):
                 raise MachineConfigError(f"strategy params must be an object: {obj!r}")
@@ -199,13 +200,17 @@ class AdaptiveMachine:
              "transitions": [{"from": "w0", "to": "w0", "psi": "true"},
                              {"from": "w0", "to": "w1"}]}
 
-        ``psi`` defaults to "true".
+        ``psi`` defaults to "true". Any other key of the document, a record
+        or a strategy constraint raises :class:`MachineConfigError`.
         """
         try:
             raw_states = doc["states"]
             initial = doc["initial"]
         except (KeyError, TypeError):
             raise MachineConfigError("machine config needs 'states' and 'initial'")
+        unknown = sorted(doc.keys() - {"initial", "states", "transitions"})
+        if unknown:
+            raise MachineConfigError(f"unknown machine config key(s) {unknown}")
         if not isinstance(raw_states, list) or not raw_states:
             raise MachineConfigError("'states' must be a nonempty list")
         raw_transitions = doc.get("transitions", [])
@@ -215,7 +220,7 @@ class AdaptiveMachine:
         for t in raw_transitions:
             if not (
                 isinstance(t, dict) and isinstance(t.get("from"), str)
-                and isinstance(t.get("to"), str)
+                and isinstance(t.get("to"), str) and t.keys() <= {"from", "to", "psi"}
             ):
                 raise MachineConfigError(f"bad transition record {t!r}")
             psi = Constraint.from_config(t.get("psi", "true"))
@@ -223,7 +228,7 @@ class AdaptiveMachine:
         states = []
         for raw in raw_states:
             if not (isinstance(raw, dict) and isinstance(raw.get("id"), str)
-                    and "constraint" in raw):
+                    and raw.keys() == {"id", "constraint"}):
                 raise MachineConfigError(f"bad state record {raw!r}")
             sid = raw["id"]
             states.append(

@@ -37,7 +37,6 @@ from .grammar import _apply_unchecked, _inner_pairs, _stacked_pair
 from .structure import (
     BasePair,
     LoopRegion,
-    PrimarySequence,
     SecondaryStructure,
     key_with_pairs,
     loop_index,
@@ -50,7 +49,6 @@ __all__ = [
     "NussinovModel",
     "LoopTableModel",
     "ExternalModel",
-    "ExternalEvaluator",
     "ExternalEvaluationError",
     "ParameterError",
     "decompose_loops",
@@ -223,14 +221,14 @@ def _term(
 
 
 def _fold_terms(terms: Sequence[float]) -> float:
-    """``terms``, given in :func:`loop_index` order, added one by one from
-    0.0 in :func:`decompose_loops` order. The fold fixes the rounding on
-    every Python (``sum`` compensates from 3.12 on) and lets
+    """``terms`` added one by one from 0.0 in the order given, the
+    :func:`loop_index` order (the exterior loop's first). The fold fixes the
+    rounding on every Python (``sum`` compensates from 3.12 on) and lets
     :meth:`LoopTableModel.least_move` reuse a folded prefix."""
     total = 0.0
-    for term in terms[1:]:
+    for term in terms:
         total += term
-    return total + terms[0]
+    return total
 
 
 class EnergyModel:
@@ -239,14 +237,22 @@ class EnergyModel:
     mode: ClassVar[str] = "abstract"
 
     def energy(self, s: SecondaryStructure) -> float:
-        raise NotImplementedError
+        """The :func:`_fold_terms` of the :meth:`loop_term` of each loop of
+        ``s``, in :func:`loop_index` order; a model whose energy is not a sum
+        of loop terms overrides this."""
+        bases = s.sequence.bases
+        terms = [self.loop_term(bases, loop) for loop in loop_index(s)]
+        if terms[0] is None:
+            raise NotImplementedError
+        return _fold_terms(terms)
 
     def loop_term(self, bases: str, loop: LoopRegion) -> float | None:
         """What ``loop``, a :func:`loop_index` region of a structure on
         ``bases``, adds to the energy; None when the energy is not a sum of
         loop terms. A term depends on its own loop only. A model that gives
         terms gives them for every loop, and the energy of every structure
-        is the :func:`_fold_terms` of its loops' terms."""
+        is the :func:`_fold_terms` of its loops' terms in :func:`loop_index`
+        order, the exterior loop's first."""
         return None
 
     def least_move(
@@ -348,11 +354,6 @@ class LoopTableModel(EnergyModel):
     # the longest :func:`_length_rows` asked for so far, made on first use
     _rows: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def energy(self, s: SecondaryStructure) -> float:
-        """The :func:`_fold_terms` of the loop terms of ``s``."""
-        bases = s.sequence.bases
-        return _fold_terms([self.loop_term(bases, loop) for loop in loop_index(s)])
-
     def loop_term(self, bases: str, loop: LoopRegion) -> float:
         """0.0 for the exterior loop, else the table's :func:`_term`."""
         closing, branches = loop.closing, loop.branches
@@ -394,7 +395,8 @@ class LoopTableModel(EnergyModel):
         new pair closes a new loop. So the successor's terms are the
         parent's terms with L's term replaced and the new loops' terms
         inserted at the sorted place of their closing pairs, and
-        :func:`_fold_terms` folds them in that order. The part of
+        :func:`_fold_terms` folds them in that order, the :func:`loop_index`
+        order with the exterior loop's term first. The part of
         the fold before the new loops depends on the outer new pair only: it
         starts from the fold of the parent's terms before L's (``heads``)
         and is finished once per site; each move then adds its new loops'
@@ -421,10 +423,9 @@ class LoopTableModel(EnergyModel):
         (:meth:`LoopTableModel._term_rows`) and stack table, or made by
         :func:`_term`'s own expression, so every score is the built
         successor's observable bit for bit."""
-        # the terms in :func:`decompose_loops` order: closed loops by closing
-        # pair, then the exterior loop's 0.0; heads[k] is the left fold of
-        # terms[:k]
-        terms = [*terms[1:], terms[0]]
+        # the terms in :func:`loop_index` order: the exterior loop's 0.0, then
+        # closed loops by closing pair, so the loop closed by pairs[k] has
+        # terms[k + 1]; heads[k] is the left fold of terms[:k]
         heads = list(accumulate(terms, initial=0.0))
         params, rows = self.params, self._term_rows(s.n)
         bases, source_key, pairs = s.sequence.bases, s.key, s.sorted_pairs
@@ -454,12 +455,12 @@ class LoopTableModel(EnergyModel):
             first = kids[0] if kids else None
             # the fold of the successor's terms before the new loops, and the
             # terms after them
-            at = bisect_left(pairs, outer)
+            at = bisect_left(pairs, outer) + 1
             if closing is None:  # the exterior term stays 0.0
                 head = heads[at]
             else:  # L's term sorts before outer: refold from it
                 n_branches = len(region.branches) - n_kids + 1
-                idx = bisect_left(pairs, closing, 0, at)
+                idx = bisect_left(pairs, closing, 0, at - 1) + 1
                 head = heads[idx] + _term(
                     params, rows, bases, closing, n_branches, outer, len(free) - inside - 2
                 )
@@ -536,31 +537,30 @@ class ExternalEvaluationError(RuntimeError):
 
 
 @dataclass
-class ExternalEvaluator:
-    """Adapter around a command that scores (sequence, structure) pairs.
+class ExternalModel(EnergyModel):
+    """Delegates scoring to a command that scores (sequence, structure) pairs.
 
     Protocol: the command receives two lines on stdin (the base string, then
     the dot-bracket string) and must print one finite decimal kcal/mol value.
-    Results are cached per structure key for the lifetime of the adapter:
-    φ0 (:meth:`EnergyModel.least_move`) builds every forward successor whose
-    key is not visited, site by site and single before doubles, and scores
-    it through :meth:`ExternalModel.energy` outside the controller's run
-    memo, so a run asks again for structures it has scored.
+    Results are cached per (bases, structure key) for the lifetime of the
+    model: φ0 (:meth:`EnergyModel.least_move`) builds every forward successor
+    whose key is not visited, site by site and single before doubles, and
+    scores it through :meth:`energy` outside the controller's run memo, so a
+    run asks again for structures it has scored.
     """
 
     command: str
     timeout: float = 10.0
+    mode: ClassVar[str] = "external"
     _cache: dict[tuple[str, str], float] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def evaluate(self, seq: PrimarySequence, s: SecondaryStructure) -> float:
-        key = (seq.bases, s.key)
-        if key in self._cache:
-            return self._cache[key]
-        value = self._invoke(seq.bases, s.key)
-        self._cache[key] = value
-        return value
+    def energy(self, s: SecondaryStructure) -> float:
+        key = (s.sequence.bases, s.key)
+        if key not in self._cache:
+            self._cache[key] = self._invoke(*key)
+        return self._cache[key]
 
     def _invoke(self, bases: str, db: str) -> float:
         argv = shlex.split(self.command)
@@ -591,17 +591,6 @@ class ExternalEvaluator:
         return value
 
 
-@dataclass
-class ExternalModel(EnergyModel):
-    """Delegates scoring to an :class:`ExternalEvaluator`."""
-
-    evaluator: ExternalEvaluator
-    mode: ClassVar[str] = "external"
-
-    def energy(self, s: SecondaryStructure) -> float:
-        return self.evaluator.evaluate(s.sequence, s)
-
-
 def observable(s: SecondaryStructure, model: EnergyModel) -> float:
     """The controller's observable: +inf for zero pairs, else the energy."""
     if not s.pairs:
@@ -612,8 +601,8 @@ def observable(s: SecondaryStructure, model: EnergyModel) -> float:
 def observable_from_terms(s: SecondaryStructure, model: EnergyModel, terms: Sequence) -> float:
     """The :func:`observable` of ``s`` given the :meth:`~EnergyModel.loop_term`
     of each of its loops, in :func:`loop_index` order: +inf for zero pairs,
-    else the :func:`_fold_terms` of the terms, or the model's energy when it
-    gives none."""
+    else the :func:`_fold_terms` of the terms in that order (the exterior
+    loop's first), or the model's energy when it gives none."""
     if not s.pairs:
         return math.inf
     return model.energy(s) if terms[0] is None else _fold_terms(terms)

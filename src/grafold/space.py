@@ -141,7 +141,8 @@ def build_lts(
     source's key (:func:`key_with_pairs`), so a target is built, with that
     key, and scored only when its key is new, and a target that a limit
     turned away is not built again. When a limit triggers, the result is
-    marked via ``truncated_by`` instead of failing.
+    marked via ``truncated_by`` instead of failing. Only forward moves are
+    followed: ``g.allow_inverse`` is only echoed in the export's ``grammar``.
     """
     limits = limits or ExploreLimits()
     start = time.monotonic()
@@ -438,7 +439,8 @@ def validate_lts_json(doc: object) -> dict:
     """Check a decoded export against the documented schema; returns it.
     Integers are checked by ``type``, as a JSON boolean decodes to an ``int``.
     State ids are unique, and each state's ``db`` is a balanced dot-bracket
-    string of the sequence's length.
+    string of the sequence's length; energies are finite or null, rules are
+    rule labels and ``matches`` counts at least 1, as an export writes them.
 
     Raises:
         ValueError: on any shape or type mismatch.
@@ -474,16 +476,18 @@ def validate_lts_json(doc: object) -> dict:
             raise ValueError(f"repeated state id {st['id']}")
         if len(st["db"]) != len(doc["sequence"]) or not _balanced(st["db"]):
             raise ValueError(f"state db is no dot-bracket structure of the sequence: {st!r}")
-        if st["energy"] is not None and type(st["energy"]) not in (int, float):
-            raise ValueError(f"state energy must be a number or null: {st!r}")
+        energy = st["energy"]
+        if energy is not None and (type(energy) not in (int, float) or not math.isfinite(energy)):
+            raise ValueError(f"state energy must be a finite number or null: {st!r}")
         ids.add(st["id"])
     if not isinstance(doc["transitions"], list):
         raise ValueError("transitions must be a list")
+    labels = [rule.label for rule in ALL_RULES]  # a list: a rule may be unhashable
     for t in doc["transitions"]:
         if not isinstance(t, dict) or set(t) != {"from", "to", "rule", "matches"}:
             raise ValueError(f"bad transition record {t!r}")
         if not (all(type(t[k]) is int for k in ("from", "to", "matches"))
-                and isinstance(t["rule"], str)):
+                and t["rule"] in labels and t["matches"] >= 1):
             raise ValueError(f"bad transition record {t!r}")
         if t["from"] not in ids or t["to"] not in ids:
             raise ValueError(f"transition references unknown state: {t!r}")

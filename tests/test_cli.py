@@ -125,14 +125,29 @@ class TestFold:
             {"initial": "w0", "states": [{"id": ["w0"], "constraint": "phi0"}]},
             {"initial": "w0", "states": [{"id": "w0", "constraint": "phi0"}],
              "transitions": [{"from": "w9", "to": "w0"}]},
+            # a misspelled key is an error wherever it sits, never left unread
+            {"initial": "w0", "states": [{"id": "w0", "constraint": "phi0"}],
+             "transitons": []},
+            {"initial": "w0", "states": [{"id": "w0", "constraint": "phi0", "constrant": "true"}]},
+            {"initial": "w0", "states": [{"id": "w0", "constraint": "phi0"}],
+             "transitions": [{"from": "w0", "to": "w0", "pis": {"strategy": "no-such"}}]},
+            {"initial": "w0",
+             "states": [{"id": "w0", "constraint": "phi0"},
+                        {"id": "w1", "constraint": {"strategy": "lookahead", "parms": {"depth": 7}}}],
+             "transitions": [{"from": "w0", "to": "w1"}, {"from": "w1", "to": "w0"}]},
         ],
-        ids=["transitions-not-a-list", "state-id-not-a-string", "transition-from-unknown-state"],
+        ids=[
+            "transitions-not-a-list", "state-id-not-a-string", "transition-from-unknown-state",
+            "misspelled-document-key", "misspelled-state-key", "misspelled-transition-key",
+            "misspelled-strategy-key",
+        ],
     )
     def test_malformed_machine_file(self, tmp_path, capsys, machine):
         path = tmp_path / "machine.json"
         path.write_text(json.dumps(machine))
-        code, _, err = run_cli(["fold", "--seq", "GAAAC", "--s-machine", str(path)], capsys)
+        code, out, err = run_cli(["fold", "--seq", "GAAAC", "--s-machine", str(path)], capsys)
         assert code == 2 and err.startswith("error: ")
+        assert out == ""
 
     def test_strategy_param_called_name(self, tmp_path, capsys, monkeypatch):
         # "name" is an ordinary strategy param: it reaches the strategy and

@@ -13,7 +13,6 @@ from grafold.controller import Controller, RunLimits, run
 from grafold.energy import (
     EnergyModel,
     ExternalEvaluationError,
-    ExternalEvaluator,
     ExternalModel,
     LoopClass,
     LoopTableModel,
@@ -363,7 +362,7 @@ TERM_MODELS = [
         for params in TABLES
     ),
     (NussinovModel(), lambda loop, seq: -1.0),
-    (ExternalModel(ExternalEvaluator("false")), lambda loop, seq: None),
+    (ExternalModel("false"), lambda loop, seq: None),
 ]
 
 
@@ -391,6 +390,27 @@ def test_energy_is_left_fold_of_table_terms_along_derivations(min_h, bases, data
             for term in terms:
                 total += term
             assert model.energy(s) == total
+
+
+class ExteriorHeavyModel(EnergyModel):
+    """Loop terms only, with an exterior term so large that the order of the
+    fold shows in the rounding."""
+
+    def loop_term(self, bases, loop):
+        return 1e16 if loop.closing is None else 1.0
+
+
+def test_energy_folds_terms_in_loop_index_order():
+    # the exterior loop's term comes first: (0.0 + 1e16) + 1.0 + 1.0 rounds
+    # back to 1e16 at each step, where the closed loops' terms first would
+    # give 1e16 + 2.0
+    s = structure("GGAAACC", "((...))")
+    model = ExteriorHeavyModel()
+    terms = [model.loop_term(s.sequence.bases, loop) for loop in loop_index(s)]
+    assert terms == [1e16, 1.0, 1.0]
+    assert model.energy(s) == observable_from_terms(s, model, terms) == 1e16
+    with pytest.raises(NotImplementedError):
+        EnergyModel().energy(s)
 
 
 @pytest.mark.parametrize("min_h", [1, 3])
@@ -555,13 +575,13 @@ def test_plain_scan_never_scores_a_visited_target(monkeypatch, bases, db):
         invoked.append(key)
         return table.energy(parse_dot_bracket(PrimarySequence(strand), key))
 
-    monkeypatch.setattr(ExternalEvaluator, "_invoke", fake_invoke)
+    monkeypatch.setattr(ExternalModel, "_invoke", fake_invoke)
     s = structure(bases, db)
     g = Grammar(min_hairpin_unpaired=1)
     matches = enumerate_matches(s, g)
     keys = sorted({_apply_unchecked(s, m.added).key for m in matches})
     visited = set(keys[::2])
-    model = ExternalModel(ExternalEvaluator("unused"))
+    model = ExternalModel("unused")
     loops = loop_index(s)
     args = (s, loop_terms(model, s, loops), _sites(s, g, loops), observable(s, table), visited)
     got = ExternalModel.least_move(model, *args)
@@ -702,10 +722,10 @@ def _write_stub(tmp_path, body: str) -> str:
 class TestExternal:
     def test_stub_value(self, tmp_path):
         cmd = _write_stub(tmp_path, "print(-1.5)\n")
-        evaluator = ExternalEvaluator(cmd)
+        model = ExternalModel(cmd)
         s = structure("GAAAC", "(...)")
-        assert evaluator.evaluate(s.sequence, s) == pytest.approx(-1.5)
-        assert observable(s, ExternalModel(evaluator)) == pytest.approx(-1.5)
+        assert model.energy(s) == pytest.approx(-1.5)
+        assert observable(s, model) == pytest.approx(-1.5)
 
     def test_stub_reads_protocol(self, tmp_path):
         body = (
@@ -714,22 +734,22 @@ class TestExternal:
             "db = sys.stdin.readline().strip()\n"
             "print(-0.5 * db.count('('))\n"
         )
-        evaluator = ExternalEvaluator(_write_stub(tmp_path, body))
+        model = ExternalModel(_write_stub(tmp_path, body))
         s = structure("GGAAACC", "((...))")
-        assert evaluator.evaluate(s.sequence, s) == pytest.approx(-1.0)
+        assert model.energy(s) == pytest.approx(-1.0)
 
     def test_nonzero_exit(self, tmp_path):
         cmd = _write_stub(tmp_path, "import sys; sys.exit(3)\n")
         s = structure("GAAAC", "(...)")
         with pytest.raises(ExternalEvaluationError) as exc:
-            ExternalEvaluator(cmd).evaluate(s.sequence, s)
+            ExternalModel(cmd).energy(s)
         assert exc.value.reason == "nonzero-exit"
 
     def test_unparsable_output(self, tmp_path):
         cmd = _write_stub(tmp_path, "print('not a number')\n")
         s = structure("GAAAC", "(...)")
         with pytest.raises(ExternalEvaluationError) as exc:
-            ExternalEvaluator(cmd).evaluate(s.sequence, s)
+            ExternalModel(cmd).energy(s)
         assert exc.value.reason == "unparsable-output"
 
     @pytest.mark.parametrize("printed", ["nan", "inf", "-inf"])
@@ -737,22 +757,22 @@ class TestExternal:
         cmd = _write_stub(tmp_path, f"print({printed!r})\n")
         s = structure("GAAAC", "(...)")
         with pytest.raises(ExternalEvaluationError) as exc:
-            ExternalEvaluator(cmd).evaluate(s.sequence, s)
+            ExternalModel(cmd).energy(s)
         assert exc.value.reason == "non-finite-output"
 
     def test_timeout_is_not_cached(self):
         cmd = f"{shlex.quote(sys.executable)} -c 'import time; time.sleep(30)'"
-        evaluator = ExternalEvaluator(cmd, timeout=0.2)
+        model = ExternalModel(cmd, timeout=0.2)
         s = structure("GAAAC", "(...)")
         for _ in range(2):
             with pytest.raises(ExternalEvaluationError) as exc:
-                evaluator.evaluate(s.sequence, s)
+                model.energy(s)
             assert exc.value.reason == "timeout"
 
     def test_command_not_found(self):
         s = structure("GAAAC", "(...)")
         with pytest.raises(ExternalEvaluationError) as exc:
-            ExternalEvaluator("definitely-not-a-real-command-xyz").evaluate(s.sequence, s)
+            ExternalModel("definitely-not-a-real-command-xyz").energy(s)
         assert exc.value.reason == "command-not-found"
 
     def test_cache_hits_once(self, tmp_path):
@@ -763,10 +783,10 @@ class TestExternal:
             "p.write_text(str(int(p.read_text() or '0') + 1) if p.exists() else '1')\n"
             "print(-2.5)\n"
         )
-        evaluator = ExternalEvaluator(_write_stub(tmp_path, body))
+        model = ExternalModel(_write_stub(tmp_path, body))
         s = structure("GAAAC", "(...)")
-        assert evaluator.evaluate(s.sequence, s) == pytest.approx(-2.5)
-        assert evaluator.evaluate(s.sequence, s) == pytest.approx(-2.5)
+        assert model.energy(s) == pytest.approx(-2.5)
+        assert model.energy(s) == pytest.approx(-2.5)
         assert counter.read_text() == "1"
 
     @pytest.mark.parametrize("n", [16, 24])
@@ -777,28 +797,28 @@ class TestExternal:
         scorer = LoopTableModel(example_parameters())
         invoked = []
         evaluated = 0
-        evaluate = ExternalEvaluator.evaluate
+        energy = ExternalModel.energy
 
         def fake_invoke(self, bases, db):
             invoked.append(db)
             return scorer.energy(parse_dot_bracket(PrimarySequence(bases), db))
 
-        def counting_evaluate(self, seq, s):
+        def counting_energy(self, s):
             nonlocal evaluated
             evaluated += 1
-            return evaluate(self, seq, s)
+            return energy(self, s)
 
-        monkeypatch.setattr(ExternalEvaluator, "_invoke", fake_invoke)
-        monkeypatch.setattr(ExternalEvaluator, "evaluate", counting_evaluate)
+        monkeypatch.setattr(ExternalModel, "_invoke", fake_invoke)
+        monkeypatch.setattr(ExternalModel, "energy", counting_energy)
         rng = random.Random(1)
         seq = PrimarySequence("".join(rng.choice("ACGU") for _ in range(n)))
-        model = ExternalModel(ExternalEvaluator("unused"))
+        model = ExternalModel("unused")
         run(None, seq, Grammar(allow_inverse=True), model, RunLimits(max_steps=40))
         assert invoked and len(invoked) == len(set(invoked))
         assert evaluated > len(invoked)
 
     def test_unfolded_state_never_calls_out(self):
-        # +inf shortcut: the evaluator would fail if invoked
-        model = ExternalModel(ExternalEvaluator("definitely-not-a-real-command-xyz"))
+        # +inf shortcut: the command would fail if invoked
+        model = ExternalModel("definitely-not-a-real-command-xyz")
         s = SecondaryStructure(PrimarySequence("AAAA"))
         assert observable(s, model) == math.inf

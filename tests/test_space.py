@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from unittest import mock
 
 import pytest
@@ -423,11 +424,19 @@ class TestExport:
             [(("grammar", "min_hairpin"), True)],
             [(("states", 0, "id"), False)],
             [(("states", 1, "energy"), True)],
+            # what no export writes: a non-finite energy, a rule that is no
+            # rule label, a transition made by fewer than one match
+            [(("states", 1, "energy"), math.nan)],
+            [(("states", 1, "energy"), math.inf)],
+            [(("states", 1, "energy"), -math.inf)],
+            [(("transitions", 0, "rule"), "bogus")],
+            [(("transitions", 0, "matches"), -3)],
         ],
         ids=[
             "transitions-not-a-list", "initial-unhashable", "from-unhashable", "to-unhashable",
             "initial-bool", "from-bool", "to-and-id-bool", "matches-bool", "min-hairpin-bool",
-            "id-bool", "energy-bool",
+            "id-bool", "energy-bool", "energy-nan", "energy-infinity", "energy-minus-infinity",
+            "rule-not-a-label", "matches-negative",
         ],
     )
     def test_json_schema_rejects_ill_typed_fields(self, seq_gggaaaccc, edits):

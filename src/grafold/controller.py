@@ -345,9 +345,10 @@ class StrategyContext:
     A step is a forward move as (rule label, target structure); the pairs
     it adds are ``target.pairs - structure.pairs``. ``successors`` is a
     one-pass iterator of the unvisited steps of ``structure`` in match
-    order, each target built when it is taken; ``successors_of`` gives
-    every step of any structure, and ``score`` its observable, both from
-    the run's record of each structure.
+    order, each target built when it is taken; ``successors_of`` builds a
+    new list of every step of any structure on each call; ``score`` gives
+    its observable and ``least_step`` the least (observable, target key) of
+    its steps, or None, both kept in the run's record of each structure.
     """
 
     structure: SecondaryStructure
@@ -356,6 +357,7 @@ class StrategyContext:
     successors: Iterator[tuple[str, SecondaryStructure]]
     successors_of: Callable[[SecondaryStructure], list[tuple[str, SecondaryStructure]]]
     score: Callable[[SecondaryStructure], float]
+    least_step: Callable[[SecondaryStructure], tuple[float, str] | None]
     best: tuple[float, SecondaryStructure] | None
     params: dict[str, object]
 
@@ -392,7 +394,8 @@ def _get_strategy(name: str) -> StrategyFn:
 def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
     """Escape strategy: accept when a strictly lower observable is reachable
     within ``depth`` forward steps; move one step toward the best such
-    structure."""
+    structure. The last level reads the least step of each structure on
+    the level before; a step into a structure already scored cannot win."""
     depth = ctx.params.get("depth", 2)
     if depth < 1:
         return StrategyDecision(satisfied=False)
@@ -402,7 +405,7 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
         seen = {first.key}
         level = 1
         local_best = (ctx.score(first), first.key)
-        while level < depth and frontier:
+        while level < depth - 1 and frontier:
             next_frontier = []
             for node in frontier:
                 for _, child in ctx.successors_of(node):
@@ -413,6 +416,8 @@ def _lookahead_strategy(ctx: StrategyContext) -> StrategyDecision:
                     local_best = min(local_best, (ctx.score(child), child.key))
             frontier = next_frontier
             level += 1
+        if depth > 1:
+            local_best = min([local_best, *filter(None, map(ctx.least_step, frontier))])
         candidate = (local_best[0], local_best[1], first.key, first)
         if best_choice is None or candidate[:3] < best_choice[:3]:
             best_choice = candidate
@@ -486,26 +491,30 @@ class _Moves:
     ``loop_sites`` (:func:`~grafold.grammar._loop_sites`) and their
     ``terms`` (:meth:`~grafold.energy.EnergyModel.loop_term`), read through
     the run's loop memo, which works each out once per distinct loop; its
-    observable, folded from the terms; and its φ0 choice, the rule label and
-    the built target, kept once searched. The sites merged by outer pair
-    and, for strategies, the forward steps are worked out on first read."""
+    observable, folded from the terms; its φ0 choice, the rule label and
+    the built target, and, for strategies, its least step, kept once
+    searched. The sites merged by outer pair are worked out on first read."""
+
+    # the (rule label, target) of the last φ0 search, None when it found
+    # no move, or _UNSEARCHED
+    phi0: object = _UNSEARCHED
 
     def __init__(self, structure: SecondaryStructure, model: EnergyModel, memo: _LoopMemo):
-        self.structure = structure
+        self.structure, self.model = structure, model
         self.loops, kept = zip(*map(memo, loop_index(structure)))
         self.loop_sites, self.terms = zip(*kept)
         self.energy = observable_from_terms(structure, model, self.terms)
-        # the (rule label, target) of the last φ0 search, None when it found
-        # no move, or _UNSEARCHED
-        self.phi0: object = _UNSEARCHED
 
     @cached
     def sites(self) -> list[tuple]:
         return _by_outer_pair(self.loop_sites)
 
     @cached
-    def steps(self) -> list[tuple[str, SecondaryStructure]]:
-        return list(self.forward(()))
+    def least(self) -> tuple[float, str] | None:
+        """The least (observable, target key) of the forward steps, or None:
+        the model's ``least_move`` with no threshold and nothing visited."""
+        move = self.model.least_move(self.structure, self.terms, self.sites, math.inf, ())
+        return move and move[:2]
 
     def forward(self, held: Container[str]) -> Iterator[tuple[str, SecondaryStructure]]:
         """The forward steps to targets whose keys are not in ``held``, as
@@ -671,8 +680,9 @@ class Controller:
             energy=entry.energy,
             s_state=s_state,
             successors=entry.forward(self._visited),
-            successors_of=lambda s: self._moves(s).steps,
+            successors_of=lambda s: list(self._moves(s).forward(())),
             score=self._observable,
+            least_step=lambda s: self._moves(s).least,
             best=self._best,
             params=params,
         )

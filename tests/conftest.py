@@ -1,3 +1,4 @@
+import random
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -17,7 +18,7 @@ from grafold.controller import (
     StrategyDecision,
     register_strategy,
 )
-from grafold.energy import EnergyModel
+from grafold.energy import EnergyModel, LoopTableParams, example_parameters
 from grafold.grammar import Grammar, _apply_unchecked, enumerate_matches
 from grafold.structure import PrimarySequence, SecondaryStructure
 
@@ -107,6 +108,62 @@ def random_derivation(bases: str, min_h: int, data):
         if not matches:
             return
         s = _apply_unchecked(s, data.draw(st.sampled_from(matches)).added)
+
+
+def rounding_sensitive_parameters() -> LoopTableParams:
+    """A table whose terms span sixteen orders of magnitude, so a sum taken
+    in another order than the full decomposition's rounds differently."""
+    rng = random.Random(0)
+
+    def value() -> float:
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 16)
+
+    example = example_parameters()
+    return LoopTableParams(
+        stack={key: value() for key in example.stack},
+        hairpin={length: value() for length in example.hairpin},
+        bulge={length: value() for length in example.bulge},
+        internal={length: value() for length in example.internal},
+        multibranch_offset=value(),
+        multibranch_per_branch=value(),
+        multibranch_per_unpaired=value(),
+    )
+
+
+def falling_loop_parameters() -> LoopTableParams:
+    """The example table with negative hairpin entries, least at length 7
+    (neither the first nor the last), bulges cheaper than internal loops,
+    and a negative multibranch ``per_unpaired``, so the multibranch term
+    falls as a loop keeps more unpaired positions."""
+    params = example_parameters()
+    return LoopTableParams(
+        stack=params.stack,
+        hairpin={n: abs(n - 7) * 0.3 - 5.0 for n in params.hairpin},
+        bulge={n: value - 2.0 for n, value in params.bulge.items()},
+        internal=params.internal,
+        multibranch_offset=params.multibranch_offset,
+        multibranch_per_branch=params.multibranch_per_branch,
+        multibranch_per_unpaired=-0.7,
+    )
+
+
+def tied_loop_parameters() -> LoopTableParams:
+    """The example table's lengths with every stack, bulge and internal
+    entry 0.0, every hairpin entry 1.0 and no multibranch charge per
+    unpaired position: a hairpin alone and a hairpin behind a stack, a
+    bulge or an internal loop score the same, so many moves of one outer
+    pair, and of outer pairs with one left end, tie, and the tie rule
+    picks the move."""
+    params = example_parameters()
+    return LoopTableParams(
+        stack=dict.fromkeys(params.stack, 0.0),
+        hairpin=dict.fromkeys(params.hairpin, 1.0),
+        bulge=dict.fromkeys(params.bulge, 0.0),
+        internal=dict.fromkeys(params.internal, 0.0),
+        multibranch_offset=params.multibranch_offset,
+        multibranch_per_branch=params.multibranch_per_branch,
+        multibranch_per_unpaired=0.0,
+    )
 
 
 # Fixture families, sized so exhaustive oracles stay fast.

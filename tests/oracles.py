@@ -5,7 +5,9 @@ exhaustive recursive enumeration of valid structures, a maximum-pairing
 dynamic program, a brute-force match scan driven only by the public gluing
 predicate, a loop decomposition by a stack walk over the sorted pairs,
 loop-table terms read straight off the parameter tables, and the greedy
-choice taken over fully built, fully scored successors. The exceptions are
+choice taken over fully built, fully scored successors, and the lookahead
+strategy that searches every level breadth-first through a context's
+``successors_of`` and ``score``. The exceptions are
 the eager adaptation search, a controller subclass that keeps the
 controller's constraint checks but builds and checks every child of a
 structure as soon as it expands it, and the reference folding-space build
@@ -23,7 +25,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from grafold.controller import AdaptationOutcome, Controller, _path
+from grafold.controller import (
+    AdaptationOutcome,
+    Controller,
+    StrategyContext,
+    StrategyDecision,
+    _path,
+)
 from grafold.energy import EnergyModel, LoopClass, LoopTableParams, observable
 from grafold.grammar import (
     ALL_RULES,
@@ -224,6 +232,45 @@ def phi0_select(
     return None
 
 
+def reference_lookahead(ctx: StrategyContext) -> StrategyDecision:
+    """The lookahead strategy with every level searched breadth-first: each
+    first step's structures within ``depth`` forward steps, each built
+    through ``ctx.successors_of`` and scored through ``ctx.score`` once, the
+    least (score, key) of them deciding; it asks no ``ctx.least_step``."""
+    depth = ctx.params.get("depth", 2)
+    if depth < 1:
+        return StrategyDecision(satisfied=False)
+    best_choice: tuple[float, str, str, SecondaryStructure] | None = None
+    for label, first in ctx.successors:
+        frontier = [first]
+        seen = {first.key}
+        level = 1
+        local_best = (ctx.score(first), first.key)
+        while level < depth and frontier:
+            next_frontier = []
+            for node in frontier:
+                for _, child in ctx.successors_of(node):
+                    if child.key in seen:
+                        continue
+                    seen.add(child.key)
+                    next_frontier.append(child)
+                    local_best = min(local_best, (ctx.score(child), child.key))
+            frontier = next_frontier
+            level += 1
+        candidate = (local_best[0], local_best[1], first.key, first)
+        if best_choice is None or candidate[:3] < best_choice[:3]:
+            best_choice = candidate
+            best_move = label
+    if best_choice is not None and best_choice[0] < ctx.energy:
+        return StrategyDecision(
+            satisfied=True,
+            target=best_choice[3],
+            move=best_move,
+            note=f"lookahead(depth={depth})",
+        )
+    return StrategyDecision(satisfied=False)
+
+
 class EagerController(Controller):
     """The controller with a fully expanded adaptation BFS: each structure
     taken off the queue builds, deduplicates and ψ-checks all its forward
@@ -260,7 +307,7 @@ class EagerController(Controller):
                     return AdaptationOutcome(True)
             max_depth = self.limits.max_adaptation_depth
             entry = self._moves(node)
-            moves = list(entry.steps)
+            moves = list(entry.forward(()))
             if self.grammar.allow_inverse:
                 moves.extend(
                     (f"inverse:{ALL_RULES[at].label}", node.without(removed))

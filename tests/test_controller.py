@@ -42,11 +42,14 @@ from conftest import (
     EXAMPLE_MACHINE,
     ScriptedModel,
     counting_builds,
+    falling_loop_parameters,
     psi_machine,
     random_derivation,
+    rounding_sensitive_parameters,
+    tied_loop_parameters,
     trap_model,
 )
-from oracles import EagerController, phi0_select
+from oracles import EagerController, phi0_select, reference_lookahead
 
 G3 = Grammar()
 NUSSINOV = NussinovModel()
@@ -64,16 +67,26 @@ def labelled_steps(structure, grammar=G3):
     return [(m.rule.label, t) for m, t in successors(structure, grammar)]
 
 
-def make_context(structure, model, grammar=G3, best=None, params=None):
+def least_public_step(structure, model, grammar=G3):
+    """The least (observable, key) of the built public successors of
+    ``structure``, or None when it has none."""
+    steps = successors(structure, grammar)
+    return min(((observable(t, model), t.key) for _, t in steps), default=None)
+
+
+def make_context(structure, model, grammar=G3, best=None, params=None, visited=()):
     """A strategy context built outside a run, from the public successor
-    enumeration and the plain observable."""
+    enumeration and the plain observable; its ``successors`` are the steps
+    to targets whose keys are not in ``visited``."""
     return StrategyContext(
         structure=structure,
         energy=observable(structure, model),
         s_state="w0",
-        successors=labelled_steps(structure, grammar),
+        successors=[(label, t) for label, t in labelled_steps(structure, grammar)
+                    if t.key not in visited],
         successors_of=lambda s: labelled_steps(s, grammar),
         score=lambda s: observable(s, model),
+        least_step=lambda s: least_public_step(s, model, grammar),
         best=best,
         params=params or {},
     )
@@ -541,7 +554,7 @@ class TestLazyAdaptation:
         # origin's inverse moves; the eager search builds them anyway.
         # The run builds every structure but the unfolded one through the
         # unchecked constructor: forward children (lazily in _Moves.forward,
-        # eagerly in _Moves.steps), φ0 targets and inverse sources, so
+        # all at once in the eager search), φ0 targets and inverse sources, so
         # a count of 0 means a build escaped the count. Inverse sources are
         # built by SecondaryStructure.without: the lazy search builds one
         # only when it takes it, so over the whole run the sources it builds
@@ -769,6 +782,83 @@ def test_strategy_steps_equal_public_successors_along_derivations(model, min_h, 
         assert all(t.key == emit_dot_bracket(t) for _, t in every)
 
 
+#: The models the lookahead gate runs under: the loop-table model with the
+#: packaged table and with tables that fall, tie and round, each searched by
+#: its pruned ``least_move``, the Nussinov walk, and an energy-only model
+#: searched by the base plain scan, with many ties and no monotone trend.
+LOOKAHEAD_MODELS = {
+    "nussinov": NUSSINOV,
+    "loop-table": MODELS["loop-table"],
+    "falling": LoopTableModel(falling_loop_parameters()),
+    "tied": LoopTableModel(tied_loop_parameters()),
+    "rounding": LoopTableModel(rounding_sensitive_parameters()),
+    "scripted": ScriptedModel(
+        default=lambda s: float(sum(p.i * p.j for p in s.pairs) % 5 - len(s.pairs))
+    ),
+}
+
+
+@pytest.mark.parametrize("model", sorted(LOOKAHEAD_MODELS))
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_lookahead_decides_as_reference_along_derivations(model, bases, data):
+    # one controller per model serves the whole derivation, with some
+    # successors of each structure visited: its lookahead decision at depth
+    # 1, 2 and 3 equals the reference's, which searches every level through
+    # the public successors and scores each structure in full
+    model = LOOKAHEAD_MODELS[model]
+    controller = Controller(model=model)
+    for s, _ in random_derivation(bases, G3.min_hairpin_unpaired, data):
+        keys = sorted({t.key for _, t in labelled_steps(s)})
+        visited = set(data.draw(st.lists(st.sampled_from(keys))) if keys else [])
+        controller._visited = visited
+        for depth in (1, 2, 3):
+            decision = controller._check(Constraint.of_strategy("lookahead", depth=depth), s, "w0")
+            ctx = make_context(s, model, params={"depth": depth}, visited=visited)
+            assert decision == reference_lookahead(ctx)
+
+
+@pytest.mark.parametrize("model", sorted(LOOKAHEAD_MODELS))
+@given(bases=st.text(alphabet="ACGU", min_size=1, max_size=14), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_least_step_is_least_public_successor_along_derivations(model, bases, data):
+    # a strategy's least_step of any structure is the least (observable,
+    # key) of its built public successors, visited or not, and None for a
+    # terminal structure; one controller serves the whole derivation
+    model = LOOKAHEAD_MODELS[model]
+    controller = Controller(model=model)
+    for s, matches in random_derivation(bases, G3.min_hairpin_unpaired, data):
+        keys = sorted({t.key for _, t in labelled_steps(s)})
+        controller._visited = set(data.draw(st.lists(st.sampled_from(keys))) if keys else [])
+        ctx = controller._context(s, "w0", {})
+        want = least_public_step(s, model)
+        assert ctx.least_step(s) == want
+        assert (want is None) is (not matches)
+
+
+def test_each_record_searched_for_its_least_step_once_per_run(monkeypatch):
+    # a run of the example machine searches a structure's moves with no
+    # threshold (a least step, or the φ0 choice of the unfolded strand) at
+    # most once, and keeps the least step in the structure's record
+    searched = []
+    least_move = LoopTableModel.least_move
+
+    def counting_least_move(model, s, terms, sites, threshold, visited):
+        if threshold == math.inf:
+            searched.append(s.key)
+        return least_move(model, s, terms, sites, threshold, visited)
+
+    monkeypatch.setattr(LoopTableModel, "least_move", counting_least_move)
+    controller = Controller(
+        machine=EXAMPLE_MACHINE, model=MODELS["loop-table"], limits=RunLimits(max_steps=20)
+    )
+    trace = controller.run(PrimarySequence(SEEDED_40[:30]))
+    assert any(r.note == "lookahead(depth=2)" for r in trace.records)
+    assert len(searched) == len(set(searched))
+    kept = {key for key, entry in controller._move_memo.items() if "least" in vars(entry)}
+    assert kept <= set(searched) and len(kept) > 100
+
+
 def test_strategy_steps_built_only_when_taken(seq_gggaaaccc):
     # a strategy that never reads its successors builds none of them; one
     # that takes the first builds that one alone
@@ -900,34 +990,51 @@ class TestStrategies:
         assert any(r.s_state == "w1" for r in trace.records)
 
     def test_lookahead_scores_through_ctx_score(self, seq_gggaaaccc):
+        # the lookahead scores each first step, and each structure on the
+        # levels between the first and the last, through ctx.score; it
+        # expands every level but the last through ctx.successors_of, and
+        # reads the last level off ctx.least_step of each structure on the
+        # level before, in the order it reached them
         model = ScriptedModel({"..(...)..": -2.0, "(((...)))": -3.0})
         trap = parse_dot_bracket(seq_gggaaaccc, "..(...)..")
-        ctx = make_context(trap, model, params={"depth": 2})
         lookahead = _get_strategy("lookahead")
-        scored, expanded = [], []
+        firsts = [t.key for _, t in labelled_steps(trap)]
+        # the new structures one step below each first step, in the order
+        # the search reaches them
+        seconds = {}
+        for first in firsts:
+            below = seconds[first] = []
+            for _, child in labelled_steps(parse_dot_bracket(seq_gggaaaccc, first)):
+                if child.key != first and child.key not in below:
+                    below.append(child.key)
+        below_all = [key for first in firsts for key in seconds[first]]
+        expected = {
+            0: ([], [], []),
+            1: (firsts, [], []),
+            2: (firsts, [], firsts),
+            3: ([key for first in firsts for key in (first, *seconds[first])], firsts, below_all),
+        }
+        assert "(((...)))" in below_all
+        for depth, (scored, expanded, asked) in expected.items():
+            ctx = make_context(trap, model, params={"depth": depth})
+            calls = {"score": [], "successors_of": [], "least_step": []}
 
-        def score(s):
-            scored.append(s.key)
-            return observable(s, model)
+            def spy(name):
+                read = getattr(ctx, name)
 
-        def successors_of(s):
-            expanded.append(s.key)
-            return labelled_steps(s)
+                def spied(s):
+                    calls[name].append(s.key)
+                    return read(s)
 
-        plain = lookahead(ctx)
-        assert plain.satisfied and plain.target is not None
-        assert lookahead(replace(ctx, score=score, successors_of=successors_of)) == plain
-        assert ".((...))." in scored and "(((...)))" in scored
-        assert sorted(expanded) == sorted(t.key for _, t in ctx.successors)
-        # the controller evaluates the same constraint from its run memos
-        assert check(Constraint.of_strategy("lookahead", depth=2), trap, model) == plain
-        # a depth below 1 looks at no step, so nothing lower is reachable
-        scored.clear()
-        expanded.clear()
-        shallow = replace(ctx, score=score, successors_of=successors_of, params={"depth": 0})
-        assert lookahead(shallow) == StrategyDecision(satisfied=False)
-        assert scored == expanded == []
-        assert not check(Constraint.of_strategy("lookahead", depth=0), trap, model).satisfied
+                return spied
+
+            decision = lookahead(replace(ctx, **{name: spy(name) for name in calls}))
+            assert calls == {"score": scored, "successors_of": expanded, "least_step": asked}
+            assert decision == lookahead(ctx) == reference_lookahead(ctx)
+            assert decision.satisfied is (depth > 0)
+            # the controller evaluates the same constraint from its run records
+            constraint = Constraint.of_strategy("lookahead", depth=depth)
+            assert check(constraint, trap, model) == decision
 
     def test_lookahead_rejects_non_integer_depth(self, seq_gggaaaccc):
         machine = AdaptiveMachine.from_config(

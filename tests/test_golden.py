@@ -32,7 +32,11 @@ forward moves as (rule label, structure) steps; each does five restarts.
 The fold of the first 36 bases of ``SEEDED[40]`` under the packaged example
 machine, whose lookahead of depth 2 makes a run record for every structure
 it scores, was recorded before those records shared the run's loops and
-scanned each loop when the first record holding it was made.
+scanned each loop when the first record holding it was made. The fold of
+all of ``SEEDED[40]`` under that machine, and of its first 30 bases under
+the same machine with a lookahead of depth 3, were recorded before the
+lookahead read its last level off each structure's least step, when it
+still built and scored every structure of that level.
 """
 
 import contextlib
@@ -147,6 +151,26 @@ LARGE_FOLDS = (
 # the packaged example machine on the first 36 bases of SEEDED[40]
 EXAMPLE_MACHINE_36_DIGEST = "00049871afc5a3c5806c8f830a60e479c1085bce28ef27c09b5d3b0be6ece599"
 
+# the packaged example machine on SEEDED[40]
+EXAMPLE_MACHINE_40_DIGEST = "fe69411dd7e75d7139d98874dff9feed1fc21d856236defc4627f9fa350abfa2"
+
+# the packaged example machine with a lookahead of depth 3
+DEPTH_3_MACHINE = {
+    "initial": "w0",
+    "states": [
+        {"id": "w0", "constraint": "phi0"},
+        {"id": "w1", "constraint": {"strategy": "lookahead", "params": {"depth": 3}}},
+    ],
+    "transitions": [
+        {"from": "w0", "to": "w0", "psi": "true"},
+        {"from": "w0", "to": "w1", "psi": "true"},
+        {"from": "w1", "to": "w0", "psi": "true"},
+    ],
+}
+
+# DEPTH_3_MACHINE on the first 30 bases of SEEDED[40]
+DEPTH_3_MACHINE_30_DIGEST = "8c3b424a4d71fdfd640a26d3738ea7ad0648e846c6dbe71b2e1f85920b27fdc8"
+
 ENUMERATE_DIGEST = "ecb98f545e1402619c90a46c5508dbd4a7c234e102755c85f1d9afaeca02b37c"
 
 GC14 = ["--seq", "GCGCGCGCGCGCGC", "--energy", "loop-table"]
@@ -233,6 +257,26 @@ def test_example_machine_fold_trace_bytes(tmp_path):
         "--s-machine", MACHINE, "--trace-out", str(out),
     ]
     assert _digest_of(argv, out) == EXAMPLE_MACHINE_36_DIGEST
+
+
+def test_example_machine_fold_trace_bytes_40(tmp_path):
+    out = tmp_path / "trace.jsonl"
+    argv = [
+        "fold", "--seq", SEEDED[40], "--energy", "loop-table", "--max-steps", "20",
+        "--s-machine", MACHINE, "--trace-out", str(out),
+    ]
+    assert _digest_of(argv, out) == EXAMPLE_MACHINE_40_DIGEST
+
+
+def test_depth_3_machine_fold_trace_bytes(tmp_path):
+    machine = tmp_path / "machine.json"
+    machine.write_text(json.dumps(DEPTH_3_MACHINE))
+    out = tmp_path / "trace.jsonl"
+    argv = [
+        "fold", "--seq", SEEDED[40][:30], "--energy", "loop-table", "--max-steps", "20",
+        "--s-machine", str(machine), "--trace-out", str(out),
+    ]
+    assert _digest_of(argv, out) == DEPTH_3_MACHINE_30_DIGEST
 
 
 def test_enumerate_export_bytes(tmp_path):
